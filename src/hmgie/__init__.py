@@ -23,6 +23,7 @@ from .forge import (
 from .gateway import (
     Gateway,
     HttpBackend,
+    ImageRef,
     ModelRequest,
     ModelResponse,
     RequestKind,

@@ -27,7 +27,7 @@ from .errors import (
     MalformedOutputError,
     SchemaViolationError,
 )
-from .gateway import Gateway, ModelRequest, RequestKind
+from .gateway import Gateway, ImageRef, ModelRequest, RequestKind
 from .prompts import (
     TemplateName,
     load_templates,
@@ -264,7 +264,7 @@ def _text_request(prompt: str, config: ForgeConfig, model_id: Optional[str] = No
 
 
 def generate_ground_truth(
-    image: bytes,
+    image: ImageRef | bytes,
     spec: GranularitySpec,
     captioners: Sequence[Gateway],
     fusion: Gateway,
@@ -277,6 +277,7 @@ def generate_ground_truth(
     """
     if not captioners:
         raise AllCaptionersFailedError("no captioners configured")
+    image = ImageRef.of(image)
     captions = []
     failures = []
     for index, gateway in enumerate(captioners):
@@ -316,7 +317,7 @@ def perturb_iteratively(
     ground_truth: str,
     perturb_backend: Gateway,
     detector_backend: Gateway,
-    image: bytes,
+    image: ImageRef | bytes,
     max_iterations: int,
     config: ForgeConfig,
     image_path: str = "",
@@ -331,6 +332,7 @@ def perturb_iteratively(
         raise SchemaViolationError("max_iterations must be >= 1")
     if not ground_truth or not ground_truth.strip():
         raise SchemaViolationError("ground truth caption must be nonempty")
+    image = ImageRef.of(image)
     detector_template = config.templates[config.detector_template]
     history: list[str] = []
     verdicts: list[int] = []
@@ -399,9 +401,9 @@ def _record_lines(
     lines: list[dict] = []
     notes: list[str] = []
     skipped = 0
-    payload = Path(image_path).read_bytes()
+    image = ImageRef(Path(image_path).read_bytes())
     ground_truth = generate_ground_truth(
-        payload, spec, config.bindings.captioners, config.bindings.fusion, config
+        image, spec, config.bindings.captioners, config.bindings.fusion, config
     )
     stem = Path(image_path).stem
     base = {"image_path": image_path, "granularity": spec.level}
@@ -420,7 +422,7 @@ def _record_lines(
         ground_truth,
         config.bindings.perturb,
         config.bindings.detector,
-        payload,
+        image,
         config.max_iterations,
         config,
         image_path=image_path,

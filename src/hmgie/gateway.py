@@ -15,8 +15,9 @@ import hashlib
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol
 
@@ -56,9 +57,45 @@ class RequestKind(Enum):
     VISION = "vision"
 
 
+@dataclass(frozen=True, eq=False)
+class ImageRef:
+    """An image payload prepared once for every request that carries it.
+
+    The SHA-256 digest is computed from the payload at construction and
+    cannot be supplied by the caller; the data URL (media type sniffed from
+    the magic bytes, payload base64-encoded) is built on first use and kept.
+    """
+
+    payload: bytes
+    digest: str = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest", hashlib.sha256(self.payload).hexdigest())
+
+    @classmethod
+    def of(cls, image: "ImageRef | bytes") -> "ImageRef":
+        """The image itself when it is already a ref, else a new ref over it."""
+        return image if isinstance(image, ImageRef) else cls(image)
+
+    @property
+    def media_type(self) -> Optional[str]:
+        return sniff_media_type(self.payload)
+
+    @cached_property
+    def data_url(self) -> str:
+        encoded = base64.b64encode(self.payload).decode("ascii")
+        return f"data:{self.media_type or 'image/jpeg'};base64,{encoded}"
+
+
 @dataclass(frozen=True)
 class ModelRequest:
-    """One model call; vision requests carry the image and its digest."""
+    """One model call; vision requests carry the image and its digest.
+
+    Every vision request also carries an ImageRef over its payload in
+    ``image``. A ref passed in is trusted without re-hashing only when it
+    wraps the very payload object given and its digest equals image_digest;
+    otherwise the payload is hashed and checked against image_digest.
+    """
 
     kind: RequestKind
     prompt: str
@@ -67,6 +104,7 @@ class ModelRequest:
     max_output_tokens: int = 1024
     image_digest: Optional[str] = None
     image_payload: Optional[bytes] = None
+    image: Optional[ImageRef] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -76,20 +114,33 @@ class ModelRequest:
         if self.kind is RequestKind.VISION:
             if self.image_digest is None or self.image_payload is None:
                 raise SchemaViolationError("vision requests need digest and payload")
-            actual = hashlib.sha256(self.image_payload).hexdigest()
-            if actual != self.image_digest:
-                raise SchemaViolationError("image digest does not match payload")
-        elif self.image_digest is not None or self.image_payload is not None:
+            ref = self.image
+            if (
+                ref is None
+                or ref.payload is not self.image_payload
+                or ref.digest != self.image_digest
+            ):
+                ref = ImageRef(self.image_payload)
+                if ref.digest != self.image_digest:
+                    raise SchemaViolationError("image digest does not match payload")
+                object.__setattr__(self, "image", ref)
+        elif (
+            self.image_digest is not None
+            or self.image_payload is not None
+            or self.image is not None
+        ):
             raise SchemaViolationError("text requests must not carry an image")
 
     @classmethod
-    def vision(cls, prompt: str, image_payload: bytes, **kwargs) -> "ModelRequest":
-        digest = hashlib.sha256(image_payload).hexdigest()
+    def vision(cls, prompt: str, image: ImageRef | bytes, **kwargs) -> "ModelRequest":
+        """A vision request; pass an ImageRef to hash the image only once."""
+        ref = ImageRef.of(image)
         return cls(
             kind=RequestKind.VISION,
             prompt=prompt,
-            image_digest=digest,
-            image_payload=image_payload,
+            image_digest=ref.digest,
+            image_payload=ref.payload,
+            image=ref,
             **kwargs,
         )
 
@@ -157,8 +208,6 @@ class HttpBackend:
         if request.kind is RequestKind.TEXT:
             messages.append({"role": "user", "content": request.prompt})
         else:
-            media = sniff_media_type(request.image_payload or b"") or "image/jpeg"
-            encoded = base64.b64encode(request.image_payload or b"").decode("ascii")
             messages.append(
                 {
                     "role": "user",
@@ -166,7 +215,7 @@ class HttpBackend:
                         {"type": "text", "text": request.prompt},
                         {
                             "type": "image_url",
-                            "image_url": {"url": f"data:{media};base64,{encoded}"},
+                            "image_url": {"url": request.image.data_url},
                         },
                     ],
                 }
@@ -202,12 +251,23 @@ class HttpBackend:
         return content if isinstance(content, str) else ""
 
 
+@dataclass(frozen=True)
+class CallRecord:
+    """What a backend was asked, without the image bytes."""
+
+    kind: RequestKind
+    prompt: str
+    model_id: str
+    image_digest: Optional[str]
+
+
 class ScriptedBackend:
     """Replay backend serving recorded replies keyed by cache_key.
 
     Fixtures come from an in-memory mapping, a directory of one file per
     key (content = raw reply text), or both; the mapping wins on overlap.
-    Every served request is appended to .calls for trace assertions.
+    Every served request is appended to .calls as a CallRecord for trace
+    assertions; the record holds the image digest, never the payload.
     """
 
     def __init__(
@@ -221,13 +281,16 @@ class ScriptedBackend:
         self.supports_vision = True
         self.fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
         self.fixtures = dict(fixtures or {})
-        self.calls: list[ModelRequest] = []
+        self.calls: list[CallRecord] = []
         self._lock = threading.Lock()
 
     def complete(self, request: ModelRequest) -> str:
         key = cache_key(request)
+        record = CallRecord(
+            request.kind, request.prompt, request.model_id, request.image_digest
+        )
         with self._lock:
-            self.calls.append(request)
+            self.calls.append(record)
         if key in self.fixtures:
             return self.fixtures[key]
         if self.fixture_dir is not None:
@@ -343,12 +406,20 @@ class Gateway:
         with self._lock:
             gate = self._inflight.setdefault(key, threading.Lock())
         with gate:
-            cached = self._cached_text(key)
-            if cached is not None:
-                # A concurrent duplicate finished first; serve its result.
-                return ModelResponse(text=cached, latency_ms=0, cached=1)
-            started = time.monotonic()
-            text = self._complete_with_retries(request)
-            latency_ms = int((time.monotonic() - started) * 1000)
-            self._store(key, text)
-            return ModelResponse(text=text, latency_ms=latency_ms, cached=0)
+            try:
+                cached = self._cached_text(key)
+                if cached is not None:
+                    # A concurrent duplicate finished first; serve its result.
+                    return ModelResponse(text=cached, latency_ms=0, cached=1)
+                started = time.monotonic()
+                text = self._complete_with_retries(request)
+                latency_ms = int((time.monotonic() - started) * 1000)
+                self._store(key, text)
+                return ModelResponse(text=text, latency_ms=latency_ms, cached=0)
+            finally:
+                # Drop the gate once the call is done so the map holds only
+                # calls in flight; duplicates already waiting on this gate
+                # re-check the cache when they acquire it.
+                with self._lock:
+                    if self._inflight.get(key) is gate:
+                        del self._inflight[key]

@@ -31,7 +31,7 @@ from .errors import (
     MalformedOutputError,
     SchemaViolationError,
 )
-from .gateway import Gateway, ModelRequest, RequestKind, sniff_media_type
+from .gateway import Gateway, ImageRef, ModelRequest, RequestKind
 from .hieg import (
     Hieg,
     LevelStats,
@@ -209,12 +209,12 @@ def build_question_request(
 
 
 def build_vqa_request(
-    question: str, image_payload: bytes, config: PipelineConfig
+    question: str, image: ImageRef | bytes, config: PipelineConfig
 ) -> ModelRequest:
     prompt = render(config.templates[TemplateName.VQA], {"question": question})
     return ModelRequest.vision(
         prompt,
-        image_payload,
+        image,
         model_id=config.model_id,
         temperature=config.temperature,
         max_output_tokens=config.max_output_tokens,
@@ -367,14 +367,12 @@ def _sanitize_batch(
 def _answer_and_judge(
     question: str,
     expected_answer: str,
-    image_payload: bytes,
+    image: ImageRef,
     config: PipelineConfig,
 ) -> tuple[str, float, bool, list[str]]:
     """Stages 2 and 3 for one question: VQA then semantic answer evaluation."""
     notes: list[str] = []
-    vqa_response = config.backends.vqa.call(
-        build_vqa_request(question, image_payload, config)
-    )
+    vqa_response = config.backends.vqa.call(build_vqa_request(question, image, config))
     if not vqa_response.text.strip():
         notes.append(f"vqa returned an empty reply for {question!r}; marked incorrect")
         return "", 1.0, False, notes
@@ -403,7 +401,7 @@ def _answer_and_judge(
 
 
 def _run_level(
-    batch: QuestionBatch, image_payload: bytes, config: PipelineConfig
+    batch: QuestionBatch, image: ImageRef, config: PipelineConfig
 ) -> tuple[list[tuple[str, float]], list[bool], list[str]]:
     """Fan stage 2+3 out over the batch; results keep batch order."""
     workers = min(config.intra_level_parallelism, len(batch.items))
@@ -412,14 +410,14 @@ def _run_level(
             outcomes = list(
                 pool.map(
                     lambda item: _answer_and_judge(
-                        item.question, item.expected_answer, image_payload, config
+                        item.question, item.expected_answer, image, config
                     ),
                     batch.items,
                 )
             )
     else:
         outcomes = [
-            _answer_and_judge(item.question, item.expected_answer, image_payload, config)
+            _answer_and_judge(item.question, item.expected_answer, image, config)
             for item in batch.items
         ]
     answers = [(answer, confidence) for answer, confidence, _, _ in outcomes]
@@ -429,12 +427,15 @@ def _run_level(
 
 
 def evaluate_pair(
-    image: bytes,
+    image: ImageRef | bytes,
     caption: str,
     config: PipelineConfig,
     media_type: Optional[str] = None,
 ) -> EvaluationReport:
     """Evaluate one image-caption pair and return the full report.
+
+    Raw image bytes are wrapped in an ImageRef once, so the image is hashed
+    once per pair however many questions ask about it.
 
     Raises:
         ValueError: empty caption or undecodable image.
@@ -445,9 +446,10 @@ def evaluate_pair(
     """
     if not caption or not caption.strip():
         raise ValueError("caption must be nonempty")
-    if not image:
+    image = ImageRef.of(image)
+    if not image.payload:
         raise ValueError("image payload is empty")
-    if media_type is None and sniff_media_type(image) is None:
+    if media_type is None and image.media_type is None:
         raise ValueError("image format not recognized (png/jpeg/gif/webp/bmp)")
 
     diagnostics: list[str] = []

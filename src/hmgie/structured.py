@@ -67,15 +67,19 @@ def extract_json_value(raw: str) -> Any:
     does not shadow the actual payload.
 
     Raises:
-        MalformedOutputError: nothing parseable was found.
+        MalformedOutputError: nothing parseable was found, or the reply
+            nests deeper than the JSON decoder's recursion limit.
     """
     if not raw or not raw.strip():
         raise MalformedOutputError("empty model reply")
-    for fenced in _FENCE_RE.findall(raw):
-        value = _first_value(fenced)
-        if value is not None:
-            return value
-    value = _first_value(raw)
+    try:
+        for fenced in _FENCE_RE.findall(raw):
+            value = _first_value(fenced)
+            if value is not None:
+                return value
+        value = _first_value(raw)
+    except RecursionError as exc:
+        raise MalformedOutputError("model reply nests too deeply to parse") from exc
     if value is None:
         raise MalformedOutputError(
             "no balanced JSON object or array found in model reply"

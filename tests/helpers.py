@@ -5,13 +5,16 @@ by mirroring the pipeline's request composition."""
 from __future__ import annotations
 
 import base64
+import hashlib
 import http.server
 import json
 import random
 import threading
+import types
 import zlib
 from typing import Callable, Optional
 
+from hmgie import gateway as gateway_module
 from hmgie.errors import FixtureMissingError
 from hmgie.gateway import Gateway, ModelRequest, ScriptedBackend, cache_key
 from hmgie.hieg import Hieg, expand, overall_decision
@@ -74,6 +77,23 @@ def graph_reply_for(caption: str) -> str:
     payload["edges"][0]["from"] = ["N1", f"dog ({caption})"]
     payload["edges"][1]["from"] = ["N1", f"dog ({caption})"]
     return json.dumps(payload)
+
+
+def count_payload_hashes(monkeypatch, payload: bytes) -> list[int]:
+    """Patch hmgie.gateway's SHA-256 to log each pass over payload.
+
+    Returns the log; its length is the number of times the gateway hashed
+    the image (cache-key hashes of request JSON are not counted).
+    """
+    passes: list[int] = []
+
+    def sha256(data=b"", **kwargs):
+        if data == payload:
+            passes.append(len(data))
+        return hashlib.sha256(data, **kwargs)
+
+    monkeypatch.setattr(gateway_module, "hashlib", types.SimpleNamespace(sha256=sha256))
+    return passes
 
 
 class DynamicBackend:

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from helpers import TINY_PNG, DynamicBackend
+from helpers import TINY_PNG, DynamicBackend, count_payload_hashes
 from hmgie.errors import AllCaptionersFailedError, SchemaViolationError
 from hmgie.forge import (
     DEFAULT_GRANULARITY_SPECS,
@@ -263,6 +263,17 @@ class TestBuildDataset:
         assert sum(1 for line in lines if line["label"] == 0) == 8
         assert sum(1 for line in lines if line["label"] == 1) == 8
         assert summary.per_granularity == {1: 4, 2: 4, 3: 4, 4: 4}
+
+    def test_one_cell_hashes_its_image_once(self, images, tmp_path, monkeypatch):
+        config, backend = forge_config(
+            forge_responder(), specs=(DEFAULT_GRANULARITY_SPECS[0],)
+        )
+        passes = count_payload_hashes(monkeypatch, TINY_PNG)
+        summary = build_dataset(images[:1], config, tmp_path / "data.jsonl")
+        assert summary.records_written == 1
+        # one caption plus one detection per perturbation round
+        assert sum(1 for c in backend.calls if c.image_digest is not None) == 4
+        assert len(passes) == 1
 
     def test_label_soundness(self, images, tmp_path):
         config, _ = forge_config(forge_responder(fool_at_version=1))

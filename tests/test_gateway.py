@@ -1,10 +1,14 @@
 import base64
+import hashlib
+import json
+import sys
 import threading
 import time
+import types
 
 import pytest
 
-from helpers import TINY_PNG, DynamicBackend, FakeChatServer
+from helpers import TINY_PNG, DynamicBackend, FakeChatServer, count_payload_hashes
 from hmgie.errors import (
     AuthError,
     ExhaustedError,
@@ -14,8 +18,10 @@ from hmgie.errors import (
     UnsupportedRequestError,
 )
 from hmgie.gateway import (
+    CallRecord,
     Gateway,
     HttpBackend,
+    ImageRef,
     ModelRequest,
     RequestKind,
     RetryPolicy,
@@ -51,6 +57,99 @@ class TestRequestValidation:
     def test_text_with_image_rejected(self):
         with pytest.raises(SchemaViolationError):
             ModelRequest(kind=RequestKind.TEXT, prompt="p", image_payload=TINY_PNG)
+
+
+class TestImageRef:
+    def test_digest_computed_not_supplied(self):
+        ref = ImageRef(TINY_PNG)
+        assert ref.digest == hashlib.sha256(TINY_PNG).hexdigest()
+        with pytest.raises(TypeError):
+            ImageRef(TINY_PNG, digest="0" * 64)
+
+    def test_data_url_and_media_type(self):
+        ref = ImageRef(TINY_PNG)
+        assert ref.media_type == "image/png"
+        assert ref.data_url == (
+            "data:image/png;base64," + base64.b64encode(TINY_PNG).decode("ascii")
+        )
+        assert ref.data_url is ref.data_url
+        assert ImageRef(b"no magic").data_url.startswith("data:image/jpeg;base64,")
+
+    def test_of_keeps_an_existing_ref(self):
+        ref = ImageRef(TINY_PNG)
+        assert ImageRef.of(ref) is ref
+        assert ImageRef.of(TINY_PNG).payload is TINY_PNG
+
+    def test_vision_request_carries_the_ref(self):
+        ref = ImageRef(TINY_PNG)
+        request = ModelRequest.vision("p", ref)
+        assert request.image is ref
+        assert request.image_payload is TINY_PNG
+        assert request.image_digest == ref.digest
+        assert ModelRequest.vision("p", TINY_PNG).image.digest == ref.digest
+
+    def test_cache_key_same_for_ref_and_raw_bytes(self):
+        payload = TINY_PNG + b"\x00" * 64
+        from_ref = ModelRequest.vision("look", ImageRef(payload), model_id="m")
+        from_bytes = ModelRequest.vision("look", payload, model_id="m")
+        canonical = json.dumps(
+            {
+                "kind": "vision",
+                "model_id": "m",
+                "temperature": 0.3,
+                "prompt": "look",
+                "image_digest": hashlib.sha256(payload).hexdigest(),
+            },
+            sort_keys=True,
+            ensure_ascii=False,
+        )
+        recorded_key = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert cache_key(from_ref) == cache_key(from_bytes) == recorded_key
+
+    def test_ref_with_other_payload_rejected(self):
+        ref = ImageRef(TINY_PNG)
+        with pytest.raises(SchemaViolationError):
+            ModelRequest(
+                kind=RequestKind.VISION,
+                prompt="p",
+                image_digest=ref.digest,
+                image_payload=TINY_PNG + b"\x00",
+                image=ref,
+            )
+
+    def test_ref_with_other_digest_rejected(self):
+        ref = ImageRef(TINY_PNG)
+        with pytest.raises(SchemaViolationError):
+            ModelRequest(
+                kind=RequestKind.VISION,
+                prompt="p",
+                image_digest="0" * 64,
+                image_payload=ref.payload,
+                image=ref,
+            )
+
+    def test_mismatched_ref_replaced_by_one_over_the_payload(self):
+        other = b"\xff\xd8\xff other image"
+        request = ModelRequest(
+            kind=RequestKind.VISION,
+            prompt="p",
+            image_digest=hashlib.sha256(other).hexdigest(),
+            image_payload=other,
+            image=ImageRef(TINY_PNG),
+        )
+        assert request.image.payload is other
+        assert request.image.digest == request.image_digest
+
+    def test_text_request_with_ref_rejected(self):
+        with pytest.raises(SchemaViolationError):
+            ModelRequest(kind=RequestKind.TEXT, prompt="p", image=ImageRef(TINY_PNG))
+
+    def test_vision_request_hashes_image_once(self, monkeypatch):
+        passes = count_payload_hashes(monkeypatch, TINY_PNG)
+        ref = ImageRef(TINY_PNG)
+        for prompt in ("a", "b", "c"):
+            ModelRequest.vision(prompt, ref)
+        assert len(passes) == 1
 
 
 class TestCacheKey:
@@ -107,6 +206,15 @@ class TestScriptedBackend:
         backend = ScriptedBackend(fixtures={cache_key(request): "ok"})
         Gateway(backend).call(request)
         assert [r.prompt for r in backend.calls] == ["traced"]
+
+    def test_call_trace_keeps_digest_not_payload(self):
+        request = ModelRequest.vision("look", TINY_PNG, model_id="m")
+        backend = ScriptedBackend(fixtures={cache_key(request): "ok"})
+        Gateway(backend).call(request)
+        assert backend.calls == [
+            CallRecord(RequestKind.VISION, "look", "m", request.image_digest)
+        ]
+        assert not hasattr(backend.calls[0], "image_payload")
 
 
 class TestCaching:
@@ -172,6 +280,50 @@ class TestCaching:
             thread.join(timeout=5)
         assert results == ["slow"] * 4
         assert len(backend.calls) == 1
+
+
+class TestInflightGates:
+    def test_gates_pruned_and_duplicates_coalesced(self):
+        """Threads race over shared keys with a short switch interval; every
+        key reaches the backend once and no gate outlives its call."""
+        keys = [f"k{i}" for i in range(6)]
+
+        def responder(request):
+            time.sleep(0.002)
+            if request.prompt == "k5":
+                raise TransientBackendError("always down")
+            return f"reply to {request.prompt}"
+
+        backend = DynamicBackend(responder)
+        gateway = Gateway(backend, retry=RetryPolicy(attempts=1))
+        replies, errors = [], []
+
+        def worker(offset):
+            for key in keys[offset:] + keys[:offset]:
+                try:
+                    replies.append((key, gateway.call(text_request(key)).text))
+                except ExhaustedError:
+                    errors.append(key)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i % 6,)) for i in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gateway._inflight == {}
+        assert sorted(replies) == sorted((k, f"reply to {k}") for k in keys[:5] for _ in range(12))
+        prompts = [r.prompt for r in backend.calls]
+        for key in keys[:5]:
+            assert prompts.count(key) == 1
+        # the failing key is never cached, so each caller tried it
+        assert errors == ["k5"] * 12
+        assert prompts.count("k5") == 12
 
 
 class TestRetry:
@@ -263,6 +415,57 @@ class TestHttpBackend:
             prefix = "data:image/png;base64,"
             assert url.startswith(prefix)
             assert base64.b64decode(url[len(prefix):]) == TINY_PNG
+
+    def test_vision_body_byte_identical(self):
+        """The wire body, data URL included, as the chat-completions shape
+        defines it: media type from the magic bytes (JPEG when unknown)."""
+
+        class CapturingSession:
+            def __init__(self):
+                self.bodies = []
+
+            def post(self, url, json, headers, timeout):
+                self.bodies.append(json)
+                return types.SimpleNamespace(
+                    status_code=200,
+                    json=lambda: {"choices": [{"message": {"content": "ok"}}]},
+                )
+
+        for payload, media in ((TINY_PNG, "image/png"), (b"unknown bytes", "image/jpeg")):
+            session = CapturingSession()
+            backend = HttpBackend(
+                endpoint="http://model.invalid/v1",
+                api_key="k",
+                system_prompt="be terse",
+                session=session,
+            )
+            request = ModelRequest.vision(
+                "look", ImageRef(payload), model_id="vm", temperature=0.1,
+                max_output_tokens=64,
+            )
+            backend.complete(request)
+            backend.complete(request)
+            encoded = base64.b64encode(payload).decode("ascii")
+            expected = {
+                "model": "vm",
+                "temperature": 0.1,
+                "max_tokens": 64,
+                "messages": [
+                    {"role": "system", "content": "be terse"},
+                    {
+                        "role": "user",
+                        "content": [
+                            {"type": "text", "text": "look"},
+                            {
+                                "type": "image_url",
+                                "image_url": {"url": f"data:{media};base64,{encoded}"},
+                            },
+                        ],
+                    },
+                ],
+            }
+            for body in session.bodies:
+                assert json.dumps(body).encode() == json.dumps(expected).encode()
 
     def test_retry_on_429(self):
         state = {"n": 0}

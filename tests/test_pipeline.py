@@ -8,6 +8,7 @@ from helpers import (
     TINY_PNG,
     DynamicBackend,
     build_two_level_scenario,
+    count_payload_hashes,
     fuzz_responder,
     scripted_backend_of,
     scripted_config,
@@ -61,6 +62,14 @@ class TestTwoLevelScenario:
             report = evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", config)
             payloads.append(report.to_json())
         assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_image_hashed_once_per_pair(self, monkeypatch):
+        config = scripted_config(templates=TEMPLATES)
+        build_two_level_scenario(config)
+        passes = count_payload_hashes(monkeypatch, TINY_PNG)
+        report = evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", config)
+        assert sum(s.count for s in report.per_level) == 3
+        assert len(passes) == 1
 
     def test_node_ids_and_parents(self):
         config = scripted_config(templates=TEMPLATES)
@@ -417,6 +426,19 @@ class TestBatch:
         assert batch.metrics is not None
         assert batch.metrics.confusion.tp == 1
         assert batch.metrics.confusion.tn == 1
+
+    def test_deeply_nested_reply_fails_only_its_item(self, batch_setup):
+        config, image_path = batch_setup
+        hostile = build_graph_request("hostile caption", config)
+        scripted_backend_of(config).fixtures[cache_key(hostile)] = "[" * 5000 + "]" * 5000
+        items = [
+            DatasetItem(id="hostile", image_path=image_path, caption="hostile caption"),
+            DatasetItem(id="clean", image_path=image_path, caption="clean caption"),
+        ]
+        batch = evaluate_batch(items, config, parallelism=1)
+        assert batch.failed == 1
+        assert batch.results[0].error.startswith("GraphGenFailedError")
+        assert batch.results[1].report is not None
 
     def test_unlabeled_batch_has_no_metrics(self, batch_setup):
         config, image_path = batch_setup
