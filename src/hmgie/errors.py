@@ -114,12 +114,11 @@ class DegenerateInputError(HmgieError):
 # --- pipeline / forge ---
 
 class PipelineError(HmgieError):
-    """Evaluation aborted; carries whatever was built before the failure."""
+    """Evaluation aborted before a report could be built.
 
-    def __init__(self, message: str, partial_hieg=None, diagnostics=()):
-        super().__init__(message)
-        self.partial_hieg = partial_hieg
-        self.diagnostics = tuple(diagnostics)
+    Like every HmgieError that leaves evaluate_pair, it carries the partial
+    evaluation graph (.partial_hieg) and the diagnostics so far (.diagnostics).
+    """
 
 
 class GraphGenFailedError(PipelineError):

@@ -27,7 +27,7 @@ from .errors import (
     MalformedOutputError,
     SchemaViolationError,
 )
-from .gateway import Gateway, ImageRef, ModelRequest, RequestKind
+from .gateway import Gateway, ImageRef, ModelRequest
 from .prompts import (
     TemplateName,
     load_templates,
@@ -253,16 +253,6 @@ def compose_perturbation_prompt(ground_truth: str, history: Sequence[str]) -> st
     )
 
 
-def _text_request(prompt: str, config: ForgeConfig, model_id: Optional[str] = None) -> ModelRequest:
-    return ModelRequest(
-        kind=RequestKind.TEXT,
-        prompt=prompt,
-        model_id=model_id or config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
-
-
 def generate_ground_truth(
     image: ImageRef | bytes,
     spec: GranularitySpec,
@@ -298,7 +288,13 @@ def generate_ground_truth(
         warnings.warn(f"{len(failures)} captioner(s) failed: {failures}")
     if len(captions) == 1:
         return captions[0]
-    return fusion.call(_text_request(compose_fusion_prompt(captions), config)).text
+    request = ModelRequest.text(
+        compose_fusion_prompt(captions),
+        model_id=config.model_id,
+        temperature=config.temperature,
+        max_output_tokens=config.max_output_tokens,
+    )
+    return fusion.call(request).text
 
 
 def _parse_perturbed_caption(raw: str) -> str:
@@ -339,7 +335,12 @@ def perturb_iteratively(
     try:
         for _ in range(max_iterations):
             reply = perturb_backend.call(
-                _text_request(compose_perturbation_prompt(ground_truth, history), config)
+                ModelRequest.text(
+                    compose_perturbation_prompt(ground_truth, history),
+                    model_id=config.model_id,
+                    temperature=config.temperature,
+                    max_output_tokens=config.max_output_tokens,
+                )
             )
             perturbed = _parse_perturbed_caption(reply.text)
             history.append(perturbed)

@@ -6,6 +6,11 @@ recorded replies keyed by request digest. The Gateway wraps either one with
 caching, retry with exponential backoff, and coalescing of concurrent
 duplicate requests, so an entire run over the scripted backend is a pure
 function of its inputs and fixtures.
+
+``call_parsed`` is the one place that retries a reply the caller could not
+parse. Each retry is a distinct request (its ``attempt`` is part of the cache
+key), so it reaches the model instead of the cache, and a recorded run
+replays every attempt it made.
 """
 
 from __future__ import annotations
@@ -13,13 +18,15 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
+import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol
+from typing import Callable, Mapping, Optional, Protocol, TypeVar
 
 import requests
 
@@ -28,6 +35,7 @@ from .errors import (
     ExhaustedError,
     FixtureMissingError,
     GatewayError,
+    MalformedOutputError,
     SchemaViolationError,
     TransientBackendError,
     UnsupportedRequestError,
@@ -95,6 +103,9 @@ class ModelRequest:
     ``image``. A ref passed in is trusted without re-hashing only when it
     wraps the very payload object given and its digest equals image_digest;
     otherwise the payload is hashed and checked against image_digest.
+
+    ``attempt`` numbers the tries at one prompt; tries after the first have
+    their own cache key, so a retry is never served the reply it replaces.
     """
 
     kind: RequestKind
@@ -105,12 +116,15 @@ class ModelRequest:
     image_digest: Optional[str] = None
     image_payload: Optional[bytes] = None
     image: Optional[ImageRef] = field(default=None, compare=False, repr=False)
+    attempt: int = 1
 
     def __post_init__(self):
         if self.temperature < 0:
             raise SchemaViolationError("temperature must be >= 0")
         if self.max_output_tokens < 1:
             raise SchemaViolationError("max_output_tokens must be positive")
+        if self.attempt < 1:
+            raise SchemaViolationError("attempt must be >= 1")
         if self.kind is RequestKind.VISION:
             if self.image_digest is None or self.image_payload is None:
                 raise SchemaViolationError("vision requests need digest and payload")
@@ -130,6 +144,11 @@ class ModelRequest:
             or self.image is not None
         ):
             raise SchemaViolationError("text requests must not carry an image")
+
+    @classmethod
+    def text(cls, prompt: str, **kwargs) -> "ModelRequest":
+        """A text-only request."""
+        return cls(kind=RequestKind.TEXT, prompt=prompt, **kwargs)
 
     @classmethod
     def vision(cls, prompt: str, image: ImageRef | bytes, **kwargs) -> "ModelRequest":
@@ -155,20 +174,21 @@ class ModelResponse:
 def cache_key(request: ModelRequest) -> str:
     """Deterministic request digest.
 
-    Depends on (model_id, temperature, kind, prompt, image_digest) only;
-    max_output_tokens and wall clock never influence the key.
+    Depends on (model_id, temperature, kind, prompt, image_digest) and, from
+    the second attempt on, the attempt number; max_output_tokens and wall
+    clock never influence the key. A first attempt leaves the attempt out,
+    so its key matches the one recorded fixtures are stored under.
     """
-    canonical = json.dumps(
-        {
-            "kind": request.kind.value,
-            "model_id": request.model_id,
-            "temperature": request.temperature,
-            "prompt": request.prompt,
-            "image_digest": request.image_digest,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
+    fields = {
+        "kind": request.kind.value,
+        "model_id": request.model_id,
+        "temperature": request.temperature,
+        "prompt": request.prompt,
+        "image_digest": request.image_digest,
+    }
+    if request.attempt >= 2:
+        fields["attempt"] = request.attempt
+    canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -332,7 +352,6 @@ class Gateway:
         record: bool = False,
         retry: Optional[RetryPolicy] = None,
         sleeper: Callable[[float], None] = time.sleep,
-        use_memory_cache: bool = True,
     ):
         self.backend = backend
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
@@ -341,29 +360,36 @@ class Gateway:
         self.record = record
         self.retry = retry or RetryPolicy()
         self._sleeper = sleeper
-        self._memory: Optional[dict[str, str]] = {} if use_memory_cache else None
+        self._memory: dict[str, str] = {}
         self._lock = threading.Lock()
         self._inflight: dict[str, threading.Lock] = {}
         self.live_calls = 0
 
     def _cached_text(self, key: str) -> Optional[str]:
-        if self._memory is not None and key in self._memory:
+        if key in self._memory:
             return self._memory[key]
         if self.cache_dir is not None:
             path = self.cache_dir / f"{key}.txt"
             if path.exists():
                 text = path.read_text(encoding="utf-8")
-                if self._memory is not None:
-                    self._memory[key] = text
+                self._memory[key] = text
                 return text
         return None
 
     def _store(self, key: str, text: str) -> None:
-        if self._memory is not None:
-            self._memory[key] = text
-        if self.record and self.cache_dir is not None:
+        if self.record:
+            # Write a temp file and rename it over the key, so a failed or
+            # interrupted write never leaves a truncated reply to replay.
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-            (self.cache_dir / f"{key}.txt").write_text(text, encoding="utf-8")
+            fd, temp = tempfile.mkstemp(dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                os.replace(temp, self.cache_dir / f"{key}.txt")
+            except BaseException:
+                os.unlink(temp)
+                raise
+        self._memory[key] = text
 
     def _complete_with_retries(self, request: ModelRequest) -> str:
         delay = self.retry.base_delay
@@ -423,3 +449,33 @@ class Gateway:
                 with self._lock:
                     if self._inflight.get(key) is gate:
                         del self._inflight[key]
+
+
+T = TypeVar("T")
+
+
+def call_parsed(
+    gateway: Gateway,
+    request: ModelRequest,
+    parse: Callable[[str], T],
+    attempts: int,
+    on_reject: Callable[[int, Exception], None],
+) -> Optional[T]:
+    """Call, parse, and retry until a reply parses or attempts run out.
+
+    A reply is rejected when ``parse`` raises MalformedOutputError or
+    SchemaViolationError; ``on_reject(attempt, error)`` hears of each one and
+    attempt n + 1 is sent as a distinct request (same prompt and image ref,
+    ``attempt=n + 1``). Any other error from ``parse`` or the gateway
+    propagates. Returns the parsed value, or None after ``attempts``
+    rejected replies.
+    """
+    for attempt in range(1, attempts + 1):
+        if attempt > 1:
+            request = replace(request, attempt=attempt)
+        text = gateway.call(request).text
+        try:
+            return parse(text)
+        except (MalformedOutputError, SchemaViolationError) as exc:
+            on_reject(attempt, exc)
+    return None

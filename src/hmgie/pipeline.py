@@ -31,7 +31,7 @@ from .errors import (
     MalformedOutputError,
     SchemaViolationError,
 )
-from .gateway import Gateway, ImageRef, ModelRequest, RequestKind
+from .gateway import Gateway, ImageRef, ModelRequest, call_parsed
 from .hieg import (
     Hieg,
     LevelStats,
@@ -150,14 +150,13 @@ class PipelineConfig:
         )
 
 
-def _text_request(prompt: str, config: PipelineConfig) -> ModelRequest:
-    return ModelRequest(
-        kind=RequestKind.TEXT,
-        prompt=prompt,
-        model_id=config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
+def _sampling(config: PipelineConfig) -> dict:
+    """The request fields every role takes from the config."""
+    return {
+        "model_id": config.model_id,
+        "temperature": config.temperature,
+        "max_output_tokens": config.max_output_tokens,
+    }
 
 
 def format_unverified(graph: SemanticGraph, mask: CoverageMask) -> str:
@@ -182,7 +181,7 @@ def build_graph_request(caption: str, config: PipelineConfig) -> ModelRequest:
         config.templates[TemplateName.SEMANTIC_GRAPH_GEN],
         {"example": config.graph_example, "caption": caption},
     )
-    return _text_request(prompt, config)
+    return ModelRequest.text(prompt, **_sampling(config))
 
 
 def build_question_request(
@@ -205,20 +204,14 @@ def build_question_request(
             "current-level": str(level),
         },
     )
-    return _text_request(prompt, config)
+    return ModelRequest.text(prompt, **_sampling(config))
 
 
 def build_vqa_request(
     question: str, image: ImageRef | bytes, config: PipelineConfig
 ) -> ModelRequest:
     prompt = render(config.templates[TemplateName.VQA], {"question": question})
-    return ModelRequest.vision(
-        prompt,
-        image,
-        model_id=config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
+    return ModelRequest.vision(prompt, image, **_sampling(config))
 
 
 def build_eval_request(
@@ -232,7 +225,7 @@ def build_eval_request(
             "actual-answer": actual_answer,
         },
     )
-    return _text_request(prompt, config)
+    return ModelRequest.text(prompt, **_sampling(config))
 
 
 def build_coverage_request(
@@ -242,7 +235,7 @@ def build_coverage_request(
         config.templates[TemplateName.COVERAGE_CHECK],
         {"semantic-graph": graph_to_json(graph), "hieg": hieg_to_prompt_json(hieg)},
     )
-    return _text_request(prompt, config)
+    return ModelRequest.text(prompt, **_sampling(config))
 
 
 def build_explain_request(
@@ -256,7 +249,7 @@ def build_explain_request(
             "consistency-decision": "Consistent" if decision else "Inconsistent",
         },
     )
-    return _text_request(prompt, config)
+    return ModelRequest.text(prompt, **_sampling(config))
 
 
 @dataclass(frozen=True)
@@ -316,19 +309,25 @@ class EvaluationReport:
 def _generate_graph(
     caption: str, config: PipelineConfig, diagnostics: list[str]
 ) -> SemanticGraph:
-    last_error: Optional[Exception] = None
-    for attempt in range(1, config.retry_limit + 1):
-        response = config.backends.graph_gen.call(build_graph_request(caption, config))
-        try:
-            return parse_semantic_graph(response.text, caption)
-        except (MalformedOutputError, SchemaViolationError) as exc:
-            last_error = exc
-            diagnostics.append(f"graph-gen attempt {attempt} unparseable: {exc}")
-    raise GraphGenFailedError(
-        f"semantic graph generation failed after {config.retry_limit} attempts: {last_error}",
-        partial_hieg=Hieg.empty(config.max_level),
-        diagnostics=diagnostics,
+    errors: list[Exception] = []
+
+    def reject(attempt: int, exc: Exception) -> None:
+        errors.append(exc)
+        diagnostics.append(f"graph-gen attempt {attempt} unparseable: {exc}")
+
+    graph = call_parsed(
+        config.backends.graph_gen,
+        build_graph_request(caption, config),
+        lambda text: parse_semantic_graph(text, caption),
+        config.retry_limit,
+        reject,
     )
+    if graph is None:
+        raise GraphGenFailedError(
+            f"semantic graph generation failed after {config.retry_limit} attempts: "
+            f"{errors[-1]}"
+        )
+    return graph
 
 
 def _sanitize_batch(
@@ -384,16 +383,15 @@ def _answer_and_judge(
         answer, confidence = vqa_response.text.strip(), 1.0
         notes.append(f"vqa reply unparseable for {question!r}; using raw text")
 
-    verdict: Optional[bool] = None
-    for attempt in range(1, config.retry_limit + 1):
-        eval_response = config.backends.answer_eval.call(
-            build_eval_request(question, expected_answer, answer, config)
-        )
-        try:
-            verdict = parse_eval_reply(eval_response.text).correct
-            break
-        except MalformedOutputError as exc:
-            notes.append(f"answer-eval attempt {attempt} unparseable for {question!r}: {exc}")
+    verdict = call_parsed(
+        config.backends.answer_eval,
+        build_eval_request(question, expected_answer, answer, config),
+        lambda text: parse_eval_reply(text).correct,
+        config.retry_limit,
+        lambda attempt, exc: notes.append(
+            f"answer-eval attempt {attempt} unparseable for {question!r}: {exc}"
+        ),
+    )
     if verdict is None:
         notes.append(f"answer evaluation failed for {question!r}; marked incorrect")
         verdict = False
@@ -437,12 +435,14 @@ def evaluate_pair(
     Raw image bytes are wrapped in an ImageRef once, so the image is hashed
     once per pair however many questions ask about it.
 
+    Every HmgieError raised here carries the evaluation graph built so far
+    (.partial_hieg) and the diagnostics collected so far (.diagnostics).
+
     Raises:
         ValueError: empty caption or undecodable image.
         GraphGenFailedError: the caption graph could not be parsed after retries.
         EmptyHiegError: no level produced any question.
-        ExhaustedError and friends propagate from the gateway, annotated with
-            the partial evaluation graph (.partial_hieg) for debugging.
+        ExhaustedError and friends propagate from the gateway.
     """
     if not caption or not caption.strip():
         raise ValueError("caption must be nonempty")
@@ -462,20 +462,19 @@ def evaluate_pair(
         for level in range(1, config.max_level + 1):
             request = build_question_request(graph, mask, hieg, suggestion, level, config)
             suggestion = None  # consumed by this level's prompt
-            batch: Optional[QuestionBatch] = None
-            for attempt in range(1, config.retry_limit + 1):
-                response = config.backends.question_gen.call(request)
-                try:
-                    batch = parse_question_batch(response.text, level)
-                    break
-                except EmptyBatchError:
-                    diagnostics.append(f"level {level}: question generator returned no items")
-                    batch = None
-                    break
-                except MalformedOutputError as exc:
-                    diagnostics.append(
+            try:
+                batch = call_parsed(
+                    config.backends.question_gen,
+                    request,
+                    lambda text: parse_question_batch(text, level),
+                    config.retry_limit,
+                    lambda attempt, exc: diagnostics.append(
                         f"level {level}: question reply attempt {attempt} unparseable: {exc}"
-                    )
+                    ),
+                )
+            except EmptyBatchError:
+                diagnostics.append(f"level {level}: question generator returned no items")
+                batch = None
             if batch is None:
                 break
 
@@ -497,17 +496,15 @@ def evaluate_pair(
             declared_edges = frozenset().union(*(i.covered_edges for i in batch.items))
             mask = apply_coverage(mask, declared_nodes, declared_edges)
 
-            coverage_reply = None
-            coverage_request = build_coverage_request(graph, hieg, config)
-            for attempt in range(1, config.retry_limit + 1):
-                response = config.backends.coverage.call(coverage_request)
-                try:
-                    coverage_reply = parse_coverage_reply(response.text)
-                    break
-                except (MalformedOutputError, SchemaViolationError) as exc:
-                    diagnostics.append(
-                        f"level {level}: coverage reply attempt {attempt} unparseable: {exc}"
-                    )
+            coverage_reply = call_parsed(
+                config.backends.coverage,
+                build_coverage_request(graph, hieg, config),
+                parse_coverage_reply,
+                config.retry_limit,
+                lambda attempt, exc: diagnostics.append(
+                    f"level {level}: coverage reply attempt {attempt} unparseable: {exc}"
+                ),
+            )
             if coverage_reply is not None:
                 examined_nodes = coverage_reply.examined_nodes & set(mask.node_flags)
                 examined_edges = coverage_reply.examined_edges & set(mask.edge_flags)
@@ -531,10 +528,7 @@ def evaluate_pair(
                 break
 
         if hieg.node_count == 0:
-            error = EmptyHiegError("evaluation produced no questions")
-            error.partial_hieg = hieg
-            error.pipeline_diagnostics = tuple(diagnostics)
-            raise error
+            raise EmptyHiegError("evaluation produced no questions")
 
         stats = level_stats(hieg)
         scoring = config.scoring_config()
@@ -565,9 +559,8 @@ def evaluate_pair(
             diagnostics=tuple(diagnostics),
         )
     except HmgieError as exc:
-        if not hasattr(exc, "partial_hieg"):
-            exc.partial_hieg = hieg
-            exc.pipeline_diagnostics = tuple(diagnostics)
+        exc.partial_hieg = hieg
+        exc.diagnostics = tuple(diagnostics)
         raise
 
 

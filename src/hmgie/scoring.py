@@ -10,13 +10,13 @@ evaluations score low.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 from typing import Optional, Sequence
-
-from scipy import stats as _scipy_stats
 
 from .errors import (
     DegenerateInputError,
@@ -239,11 +239,48 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
         raise DegenerateInputError("rank correlation needs at least two points")
     if len(set(x)) < 2 or len(set(y)) < 2:
         raise DegenerateInputError("all values tied; tau-b undefined")
-    result = _scipy_stats.kendalltau(list(x), list(y))
-    tau = float(result.correlation)
-    if tau != tau:
+    if any(value != value for value in (*x, *y)):
         raise DegenerateInputError("tau-b undefined for this input")
-    return tau
+    # Knight's O(n log n) method: sort by (x, y), then count the swaps a
+    # stable sort of the y column needs; each swap is one discordant pair.
+    pairs = sorted(zip(x, y))
+    ys, swaps = _sort_counting_swaps([b for _, b in pairs])
+    total = len(pairs) * (len(pairs) - 1) // 2
+    x_ties = _tied_pairs(a for a, _ in pairs)
+    y_ties = _tied_pairs(ys)
+    joint_ties = _tied_pairs(pairs)
+    concordant_minus_discordant = total - x_ties - y_ties + joint_ties - 2 * swaps
+    tau = concordant_minus_discordant / math.sqrt((total - x_ties) * (total - y_ties))
+    return min(1.0, max(-1.0, tau))
+
+
+def _tied_pairs(sorted_values) -> int:
+    """Pairs of equal values in an already sorted sequence."""
+    runs = (sum(1 for _ in run) for _, run in groupby(sorted_values))
+    return sum(n * (n - 1) // 2 for n in runs)
+
+
+def _sort_counting_swaps(values: list) -> tuple[list, int]:
+    """Merge sort that also counts the inversions (strictly out-of-order pairs)."""
+    if len(values) < 2:
+        return values, 0
+    middle = len(values) // 2
+    left, swaps_left = _sort_counting_swaps(values[:middle])
+    right, swaps_right = _sort_counting_swaps(values[middle:])
+    merged = []
+    swaps = swaps_left + swaps_right
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            merged.append(right[j])
+            swaps += len(left) - i
+            j += 1
+        else:
+            merged.append(left[i])
+            i += 1
+    merged.extend(left[i:])
+    merged.extend(right[j:])
+    return merged, swaps
 
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)

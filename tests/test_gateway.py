@@ -5,14 +5,18 @@ import sys
 import threading
 import time
 import types
+from dataclasses import replace
 
 import pytest
 
 from helpers import TINY_PNG, DynamicBackend, FakeChatServer, count_payload_hashes
+from hmgie import gateway as gateway_module
 from hmgie.errors import (
     AuthError,
     ExhaustedError,
+    EmptyBatchError,
     FixtureMissingError,
+    MalformedOutputError,
     SchemaViolationError,
     TransientBackendError,
     UnsupportedRequestError,
@@ -27,6 +31,7 @@ from hmgie.gateway import (
     RetryPolicy,
     ScriptedBackend,
     cache_key,
+    call_parsed,
     sniff_media_type,
 )
 
@@ -57,6 +62,17 @@ class TestRequestValidation:
     def test_text_with_image_rejected(self):
         with pytest.raises(SchemaViolationError):
             ModelRequest(kind=RequestKind.TEXT, prompt="p", image_payload=TINY_PNG)
+
+    def test_text_helper(self):
+        request = ModelRequest.text("p", model_id="m", temperature=0.0)
+        assert request == ModelRequest(
+            kind=RequestKind.TEXT, prompt="p", model_id="m", temperature=0.0
+        )
+
+    @pytest.mark.parametrize("attempt", [0, -1])
+    def test_attempt_below_one_rejected(self, attempt):
+        with pytest.raises(SchemaViolationError):
+            text_request(attempt=attempt)
 
 
 class TestImageRef:
@@ -169,6 +185,19 @@ class TestCacheKey:
         assert cache_key(base) != cache_key(text_request(model_id="other"))
         assert cache_key(base) != cache_key(text_request(temperature=0.7))
 
+    def test_first_attempt_keeps_its_key(self):
+        # Pinned digest: recorded fixtures are stored under first-attempt keys.
+        request = text_request("Is the dog brown?", model_id="gpt-4o", temperature=0.3)
+        expected = "8293c40ed023a51a835b02f13f1a0c52ee5ebccf0726ee31ee16ea60257c0890"
+        assert request.attempt == 1
+        assert cache_key(request) == expected
+        assert cache_key(replace(request, attempt=1)) == expected
+
+    def test_retry_attempts_have_their_own_keys(self):
+        request = text_request("Is the dog brown?")
+        keys = {cache_key(replace(request, attempt=n)) for n in (1, 2, 3)}
+        assert len(keys) == 3
+
     def test_image_digest_matters(self):
         a = ModelRequest.vision("p", TINY_PNG)
         b = ModelRequest.vision("p", TINY_PNG + b"\x00")
@@ -280,6 +309,119 @@ class TestCaching:
             thread.join(timeout=5)
         assert results == ["slow"] * 4
         assert len(backend.calls) == 1
+
+
+class TestRecordWrites:
+    def test_failed_write_leaves_no_file_under_the_key(self, tmp_path):
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails
+        # after the record file was opened.
+        request = text_request("record me")
+        backend = DynamicBackend(lambda r: "half a reply \ud800")
+        broken = Gateway(backend, cache_dir=tmp_path, record=True)
+        with pytest.raises(UnicodeEncodeError):
+            broken.call(request)
+        assert list(tmp_path.iterdir()) == []
+
+        live = DynamicBackend(lambda r: "whole reply")
+        assert Gateway(live, cache_dir=tmp_path, record=True).call(request).text == "whole reply"
+        assert len(live.calls) == 1
+        stored = tmp_path / f"{cache_key(request)}.txt"
+        assert stored.read_text(encoding="utf-8") == "whole reply"
+        assert list(tmp_path.iterdir()) == [stored]
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
+        def crash(src, dst):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(gateway_module.os, "replace", crash)
+        gateway = Gateway(DynamicBackend(lambda r: "reply"), cache_dir=tmp_path, record=True)
+        with pytest.raises(OSError, match="disk gone"):
+            gateway.call(text_request("record me"))
+        assert list(tmp_path.iterdir()) == []
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedOutputError(f"not a number: {text!r}") from None
+
+
+def _replies(*texts: str) -> DynamicBackend:
+    """A backend serving texts in order, one per backend call."""
+    queue = list(texts)
+    return DynamicBackend(lambda request: queue.pop(0))
+
+
+class TestCallParsed:
+    def test_retry_reaches_the_backend(self):
+        backend = _replies("garbage", "42")
+        rejected = []
+        value = call_parsed(
+            Gateway(backend),
+            text_request("count"),
+            _parse_int,
+            3,
+            lambda attempt, exc: rejected.append((attempt, type(exc))),
+        )
+        assert value == 42
+        assert [r.attempt for r in backend.calls] == [1, 2]
+        assert {r.prompt for r in backend.calls} == {"count"}
+        assert rejected == [(1, MalformedOutputError)]
+
+    def test_none_after_every_attempt_rejected(self):
+        backend = _replies("a", "b", "c")
+        rejected = []
+        value = call_parsed(
+            Gateway(backend),
+            text_request("count"),
+            _parse_int,
+            3,
+            lambda attempt, exc: rejected.append(attempt),
+        )
+        assert value is None
+        assert rejected == [1, 2, 3]
+        assert len(backend.calls) == 3
+
+    def test_schema_violation_is_a_rejection(self):
+        def parse(text):
+            if text == "bad":
+                raise SchemaViolationError("wrong shape")
+            return text
+
+        backend = _replies("bad", "good")
+        assert call_parsed(Gateway(backend), text_request(), parse, 2, lambda *a: None) == "good"
+
+    def test_other_errors_propagate_without_retry(self):
+        def parse(text):
+            raise EmptyBatchError("no items")
+
+        backend = _replies("[]", "[]")
+        with pytest.raises(EmptyBatchError):
+            call_parsed(Gateway(backend), text_request(), parse, 3, lambda *a: None)
+        assert len(backend.calls) == 1
+
+    def test_vision_retry_carries_the_image_ref(self, monkeypatch):
+        passes = count_payload_hashes(monkeypatch, TINY_PNG)
+        image = ImageRef(TINY_PNG)
+        backend = _replies("garbage", "7")
+        request = ModelRequest.vision("how many?", image)
+        assert call_parsed(Gateway(backend), request, _parse_int, 2, lambda *a: None) == 7
+        assert [r.image for r in backend.calls] == [image, image]
+        assert [r.attempt for r in backend.calls] == [1, 2]
+        assert len(passes) == 1
+
+    def test_record_then_replay_serves_every_attempt(self, tmp_path):
+        live = _replies("garbage", "42")
+        recorder = Gateway(live, cache_dir=tmp_path, record=True)
+        assert call_parsed(recorder, text_request("count"), _parse_int, 3, lambda *a: None) == 42
+
+        scripted = ScriptedBackend(fixture_dir=tmp_path)
+        replayed = call_parsed(
+            Gateway(scripted), text_request("count"), _parse_int, 3, lambda *a: None
+        )
+        assert replayed == 42
+        assert len(scripted.calls) == 2
 
 
 class TestInflightGates:

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,7 @@ from helpers import (
     scripted_config,
 )
 from hmgie.errors import EmptyHiegError, ExhaustedError, GraphGenFailedError
-from hmgie.gateway import Gateway, cache_key
+from hmgie.gateway import Gateway, ScriptedBackend, cache_key
 from hmgie.pipeline import (
     DatasetItem,
     PipelineConfig,
@@ -153,11 +154,46 @@ class TestFailureModes:
         config = scripted_config(templates=TEMPLATES, retry_limit=3)
         backend = scripted_backend_of(config)
         request = build_graph_request("caption", config)
-        backend.fixtures[cache_key(request)] = "no graph here, sorry"
+        for attempt in (1, 2, 3):
+            key = cache_key(replace(request, attempt=attempt))
+            backend.fixtures[key] = "no graph here, sorry"
         with pytest.raises(GraphGenFailedError) as exc_info:
             evaluate_pair(TINY_PNG, "caption", config)
         assert len(exc_info.value.diagnostics) == 3
         assert exc_info.value.partial_hieg.node_count == 0
+        assert len(backend.calls) == 3
+
+    def test_every_error_carries_partial_hieg_and_diagnostics(self):
+        responder = _routing_responder(
+            question_plan={1: []}, coverage_plan={1: incomplete_coverage}
+        )
+        with pytest.raises(EmptyHiegError) as exc_info:
+            evaluate_pair(TINY_PNG, "caption", _dynamic_config(responder))
+        error = exc_info.value
+        assert error.partial_hieg.node_count == 0
+        assert error.diagnostics == ("level 1: question generator returned no items",)
+        assert not hasattr(error, "pipeline_diagnostics")
+
+        responder = _routing_responder(
+            question_plan={1: [_question(1, 0)], 2: [_question(2, 0)]},
+            coverage_plan={1: "not a coverage reply"},
+        )
+
+        def missing_level_two_answer(request):
+            return None if "level 2 question 0?" in request.prompt else responder(request)
+
+        config = _dynamic_config(
+            missing_level_two_answer, retry_limit=1, intra_level_parallelism=1
+        )
+        with pytest.raises(ExhaustedError) as exc_info:
+            evaluate_pair(TINY_PNG, "caption", config)
+        error = exc_info.value
+        assert error.partial_hieg.deepest_level == 1
+        assert error.diagnostics == (
+            "level 1: coverage reply attempt 1 unparseable: "
+            "no balanced JSON object or array found in model reply",
+            "level 1: coverage check failed; relying on declared targets",
+        )
 
     def test_empty_caption_rejected(self):
         config = scripted_config(templates=TEMPLATES)
@@ -370,6 +406,97 @@ class TestLoopBehavior:
         assert any("marked incorrect" in d for d in report.diagnostics)
 
 
+def _role(prompt: str) -> str:
+    if prompt.startswith("Your task is to parse"):
+        return "graph"
+    if prompt.startswith("You are a specialized question generator"):
+        return "question"
+    if prompt.startswith("You are a question answer evaluator"):
+        return "eval"
+    if "based on QA results" in prompt:
+        return "coverage"
+    return "other"
+
+
+def _garbage_first(responder, roles):
+    """Answer the first attempt of every prompt of the given roles with text
+    no parser accepts, and every later attempt as responder would."""
+
+    def respond(request):
+        if request.attempt == 1 and _role(request.prompt) in roles:
+            return "sorry, no structured reply this time"
+        return responder(request)
+
+    return respond
+
+
+RETRIED_ROLES = {
+    "graph": "graph-gen attempt 1 unparseable: ",
+    "question": "level 1: question reply attempt 1 unparseable: ",
+    "eval": "answer-eval attempt 1 unparseable for 'level 1 question 0?': ",
+    "coverage": "level 1: coverage reply attempt 1 unparseable: ",
+}
+
+
+def _retry_plan():
+    return _routing_responder(
+        question_plan={1: [_question(1, 0, covered=["N1"])], 2: []},
+        coverage_plan={1: incomplete_coverage},
+    )
+
+
+def _without_diagnostics(report) -> dict:
+    payload = report.to_dict()
+    del payload["diagnostics"]
+    return payload
+
+
+class TestRetriesReachTheModel:
+    @pytest.mark.parametrize("role", sorted(RETRIED_ROLES))
+    def test_garbage_then_valid_takes_two_calls(self, role):
+        clean = evaluate_pair(
+            TINY_PNG, "caption", _dynamic_config(_retry_plan(), intra_level_parallelism=1)
+        )
+        config = _dynamic_config(
+            _garbage_first(_retry_plan(), {role}), intra_level_parallelism=1
+        )
+        backend = config.backends.graph_gen.backend
+        report = evaluate_pair(TINY_PNG, "caption", config)
+
+        attempts: dict[str, list[int]] = {}
+        for request in backend.calls:
+            if _role(request.prompt) == role:
+                attempts.setdefault(request.prompt, []).append(request.attempt)
+        assert attempts and all(seen == [1, 2] for seen in attempts.values())
+        if role == "graph":
+            assert len(attempts) == 1
+        assert _without_diagnostics(report) == _without_diagnostics(clean)
+        assert any(d.startswith(RETRIED_ROLES[role]) for d in report.diagnostics)
+
+    def test_record_then_replay_is_byte_identical(self, tmp_path):
+        live = DynamicBackend(_garbage_first(_retry_plan(), set(RETRIED_ROLES)))
+        recorder = Gateway(live, cache_dir=tmp_path, record=True)
+        recorded = evaluate_pair(
+            TINY_PNG,
+            "caption",
+            PipelineConfig(backends=RoleBindings.uniform(recorder), templates=TEMPLATES),
+        )
+        scripted = ScriptedBackend(fixture_dir=tmp_path)
+        replayed = evaluate_pair(
+            TINY_PNG,
+            "caption",
+            PipelineConfig(
+                backends=RoleBindings.uniform(Gateway(scripted)), templates=TEMPLATES
+            ),
+        )
+        assert replayed.to_json() == recorded.to_json()
+        assert len(scripted.calls) == len(live.calls)
+        assert all(
+            any(d.startswith(prefix) for d in replayed.diagnostics)
+            for prefix in RETRIED_ROLES.values()
+        )
+
+
 def test_fuzzed_scenarios_always_halt():
     for seed in range(300):
         config = _dynamic_config(
@@ -430,7 +557,9 @@ class TestBatch:
     def test_deeply_nested_reply_fails_only_its_item(self, batch_setup):
         config, image_path = batch_setup
         hostile = build_graph_request("hostile caption", config)
-        scripted_backend_of(config).fixtures[cache_key(hostile)] = "[" * 5000 + "]" * 5000
+        for attempt in range(1, config.retry_limit + 1):
+            key = cache_key(replace(hostile, attempt=attempt))
+            scripted_backend_of(config).fixtures[key] = "[" * 5000 + "]" * 5000
         items = [
             DatasetItem(id="hostile", image_path=image_path, caption="hostile caption"),
             DatasetItem(id="clean", image_path=image_path, caption="clean caption"),
