@@ -26,9 +26,10 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol, TypeVar
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 from .errors import (
     AuthError,
@@ -65,16 +66,17 @@ class RequestKind(Enum):
     VISION = "vision"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ImageRef:
     """An image payload prepared once for every request that carries it.
 
     The SHA-256 digest is computed from the payload at construction and
-    cannot be supplied by the caller; the data URL (media type sniffed from
-    the magic bytes, payload base64-encoded) is built on first use and kept.
+    cannot be supplied by the caller; refs compare by digest. The data URL
+    (media type sniffed from the magic bytes, payload base64-encoded) is
+    built on first use and kept.
     """
 
-    payload: bytes
+    payload: bytes = field(compare=False, repr=False)
     digest: str = field(init=False)
 
     def __post_init__(self):
@@ -97,25 +99,17 @@ class ImageRef:
 
 @dataclass(frozen=True)
 class ModelRequest:
-    """One model call; vision requests carry the image and its digest.
-
-    Every vision request also carries an ImageRef over its payload in
-    ``image``. A ref passed in is trusted without re-hashing only when it
-    wraps the very payload object given and its digest equals image_digest;
-    otherwise the payload is hashed and checked against image_digest.
+    """One model call; a vision request carries its image as one ImageRef.
 
     ``attempt`` numbers the tries at one prompt; tries after the first have
     their own cache key, so a retry is never served the reply it replaces.
     """
 
-    kind: RequestKind
     prompt: str
     model_id: str = "gpt-4o"
     temperature: float = 0.3
     max_output_tokens: int = 1024
-    image_digest: Optional[str] = None
-    image_payload: Optional[bytes] = None
-    image: Optional[ImageRef] = field(default=None, compare=False, repr=False)
+    image: Optional[ImageRef] = None
     attempt: int = 1
 
     def __post_init__(self):
@@ -125,43 +119,30 @@ class ModelRequest:
             raise SchemaViolationError("max_output_tokens must be positive")
         if self.attempt < 1:
             raise SchemaViolationError("attempt must be >= 1")
-        if self.kind is RequestKind.VISION:
-            if self.image_digest is None or self.image_payload is None:
-                raise SchemaViolationError("vision requests need digest and payload")
-            ref = self.image
-            if (
-                ref is None
-                or ref.payload is not self.image_payload
-                or ref.digest != self.image_digest
-            ):
-                ref = ImageRef(self.image_payload)
-                if ref.digest != self.image_digest:
-                    raise SchemaViolationError("image digest does not match payload")
-                object.__setattr__(self, "image", ref)
-        elif (
-            self.image_digest is not None
-            or self.image_payload is not None
-            or self.image is not None
-        ):
-            raise SchemaViolationError("text requests must not carry an image")
+        if self.image is not None and not isinstance(self.image, ImageRef):
+            raise SchemaViolationError("image must be an ImageRef")
+
+    @property
+    def kind(self) -> RequestKind:
+        return RequestKind.TEXT if self.image is None else RequestKind.VISION
+
+    @property
+    def image_digest(self) -> Optional[str]:
+        return None if self.image is None else self.image.digest
+
+    @property
+    def image_payload(self) -> Optional[bytes]:
+        return None if self.image is None else self.image.payload
 
     @classmethod
     def text(cls, prompt: str, **kwargs) -> "ModelRequest":
         """A text-only request."""
-        return cls(kind=RequestKind.TEXT, prompt=prompt, **kwargs)
+        return cls(prompt=prompt, **kwargs)
 
     @classmethod
     def vision(cls, prompt: str, image: ImageRef | bytes, **kwargs) -> "ModelRequest":
         """A vision request; pass an ImageRef to hash the image only once."""
-        ref = ImageRef.of(image)
-        return cls(
-            kind=RequestKind.VISION,
-            prompt=prompt,
-            image_digest=ref.digest,
-            image_payload=ref.payload,
-            image=ref,
-            **kwargs,
-        )
+        return cls(prompt=prompt, image=ImageRef.of(image), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -202,7 +183,11 @@ class Backend(Protocol):
 
 
 class HttpBackend:
-    """Chat-completions HTTP client; images travel as base64 data URLs."""
+    """Chat-completions HTTP client; images travel as base64 data URLs.
+
+    ``requests`` is imported when the first backend is built, so importing
+    the package does not pay for it.
+    """
 
     def __init__(
         self,
@@ -213,6 +198,8 @@ class HttpBackend:
         system_prompt: Optional[str] = None,
         session: Optional[requests.Session] = None,
     ):
+        import requests
+
         self.name = f"http:{endpoint}"
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
@@ -243,6 +230,8 @@ class HttpBackend:
         return messages
 
     def complete(self, request: ModelRequest) -> str:
+        import requests
+
         body = {
             "model": request.model_id,
             "temperature": request.temperature,
@@ -322,11 +311,10 @@ class ScriptedBackend:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Exponential backoff; total sleep never exceeds max_total_delay."""
+    """Backoff doubling from base_delay; total sleep never exceeds max_total_delay."""
 
     attempts: int = 3
     base_delay: float = 1.0
-    multiplier: float = 2.0
     max_total_delay: float = 30.0
 
     def __post_init__(self):
@@ -363,7 +351,6 @@ class Gateway:
         self._memory: dict[str, str] = {}
         self._lock = threading.Lock()
         self._inflight: dict[str, threading.Lock] = {}
-        self.live_calls = 0
 
     def _cached_text(self, key: str) -> Optional[str]:
         if key in self._memory:
@@ -397,8 +384,6 @@ class Gateway:
         last: Optional[Exception] = None
         for attempt in range(self.retry.attempts):
             try:
-                with self._lock:
-                    self.live_calls += 1
                 return self.backend.complete(request)
             except TransientBackendError as exc:
                 last = exc
@@ -408,7 +393,7 @@ class Gateway:
                     if pause > 0:
                         self._sleeper(pause)
                         slept += pause
-                    delay *= self.retry.multiplier
+                    delay *= 2
         raise ExhaustedError(
             f"backend {self.backend.name} failed after {self.retry.attempts} attempts: {last}"
         ) from last

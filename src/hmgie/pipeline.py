@@ -124,7 +124,6 @@ class PipelineConfig:
     temperature: float = 0.3
     max_output_tokens: int = 2048
     templates: Mapping[TemplateName, PromptTemplate] = field(default_factory=load_templates)
-    graph_example: str = DEFAULT_GRAPH_EXAMPLE
     intra_level_parallelism: int = 4
 
     def __post_init__(self):
@@ -179,7 +178,7 @@ def format_unverified(graph: SemanticGraph, mask: CoverageMask) -> str:
 def build_graph_request(caption: str, config: PipelineConfig) -> ModelRequest:
     prompt = render(
         config.templates[TemplateName.SEMANTIC_GRAPH_GEN],
-        {"example": config.graph_example, "caption": caption},
+        {"example": DEFAULT_GRAPH_EXAMPLE, "caption": caption},
     )
     return ModelRequest.text(prompt, **_sampling(config))
 

@@ -2,86 +2,61 @@
 
 Models frequently wrap the JSON they were asked for in code fences or
 surrounding prose; every parser in this package goes through
-:func:`extract_json_value`, which pulls out the first balanced, well-formed
-JSON object (or array) it can find.
+:func:`extract_json_value`, which returns the first JSON object (or array)
+that the standard library's decoder accepts at a ``{`` or ``[`` of the reply.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import MalformedOutputError
 
 _FENCE_RE = re.compile(r"```[a-zA-Z0-9_-]*\n(.*?)```", re.DOTALL)
-_OPENERS = {"{": "}", "[": "]"}
+_START_RE = re.compile(r"[{\[]")
+_DECODER = json.JSONDecoder()
+
+# Candidate starts one reply may have rejected before the search gives up.
+# Each rejection costs the decoder a scan up to its start (for the error's
+# line and column), so this keeps a hostile reply's cost linear in its length.
+MAX_REJECTED_STARTS = 64
 
 
-def _scan_balanced(text: str, start: int) -> int | None:
-    """Return the end index (exclusive) of the balanced bracket span at start."""
-    opener = text[start]
-    closer = _OPENERS[opener]
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == opener:
-            depth += 1
-        elif ch == closer:
-            depth -= 1
-            if depth == 0:
-                return i + 1
-    return None
-
-
-def _first_value(text: str) -> Any | None:
-    for i, ch in enumerate(text):
-        if ch not in _OPENERS:
-            continue
-        end = _scan_balanced(text, i)
-        if end is None:
-            continue
-        try:
-            return json.loads(text[i:end])
-        except json.JSONDecodeError:
-            continue
-    return None
+def _candidates(raw: str) -> Iterator[tuple[str, int]]:
+    """Every ``{`` or ``[`` of the fenced blocks, in order, then of the reply."""
+    for fence in _FENCE_RE.finditer(raw):
+        block = fence.group(1)
+        for start in _START_RE.finditer(block):
+            yield block, start.start()
+    for start in _START_RE.finditer(raw):
+        yield raw, start.start()
 
 
 def extract_json_value(raw: str) -> Any:
     """Extract the first well-formed JSON object or array embedded in raw.
 
     Fenced blocks are searched first so that prose containing stray braces
-    does not shadow the actual payload.
+    does not shadow the actual payload. The search stops after
+    MAX_REJECTED_STARTS candidate starts failed to decode, counted over the
+    fenced blocks and the reply together.
 
     Raises:
-        MalformedOutputError: nothing parseable was found, or the reply
-            nests deeper than the JSON decoder's recursion limit.
+        MalformedOutputError: nothing parseable was found within the budget,
+            or the reply nests deeper than the JSON decoder's recursion limit.
     """
     if not raw or not raw.strip():
         raise MalformedOutputError("empty model reply")
+    rejected = 0
     try:
-        for fenced in _FENCE_RE.findall(raw):
-            value = _first_value(fenced)
-            if value is not None:
-                return value
-        value = _first_value(raw)
+        for text, start in _candidates(raw):
+            try:
+                return _DECODER.raw_decode(text, start)[0]
+            except json.JSONDecodeError:
+                rejected += 1
+                if rejected == MAX_REJECTED_STARTS:
+                    break
     except RecursionError as exc:
         raise MalformedOutputError("model reply nests too deeply to parse") from exc
-    if value is None:
-        raise MalformedOutputError(
-            "no balanced JSON object or array found in model reply"
-        )
-    return value
+    raise MalformedOutputError("no balanced JSON object or array found in model reply")
