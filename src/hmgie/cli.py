@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -201,7 +202,11 @@ def _weight_ratio(value) -> float:
 
 
 class _GatewayFactory:
-    """Builds one gateway per distinct (endpoint, api key), honoring mode."""
+    """Builds one gateway per distinct (endpoint, api key), honoring mode.
+
+    ``close`` closes the HTTP backends it built; commands hold the factory
+    in ``contextlib.closing`` so that happens when they end.
+    """
 
     def __init__(self, rc: RunConfig):
         self.rc = rc
@@ -228,9 +233,12 @@ class _GatewayFactory:
             )
         return self._gateways[key]
 
+    def close(self) -> None:
+        for gateway in self._gateways.values():
+            gateway.backend.close()
 
-def _pipeline_config(rc: RunConfig) -> PipelineConfig:
-    factory = _GatewayFactory(rc)
+
+def _pipeline_config(rc: RunConfig, factory: _GatewayFactory) -> PipelineConfig:
     bindings = RoleBindings(
         graph_gen=factory.for_role("GRAPH_GEN"),
         question_gen=factory.for_role("QUESTION_GEN"),
@@ -308,7 +316,16 @@ def cmd_evaluate(args, mode: str = "live") -> int:
         if args.caption and not args.image:
             raise UsageError("--caption requires --image")
         rc = _build_run_config(args, mode)
-        config = _pipeline_config(rc)
+    except (UsageError, HmgieError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with closing(_GatewayFactory(rc)) as factory:
+        return _evaluate(args, rc, factory)
+
+
+def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
+    try:
+        config = _pipeline_config(rc, factory)
     except (UsageError, HmgieError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -385,6 +402,15 @@ def cmd_evaluate(args, mode: str = "live") -> int:
 def cmd_forge(args) -> int:
     try:
         rc = _build_run_config(args, "live" if not getattr(args, "replay", None) else "replay")
+    except (UsageError, HmgieError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    with closing(_GatewayFactory(rc)) as factory:
+        return _forge(args, rc, factory)
+
+
+def _forge(args, rc: RunConfig, factory: _GatewayFactory) -> int:
+    try:
         max_iterations = _positive_int(args.max_iter, "max-iter")
         granularities = args.granularity or [1, 2, 3, 4]
         specs = tuple(
@@ -392,7 +418,6 @@ def cmd_forge(args) -> int:
         )
         if not specs:
             raise UsageError("no granularity specs selected")
-        factory = _GatewayFactory(rc)
         captioner_models = tuple(args.captioner_model or ())
         captioners = tuple(
             factory.for_role("CAPTION") for _ in range(max(1, len(captioner_models)))

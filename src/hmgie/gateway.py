@@ -103,6 +103,8 @@ class ModelRequest:
 
     ``attempt`` numbers the tries at one prompt; tries after the first have
     their own cache key, so a retry is never served the reply it replaces.
+    ``key`` is that cache key, computed once when the request is built
+    (``dataclasses.replace`` builds a new request, so it gets its own).
     """
 
     prompt: str
@@ -111,6 +113,7 @@ class ModelRequest:
     max_output_tokens: int = 1024
     image: Optional[ImageRef] = None
     attempt: int = 1
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.temperature < 0:
@@ -121,6 +124,7 @@ class ModelRequest:
             raise SchemaViolationError("attempt must be >= 1")
         if self.image is not None and not isinstance(self.image, ImageRef):
             raise SchemaViolationError("image must be an ImageRef")
+        object.__setattr__(self, "key", cache_key(self))
 
     @property
     def kind(self) -> RequestKind:
@@ -208,6 +212,10 @@ class HttpBackend:
         self.system_prompt = system_prompt
         self._session = session or requests.Session()
 
+    def close(self) -> None:
+        """Close the HTTP session and the connections it pools."""
+        self._session.close()
+
     def _messages(self, request: ModelRequest) -> list[dict]:
         messages: list[dict] = []
         if self.system_prompt:
@@ -245,7 +253,12 @@ class HttpBackend:
                 headers={"Authorization": f"Bearer {self.api_key}"},
                 timeout=self.timeout,
             )
-        except (requests.Timeout, requests.ConnectionError) as exc:
+        except (
+            requests.Timeout,
+            requests.ConnectionError,
+            requests.exceptions.ChunkedEncodingError,
+            requests.exceptions.ContentDecodingError,
+        ) as exc:
             raise TransientBackendError(f"transport failure: {exc}") from exc
         if response.status_code in (401, 403):
             raise AuthError(f"backend rejected credentials (HTTP {response.status_code})")
@@ -294,7 +307,7 @@ class ScriptedBackend:
         self._lock = threading.Lock()
 
     def complete(self, request: ModelRequest) -> str:
-        key = cache_key(request)
+        key = request.key
         record = CallRecord(
             request.kind, request.prompt, request.model_id, request.image_digest
         )
@@ -303,9 +316,11 @@ class ScriptedBackend:
         if key in self.fixtures:
             return self.fixtures[key]
         if self.fixture_dir is not None:
-            path = self.fixture_dir / f"{key}.txt"
-            if path.exists():
-                return path.read_text(encoding="utf-8")
+            try:
+                with open(self.fixture_dir / f"{key}.txt", encoding="utf-8") as handle:
+                    return handle.read()
+            except FileNotFoundError:
+                pass
         raise FixtureMissingError(key)
 
 
@@ -410,7 +425,7 @@ class Gateway:
             raise UnsupportedRequestError(
                 f"backend {self.backend.name} cannot serve vision requests"
             )
-        key = cache_key(request)
+        key = request.key
         cached = self._cached_text(key)
         if cached is not None:
             return ModelResponse(text=cached, latency_ms=0, cached=1)

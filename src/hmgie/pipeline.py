@@ -4,10 +4,11 @@ The flow: extract a semantic graph from the caption, then iterate levels up
 to the configured maximum. Each level generates questions targeting elements
 the coverage mask still marks unexamined, answers them against the image,
 judges the answers, appends the results to the evaluation graph, and updates
-the mask from both the questions' declared targets and a model-side coverage
-check. The loop stops early once everything is covered (or the checker says
-so, or a level yields no questions). Scores, the binary decision, and a
-natural-language explanation are assembled into an EvaluationReport.
+the mask from the questions' declared targets and then, unless those already
+cover everything, from a model-side coverage check. The loop stops early once
+everything is covered (or the checker says so, or a level yields no
+questions). Scores, the binary decision, and a natural-language explanation
+are assembled into an EvaluationReport.
 
 Levels are strictly sequential because each one consumes the previous
 level's graph and mask; within a level, answering and judging distinct
@@ -185,20 +186,23 @@ def build_graph_request(caption: str, config: PipelineConfig) -> ModelRequest:
 
 def build_question_request(
     graph: SemanticGraph,
+    graph_json: str,
     mask: CoverageMask,
-    hieg: Hieg,
+    hieg_json: str,
     suggestion: Optional[str],
     level: int,
     config: PipelineConfig,
 ) -> ModelRequest:
+    """``graph_json`` is ``graph_to_json(graph)`` and ``hieg_json`` is
+    ``hieg_to_prompt_json`` of the HIEG so far, each built once by the caller."""
     # The unverified-element summary rides along with the graph so the
     # template keeps its original placeholder set.
-    graph_block = f"{graph_to_json(graph)}\n\n{format_unverified(graph, mask)}"
+    graph_block = f"{graph_json}\n\n{format_unverified(graph, mask)}"
     prompt = render(
         config.templates[TemplateName.QUESTION_GEN],
         {
             "semantic-graph": graph_block,
-            "previous-HIEG": hieg_to_prompt_json(hieg),
+            "previous-HIEG": hieg_json,
             "suggestion": suggestion if suggestion else "None",
             "current-level": str(level),
         },
@@ -228,22 +232,22 @@ def build_eval_request(
 
 
 def build_coverage_request(
-    graph: SemanticGraph, hieg: Hieg, config: PipelineConfig
+    graph_json: str, hieg_json: str, config: PipelineConfig
 ) -> ModelRequest:
     prompt = render(
         config.templates[TemplateName.COVERAGE_CHECK],
-        {"semantic-graph": graph_to_json(graph), "hieg": hieg_to_prompt_json(hieg)},
+        {"semantic-graph": graph_json, "hieg": hieg_json},
     )
     return ModelRequest.text(prompt, **_sampling(config))
 
 
 def build_explain_request(
-    hieg: Hieg, caption: str, decision: int, config: PipelineConfig
+    hieg_json: str, caption: str, decision: int, config: PipelineConfig
 ) -> ModelRequest:
     prompt = render(
         config.templates[TemplateName.EXPLAIN],
         {
-            "hieg": hieg_to_prompt_json(hieg),
+            "hieg": hieg_json,
             "caption": caption,
             "consistency-decision": "Consistent" if decision else "Inconsistent",
         },
@@ -424,15 +428,14 @@ def _run_level(
 
 
 def evaluate_pair(
-    image: ImageRef | bytes,
-    caption: str,
-    config: PipelineConfig,
-    media_type: Optional[str] = None,
+    image: ImageRef | bytes, caption: str, config: PipelineConfig
 ) -> EvaluationReport:
     """Evaluate one image-caption pair and return the full report.
 
     Raw image bytes are wrapped in an ImageRef once, so the image is hashed
-    once per pair however many questions ask about it.
+    once per pair however many questions ask about it. Likewise the graph is
+    serialized once per pair and the HIEG once per level: the texts live in
+    locals here, never on the report's objects.
 
     Every HmgieError raised here carries the evaluation graph built so far
     (.partial_hieg) and the diagnostics collected so far (.diagnostics).
@@ -448,18 +451,22 @@ def evaluate_pair(
     image = ImageRef.of(image)
     if not image.payload:
         raise ValueError("image payload is empty")
-    if media_type is None and image.media_type is None:
+    if image.media_type is None:
         raise ValueError("image format not recognized (png/jpeg/gif/webp/bmp)")
 
     diagnostics: list[str] = []
     hieg = Hieg.empty(config.max_level)
     try:
         graph = _generate_graph(caption, config, diagnostics)
+        graph_json = graph_to_json(graph)
+        hieg_json = hieg_to_prompt_json(hieg)
         mask = fresh_mask(graph)
         suggestion: Optional[str] = None
 
         for level in range(1, config.max_level + 1):
-            request = build_question_request(graph, mask, hieg, suggestion, level, config)
+            request = build_question_request(
+                graph, graph_json, mask, hieg_json, suggestion, level, config
+            )
             suggestion = None  # consumed by this level's prompt
             try:
                 batch = call_parsed(
@@ -490,14 +497,18 @@ def evaluate_pair(
             answers, verdicts, notes = _run_level(batch, image, config)
             diagnostics.extend(notes)
             hieg = expand(hieg, batch, answers, verdicts)
+            hieg_json = hieg_to_prompt_json(hieg)
 
             declared_nodes = frozenset().union(*(i.covered_nodes for i in batch.items))
             declared_edges = frozenset().union(*(i.covered_edges for i in batch.items))
             mask = apply_coverage(mask, declared_nodes, declared_edges)
+            if is_fully_covered(mask):
+                # No coverage reply could change the mask or the stop now.
+                break
 
             coverage_reply = call_parsed(
                 config.backends.coverage,
-                build_coverage_request(graph, hieg, config),
+                build_coverage_request(graph_json, hieg_json, config),
                 parse_coverage_reply,
                 config.retry_limit,
                 lambda attempt, exc: diagnostics.append(
@@ -538,7 +549,7 @@ def evaluate_pair(
         explanation = ""
         try:
             explain_response = config.backends.explain.call(
-                build_explain_request(hieg, caption, decision, config)
+                build_explain_request(hieg_json, caption, decision, config)
             )
             explanation = explain_response.text.strip()
         except HmgieError as exc:

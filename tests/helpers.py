@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from hmgie import gateway as gateway_module
 from hmgie.errors import FixtureMissingError
 from hmgie.gateway import Gateway, ModelRequest, ScriptedBackend, cache_key
-from hmgie.hieg import Hieg, expand, overall_decision
+from hmgie.hieg import Hieg, expand, hieg_to_prompt_json, overall_decision
 from hmgie.pipeline import (
     PipelineConfig,
     RoleBindings,
@@ -34,7 +34,12 @@ from hmgie.prompts import (
     parse_question_batch,
     parse_vqa_reply,
 )
-from hmgie.semantic_graph import apply_coverage, fresh_mask, parse_semantic_graph
+from hmgie.semantic_graph import (
+    apply_coverage,
+    fresh_mask,
+    graph_to_json,
+    parse_semantic_graph,
+)
 
 # 1x1 transparent PNG
 TINY_PNG = base64.b64decode(
@@ -161,7 +166,13 @@ class ScenarioScript:
         level = self.hieg.deepest_level + 1
         question_reply = json.dumps({"Questions": question_items})
         request = build_question_request(
-            self.graph, self.mask, self.hieg, self.suggestion, level, self.config
+            self.graph,
+            graph_to_json(self.graph),
+            self.mask,
+            hieg_to_prompt_json(self.hieg),
+            self.suggestion,
+            level,
+            self.config,
         )
         self.suggestion = None
         self.set(request, question_reply)
@@ -186,7 +197,15 @@ class ScenarioScript:
         declared_edges = frozenset().union(*(i.covered_edges for i in batch.items))
         self.mask = apply_coverage(self.mask, declared_nodes, declared_edges)
 
-        self.set(build_coverage_request(self.graph, self.hieg, self.config), coverage_reply)
+        # Scripted even when the declared targets already clear the mask and
+        # the pipeline skips the call, so the scenario's fixture set stays as
+        # it was recorded.
+        self.set(
+            build_coverage_request(
+                graph_to_json(self.graph), hieg_to_prompt_json(self.hieg), self.config
+            ),
+            coverage_reply,
+        )
         parsed_coverage = parse_coverage_reply(coverage_reply)
         self.mask = apply_coverage(
             self.mask,
@@ -198,7 +217,10 @@ class ScenarioScript:
     def script_explain(self, reply: str) -> None:
         decision = overall_decision(self.hieg)
         self.set(
-            build_explain_request(self.hieg, self.caption, decision, self.config), reply
+            build_explain_request(
+                hieg_to_prompt_json(self.hieg), self.caption, decision, self.config
+            ),
+            reply,
         )
 
 
@@ -398,6 +420,7 @@ class FakeChatServer:
 
     def __exit__(self, *exc_info) -> None:
         self._server.shutdown()
+        self._server.server_close()
 
     @property
     def endpoint(self) -> str:

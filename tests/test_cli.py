@@ -13,6 +13,7 @@ from helpers import (
     write_fixture_dir,
 )
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from hmgie.gateway import HttpBackend
 
 CAPTION = "A brown dog lies on a sofa."
 
@@ -282,6 +283,36 @@ class TestRecordReplay:
         recorded = (out_record / "pair.report.json").read_bytes()
         replayed = (out_replay / "pair.report.json").read_bytes()
         assert recorded == replayed
+
+    def test_commands_close_the_backends_they_built(self, tmp_path, monkeypatch):
+        closed = []
+        monkeypatch.setattr(HttpBackend, "close", lambda backend: closed.append(backend))
+        image = tmp_path / "img.png"
+        image.write_bytes(TINY_PNG)
+        with FakeChatServer(http_responder) as server:
+            code = main(
+                [
+                    "record",
+                    "--image", str(image),
+                    "--caption", "a dog",
+                    "--endpoint", server.endpoint,
+                    "--api-key", "k",
+                    "--cache-dir", str(tmp_path / "cache"),
+                ]
+            )
+        assert code == EXIT_OK
+        assert len(closed) == 1
+        code = main(
+            [
+                "forge",
+                "--images", str(tmp_path / "missing"),
+                "--out", str(tmp_path / "x.jsonl"),
+                "--endpoint", "http://example.invalid",
+                "--api-key", "k",
+            ]
+        )
+        assert code == EXIT_RUNTIME
+        assert len(closed) == 2
 
     def test_record_without_api_key_is_usage_error(self, tmp_path, capsys):
         image = tmp_path / "img.png"

@@ -7,10 +7,12 @@ import sys
 import threading
 import time
 import types
+from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import requests
 
 from helpers import TINY_PNG, DynamicBackend, FakeChatServer, count_payload_hashes
 from hmgie import gateway as gateway_module
@@ -147,6 +149,19 @@ class TestCacheKey:
         request = text_request("Is the dog brown?")
         keys = {cache_key(replace(request, attempt=n)) for n in (1, 2, 3)}
         assert len(keys) == 3
+
+    def test_key_computed_once_at_construction(self, monkeypatch):
+        calls = []
+        original = gateway_module.cache_key
+        monkeypatch.setattr(
+            gateway_module, "cache_key", lambda r: calls.append(r) or original(r)
+        )
+        request = text_request("Is the dog brown?")
+        assert request.key == original(request)
+        assert len(calls) == 1
+        backend = ScriptedBackend(fixtures={request.key: "yes"})
+        assert Gateway(backend).call(request).text == "yes"
+        assert len(calls) == 1
 
     def test_image_digest_matters(self):
         a = ModelRequest.vision("p", TINY_PNG)
@@ -351,6 +366,17 @@ class TestCallParsed:
             call_parsed(Gateway(backend), text_request(), parse, 3, lambda *a: None)
         assert len(backend.calls) == 1
 
+    def test_retry_request_carries_its_own_key(self):
+        backend = _replies("garbage", "42")
+        value = call_parsed(
+            Gateway(backend), text_request("count"), _parse_int, 2, lambda *a: None
+        )
+        assert value == 42
+        first, second = backend.calls
+        assert second.attempt == 2
+        assert second.key != first.key
+        assert second.key == cache_key(replace(first, attempt=2))
+
     def test_vision_retry_carries_the_image_ref(self, monkeypatch):
         passes = count_payload_hashes(monkeypatch, TINY_PNG)
         image = ImageRef(TINY_PNG)
@@ -494,8 +520,9 @@ class TestHttpBackend:
         assert result.stdout.strip() == "False"
 
     def test_text_round_trip_and_wire_shape(self):
-        with FakeChatServer(lambda body: (200, "server says hi")) as server:
-            backend = HttpBackend(endpoint=server.endpoint, api_key="secret-key")
+        with FakeChatServer(lambda body: (200, "server says hi")) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="secret-key")
+        ) as backend:
             response = Gateway(backend).call(
                 text_request("ping", model_id="my-model", temperature=0.3)
             )
@@ -507,8 +534,9 @@ class TestHttpBackend:
             assert server.headers[0]["Authorization"] == "Bearer secret-key"
 
     def test_vision_request_embeds_data_url(self):
-        with FakeChatServer() as server:
-            backend = HttpBackend(endpoint=server.endpoint, api_key="k")
+        with FakeChatServer() as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
             Gateway(backend).call(ModelRequest.vision("look", TINY_PNG))
             content = server.requests[0]["messages"][0]["content"]
             assert content[0] == {"type": "text", "text": "look"}
@@ -575,26 +603,60 @@ class TestHttpBackend:
             state["n"] += 1
             return (429, "slow down") if state["n"] == 1 else (200, "finally")
 
-        with FakeChatServer(responder) as server:
-            backend = HttpBackend(endpoint=server.endpoint, api_key="k")
+        with FakeChatServer(responder) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
             gateway = Gateway(backend, sleeper=lambda s: None)
             assert gateway.call(text_request()).text == "finally"
         assert state["n"] == 2
 
     def test_auth_failure(self):
-        with FakeChatServer(lambda body: (401, "who are you")) as server:
-            backend = HttpBackend(endpoint=server.endpoint, api_key="bad")
+        with FakeChatServer(lambda body: (401, "who are you")) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="bad")
+        ) as backend:
             with pytest.raises(AuthError):
                 Gateway(backend).call(text_request())
 
     def test_server_error_exhausts(self):
-        with FakeChatServer(lambda body: (500, "boom")) as server:
-            backend = HttpBackend(endpoint=server.endpoint, api_key="k")
+        with FakeChatServer(lambda body: (500, "boom")) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
             gateway = Gateway(
                 backend, retry=RetryPolicy(attempts=2, base_delay=0.01), sleeper=lambda s: None
             )
             with pytest.raises(ExhaustedError):
                 gateway.call(text_request())
+
+    @pytest.mark.parametrize(
+        "fault",
+        [requests.exceptions.ChunkedEncodingError, requests.exceptions.ContentDecodingError],
+    )
+    def test_broken_body_is_retried(self, fault):
+        class BrokenSession:
+            posts = 0
+
+            def post(self, url, json, headers, timeout):
+                self.posts += 1
+                raise fault("connection broken mid-body")
+
+        session = BrokenSession()
+        backend = HttpBackend(endpoint="http://model.invalid/v1", api_key="k", session=session)
+        gateway = Gateway(backend, retry=RetryPolicy(attempts=3), sleeper=lambda s: None)
+        with pytest.raises(ExhaustedError) as exc_info:
+            gateway.call(text_request())
+        assert isinstance(exc_info.value.__cause__, TransientBackendError)
+        assert session.posts == 3
+
+    def test_close_closes_the_session(self):
+        class Session:
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        session = Session()
+        HttpBackend(endpoint="http://model.invalid/v1", api_key="k", session=session).close()
+        assert session.closed
 
 
 def test_sniff_media_type():

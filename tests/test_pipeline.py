@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from dataclasses import replace
@@ -14,6 +15,8 @@ from helpers import (
     scripted_backend_of,
     scripted_config,
 )
+from hmgie import gateway as gateway_module
+from hmgie import pipeline as pipeline_module
 from hmgie.errors import EmptyHiegError, ExhaustedError, GraphGenFailedError
 from hmgie.gateway import Gateway, ScriptedBackend, cache_key
 from hmgie.pipeline import (
@@ -122,14 +125,18 @@ class TestStageOrdering:
                 if p.startswith("You are a question answer evaluator") and question in p
             )
             assert vqa_idx < eval_idx
-        # level-1 coverage runs after level-1 answers and before level-2 questions
+        # level-1 coverage runs after level-1 answers and before level-2
+        # questions; level 2's declared targets clear the mask, so no
+        # coverage call follows it
         coverage_indices = [i for i, s in enumerate(stages) if s == "coverage"]
         qgen_indices = [i for i, s in enumerate(stages) if s == "qgen"]
         level1_answer_indices = [
             i for i, s in enumerate(stages[: coverage_indices[0]]) if s in ("vqa", "eval")
         ]
         assert len(level1_answer_indices) == 4
-        assert qgen_indices[0] < coverage_indices[0] < qgen_indices[1] < coverage_indices[1]
+        assert len(coverage_indices) == 1
+        assert qgen_indices[0] < coverage_indices[0] < qgen_indices[1]
+        assert stages[qgen_indices[1]:] == ["qgen", "vqa", "eval", "explain"]
 
     def test_vqa_precedes_eval_under_concurrency(self):
         config = scripted_config(templates=TEMPLATES, intra_level_parallelism=4)
@@ -147,6 +154,56 @@ class TestStageOrdering:
                 if p.startswith("You are a question answer evaluator") and question in p
             )
             assert vqa_idx < eval_idx
+
+
+def _counting(monkeypatch, module, name: str) -> list[int]:
+    """Patch module.name with a wrapper that logs one entry per call."""
+    log: list[int] = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        log.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return log
+
+
+class TestPromptPartsBuiltOnce:
+    # SHA-256 of the two-level scenario's report as it was before the
+    # coverage skip; the skipped level-2 reply must leave it unchanged.
+    REPORT_SHA256 = "aa3099d5e328035c1f31db152c18e50d8d1560637fc0443e67ff693334988080"
+
+    def _run(self, monkeypatch):
+        config = scripted_config(templates=TEMPLATES, intra_level_parallelism=1)
+        build_two_level_scenario(config)
+        counts = {
+            "graph_to_json": _counting(monkeypatch, pipeline_module, "graph_to_json"),
+            "hieg_to_prompt_json": _counting(
+                monkeypatch, pipeline_module, "hieg_to_prompt_json"
+            ),
+            "cache_key": _counting(monkeypatch, gateway_module, "cache_key"),
+        }
+        report = evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", config)
+        return report, scripted_backend_of(config), counts
+
+    def test_graph_serialized_once_per_pair(self, monkeypatch):
+        _, _, counts = self._run(monkeypatch)
+        assert len(counts["graph_to_json"]) == 1
+
+    def test_hieg_serialized_once_per_level(self, monkeypatch):
+        report, _, counts = self._run(monkeypatch)
+        assert len(counts["hieg_to_prompt_json"]) == report.realized_depth + 1 == 3
+
+    def test_one_cache_key_per_backend_call(self, monkeypatch):
+        _, backend, counts = self._run(monkeypatch)
+        assert len(counts["cache_key"]) == len(backend.calls)
+
+    def test_covered_mask_skips_the_last_coverage_call(self, monkeypatch):
+        report, backend, _ = self._run(monkeypatch)
+        assert len(backend.calls) == 11
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == self.REPORT_SHA256
 
 
 class TestFailureModes:
