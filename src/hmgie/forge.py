@@ -12,7 +12,6 @@ captions enter the adversarial set by default.
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
@@ -259,11 +258,12 @@ def generate_ground_truth(
     captioners: Sequence[Gateway],
     fusion: Gateway,
     config: ForgeConfig,
+    notes: list[str],
 ) -> str:
     """Ensemble captioning followed by fusion; identity for one member.
 
-    Captioner failures are tolerated as long as at least one member replies;
-    AllCaptionersFailedError otherwise.
+    Captioner failures are tolerated, with a note, as long as at least one
+    member replies; AllCaptionersFailedError otherwise.
     """
     if not captioners:
         raise AllCaptionersFailedError("no captioners configured")
@@ -285,7 +285,7 @@ def generate_ground_truth(
     if not captions:
         raise AllCaptionersFailedError("; ".join(failures))
     if failures:
-        warnings.warn(f"{len(failures)} captioner(s) failed: {failures}")
+        notes.append(f"{len(failures)} captioner(s) failed: {failures}")
     if len(captions) == 1:
         return captions[0]
     request = ModelRequest.text(
@@ -403,9 +403,11 @@ def _record_lines(
     notes: list[str] = []
     skipped = 0
     image = ImageRef(Path(image_path).read_bytes())
+    caption_notes: list[str] = []
     ground_truth = generate_ground_truth(
-        image, spec, config.bindings.captioners, config.bindings.fusion, config
+        image, spec, config.bindings.captioners, config.bindings.fusion, config, caption_notes
     )
+    notes.extend(f"{image_path} g{spec.level}: {note}" for note in caption_notes)
     stem = Path(image_path).stem
     base = {"image_path": image_path, "granularity": spec.level}
     lines.append(
@@ -473,8 +475,6 @@ def build_dataset(
     Per-cell errors are logged in the summary and the run continues.
     """
     ordered = sorted(str(p) for p in image_paths)
-    if not ordered:
-        warnings.warn("no images supplied; writing an empty dataset")
     cells = [(path, spec) for path in ordered for spec in config.specs]
 
     def _one(cell: tuple[str, GranularitySpec]):

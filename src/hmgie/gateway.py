@@ -42,6 +42,10 @@ from .errors import (
     UnsupportedRequestError,
 )
 
+# Reply files are UTF-8 with this handler, so a reply holding a lone surrogate
+# (which json.loads makes of a "\ud800" escape) replays as the very same string.
+_REPLY_ERRORS = "surrogatepass"
+
 _MAGIC_SIGNATURES = (
     (b"\x89PNG\r\n\x1a\n", "image/png"),
     (b"\xff\xd8\xff", "image/jpeg"),
@@ -152,7 +156,6 @@ class ModelRequest:
 @dataclass(frozen=True)
 class ModelResponse:
     text: str
-    latency_ms: int = 0
     cached: int = 0
 
 
@@ -317,8 +320,8 @@ class ScriptedBackend:
             return self.fixtures[key]
         if self.fixture_dir is not None:
             try:
-                with open(self.fixture_dir / f"{key}.txt", encoding="utf-8") as handle:
-                    return handle.read()
+                path = self.fixture_dir / f"{key}.txt"
+                return path.read_text(encoding="utf-8", errors=_REPLY_ERRORS)
             except FileNotFoundError:
                 pass
         raise FixtureMissingError(key)
@@ -373,7 +376,7 @@ class Gateway:
         if self.cache_dir is not None:
             path = self.cache_dir / f"{key}.txt"
             if path.exists():
-                text = path.read_text(encoding="utf-8")
+                text = path.read_text(encoding="utf-8", errors=_REPLY_ERRORS)
                 self._memory[key] = text
                 return text
         return None
@@ -385,7 +388,7 @@ class Gateway:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
             fd, temp = tempfile.mkstemp(dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp")
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                with os.fdopen(fd, "w", encoding="utf-8", errors=_REPLY_ERRORS) as handle:
                     handle.write(text)
                 os.replace(temp, self.cache_dir / f"{key}.txt")
             except BaseException:
@@ -428,7 +431,7 @@ class Gateway:
         key = request.key
         cached = self._cached_text(key)
         if cached is not None:
-            return ModelResponse(text=cached, latency_ms=0, cached=1)
+            return ModelResponse(text=cached, cached=1)
         with self._lock:
             gate = self._inflight.setdefault(key, threading.Lock())
         with gate:
@@ -436,12 +439,10 @@ class Gateway:
                 cached = self._cached_text(key)
                 if cached is not None:
                     # A concurrent duplicate finished first; serve its result.
-                    return ModelResponse(text=cached, latency_ms=0, cached=1)
-                started = time.monotonic()
+                    return ModelResponse(text=cached, cached=1)
                 text = self._complete_with_retries(request)
-                latency_ms = int((time.monotonic() - started) * 1000)
                 self._store(key, text)
-                return ModelResponse(text=text, latency_ms=latency_ms, cached=0)
+                return ModelResponse(text=text, cached=0)
             finally:
                 # Drop the gate once the call is done so the map holds only
                 # calls in flight; duplicates already waiting on this gate

@@ -18,7 +18,6 @@ questions fans out concurrently.
 from __future__ import annotations
 
 import json
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -55,7 +54,6 @@ from .prompts import (
 from .scoring import (
     MetricsSummary,
     ScoringConfig,
-    WeightDirection,
     compute_h_acc,
     compute_h_comp,
     detection_metrics,
@@ -120,7 +118,6 @@ class PipelineConfig:
     max_questions_per_level: int = 10
     retry_limit: int = 3
     weight_ratio: float = 1.2
-    weight_direction: WeightDirection = WeightDirection.INCREASING_WITH_DEPTH
     model_id: str = "gpt-4o"
     temperature: float = 0.3
     max_output_tokens: int = 2048
@@ -146,7 +143,6 @@ class PipelineConfig:
             weight_ratio=self.weight_ratio,
             max_level=self.max_level,
             max_per_level=self.max_questions_per_level,
-            weight_direction=self.weight_direction,
         )
 
 
@@ -321,7 +317,7 @@ def _generate_graph(
     graph = call_parsed(
         config.backends.graph_gen,
         build_graph_request(caption, config),
-        lambda text: parse_semantic_graph(text, caption),
+        lambda text: parse_semantic_graph(text, caption, diagnostics),
         config.retry_limit,
         reject,
     )
@@ -379,7 +375,7 @@ def _answer_and_judge(
         notes.append(f"vqa returned an empty reply for {question!r}; marked incorrect")
         return "", 1.0, False, notes
     try:
-        reply = parse_vqa_reply(vqa_response.text)
+        reply = parse_vqa_reply(vqa_response.text, notes)
         answer, confidence = reply.answer, reply.confidence
     except MalformedOutputError:
         # Models sometimes answer in plain prose; the judge can still use it.
@@ -472,7 +468,7 @@ def evaluate_pair(
                 batch = call_parsed(
                     config.backends.question_gen,
                     request,
-                    lambda text: parse_question_batch(text, level),
+                    lambda text: parse_question_batch(text, level, diagnostics),
                     config.retry_limit,
                     lambda attempt, exc: diagnostics.append(
                         f"level {level}: question reply attempt {attempt} unparseable: {exc}"
@@ -509,7 +505,7 @@ def evaluate_pair(
             coverage_reply = call_parsed(
                 config.backends.coverage,
                 build_coverage_request(graph_json, hieg_json, config),
-                parse_coverage_reply,
+                lambda text: parse_coverage_reply(text, diagnostics),
                 config.retry_limit,
                 lambda attempt, exc: diagnostics.append(
                     f"level {level}: coverage reply attempt {attempt} unparseable: {exc}"
@@ -620,8 +616,8 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
             if label not in (0, 1, None):
                 raise ValueError(f"{path}:{line_no}: label must be 0, 1, or null")
             granularity = record.get("granularity")
-            if granularity is not None and granularity not in (1, 2, 3, 4):
-                warnings.warn(f"{path}:{line_no}: granularity {granularity} outside 1-4")
+            if granularity not in (1, 2, 3, 4, None):
+                raise ValueError(f"{path}:{line_no}: granularity must be 1-4 or null")
             items.append(
                 DatasetItem(
                     id=str(record.get("id", f"line-{line_no}")),

@@ -3,7 +3,9 @@
 Templates ship as embedded text resources; a templates directory can
 override any of them (same file names) so prompts can be tuned without
 rebuilding. Each parser tolerates code fences and surrounding prose and
-either returns a typed value or raises a typed error.
+either returns a typed value or raises a typed error. A parser that coerces
+or drops part of a reply says so by appending a note to the ``notes`` list
+it is given.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -203,28 +204,28 @@ def _coerce_answer(value: Any) -> str:
     raise MalformedOutputError(f"'Answer' is not a scalar: {value!r}")
 
 
-def _coerce_confidence(value: Any) -> float:
+def _coerce_confidence(value: Any, notes: list[str]) -> float:
     if value is None:
         return 1.0
     try:
         confidence = float(value)
     except (TypeError, ValueError):
-        warnings.warn(f"non-numeric confidence {value!r}; defaulting to 1.0", stacklevel=3)
+        notes.append(f"non-numeric confidence {value!r}; defaulting to 1.0")
         return 1.0
     if math.isnan(confidence):
-        warnings.warn("NaN confidence; defaulting to 1.0", stacklevel=3)
+        notes.append("NaN confidence; defaulting to 1.0")
         return 1.0
     if confidence < 0.0 or confidence > 1.0:
-        warnings.warn(f"confidence {confidence} clamped into [0, 1]", stacklevel=3)
+        notes.append(f"confidence {confidence} clamped into [0, 1]")
         return min(1.0, max(0.0, confidence))
     return confidence
 
 
-def parse_vqa_reply(raw: str) -> VqaReply:
+def parse_vqa_reply(raw: str, notes: list[str]) -> VqaReply:
     """Parse the visual-question-answering reply.
 
     A missing confidence defaults to 1.0 so that an unstated confidence never
-    discounts a verified fact; out-of-range values are clamped.
+    discounts a verified fact; out-of-range values are clamped, with a note.
     """
     payload = extract_json_value(raw)
     if not isinstance(payload, dict):
@@ -232,7 +233,7 @@ def parse_vqa_reply(raw: str) -> VqaReply:
     answer = _get_field(payload, "Answer", "answer")
     if answer is None:
         raise MalformedOutputError("VQA reply has no 'Answer' field")
-    confidence = _coerce_confidence(_get_field(payload, "Confidence", "confidence"))
+    confidence = _coerce_confidence(_get_field(payload, "Confidence", "confidence"), notes)
     return VqaReply(answer=_coerce_answer(answer), confidence=confidence)
 
 
@@ -277,7 +278,7 @@ def _coerce_id_list(value: Any, field: str) -> frozenset[str]:
     return frozenset(str(item) for item in value)
 
 
-def _coerce_index_list(value: Any, field: str) -> frozenset[int]:
+def _coerce_index_list(value: Any, field: str, notes: list[str]) -> frozenset[int]:
     if value is None:
         return frozenset()
     if not isinstance(value, list):
@@ -291,15 +292,15 @@ def _coerce_index_list(value: Any, field: str) -> frozenset[int]:
         elif isinstance(item, str) and item.strip().lstrip("-").isdigit():
             indices.add(int(item.strip()))
         else:
-            warnings.warn(f"ignoring non-integer edge index {item!r}", stacklevel=4)
+            notes.append(f"ignoring non-integer edge index {item!r}")
     return frozenset(indices)
 
 
-def parse_question_batch(raw: str, level: int) -> QuestionBatch:
+def parse_question_batch(raw: str, level: int, notes: list[str]) -> QuestionBatch:
     """Parse a question-generation reply into a batch for the given level.
 
     Items with duplicate question text collapse to the first occurrence;
-    items missing a question or expected answer are dropped with a warning.
+    items missing a question or expected answer are dropped with a note.
 
     Raises:
         MalformedOutputError: no parseable payload or wrong shape.
@@ -319,20 +320,18 @@ def parse_question_batch(raw: str, level: int) -> QuestionBatch:
     seen_questions: set[str] = set()
     for entry in items_raw:
         if not isinstance(entry, dict):
-            warnings.warn(f"skipping non-object question item {entry!r}", stacklevel=2)
+            notes.append(f"skipping non-object question item {entry!r}")
             continue
         question = _get_field(entry, "Question", "question")
         expected = _get_field(entry, "Expected-Answer", "expected-answer", "Expected_Answer")
         if not isinstance(question, str) or not question.strip():
-            warnings.warn("skipping question item without question text", stacklevel=2)
+            notes.append("skipping question item without question text")
             continue
         if not isinstance(expected, str) or not expected.strip():
-            warnings.warn(
-                f"skipping question without expected answer: {question!r}", stacklevel=2
-            )
+            notes.append(f"skipping question without expected answer: {question!r}")
             continue
         if question in seen_questions:
-            warnings.warn(f"dropping duplicate question {question!r}", stacklevel=2)
+            notes.append(f"dropping duplicate question {question!r}")
             continue
         seen_questions.add(question)
         verify_fact = _get_field(entry, "Verify-Fact", "verify-fact", "Verify_Fact")
@@ -348,7 +347,7 @@ def parse_question_batch(raw: str, level: int) -> QuestionBatch:
                     _get_field(entry, "Covered-Nodes", "covered-nodes"), "Covered-Nodes"
                 ),
                 covered_edges=_coerce_index_list(
-                    _get_field(entry, "Covered-Edges", "covered-edges"), "Covered-Edges"
+                    _get_field(entry, "Covered-Edges", "covered-edges"), "Covered-Edges", notes
                 ),
             )
         )
@@ -357,7 +356,7 @@ def parse_question_batch(raw: str, level: int) -> QuestionBatch:
     return QuestionBatch(level=level, items=tuple(items))
 
 
-def parse_coverage_reply(raw: str) -> CoverageReply:
+def parse_coverage_reply(raw: str, notes: list[str]) -> CoverageReply:
     """Parse the semantic-coverage reply.
 
     A reply claiming completeness while still carrying a suggestion violates
@@ -380,7 +379,7 @@ def parse_coverage_reply(raw: str) -> CoverageReply:
             _get_field(payload, "Examined-Nodes", "examined-nodes"), "Examined-Nodes"
         ),
         examined_edges=_coerce_index_list(
-            _get_field(payload, "Examined-Edges", "examined-edges"), "Examined-Edges"
+            _get_field(payload, "Examined-Edges", "examined-edges"), "Examined-Edges", notes
         ),
         next_level_suggestion=suggestion,
     )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
@@ -130,10 +129,6 @@ class SemanticGraph:
                     raise DanglingEdgeError(
                         f"edge {index} references unknown node {endpoint}"
                     )
-            if edge.from_id == edge.to_id:
-                warnings.warn(
-                    f"edge {index} is a self-loop on {edge.from_id}", stacklevel=2
-                )
 
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
@@ -197,22 +192,22 @@ def is_fully_covered(mask: CoverageMask) -> bool:
     return not any(mask.node_flags.values()) and not any(mask.edge_flags.values())
 
 
-def _parse_node_kind(raw: Any) -> NodeKind:
+def _parse_node_kind(raw: Any, notes: list[str]) -> NodeKind:
     if not isinstance(raw, str) or not raw.strip():
         raise SchemaViolationError(f"node 'type' must be a nonempty string, got {raw!r}")
     kind = _NODE_KIND_ALIASES.get(_normalize_kind(raw))
     if kind is None:
-        warnings.warn(f"unknown node kind {raw!r}; mapped to Other", stacklevel=3)
+        notes.append(f"unknown node kind {raw!r}; mapped to Other")
         return NodeKind.OTHER
     return kind
 
 
-def _parse_edge_kind(raw: Any) -> EdgeKind:
+def _parse_edge_kind(raw: Any, notes: list[str]) -> EdgeKind:
     if not isinstance(raw, str) or not raw.strip():
         raise SchemaViolationError(f"edge 'type' must be a nonempty string, got {raw!r}")
     kind = _EDGE_KIND_ALIASES.get(_normalize_kind(raw))
     if kind is None:
-        warnings.warn(f"unknown edge kind {raw!r}; mapped to Other", stacklevel=3)
+        notes.append(f"unknown edge kind {raw!r}; mapped to Other")
         return EdgeKind.OTHER
     return kind
 
@@ -229,11 +224,11 @@ def _parse_endpoint(raw: Any, field: str) -> str:
     )
 
 
-def parse_semantic_graph(raw_model_output: str, caption: str) -> SemanticGraph:
+def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) -> SemanticGraph:
     """Parse the graph-extraction reply into a validated SemanticGraph.
 
-    Tolerates code fences and surrounding prose; unknown node/edge kinds map
-    to Other with a warning.
+    Tolerates code fences and surrounding prose. Unknown node/edge kinds map
+    to Other, and each of those and each self-loop edge adds a note.
 
     Raises:
         MalformedOutputError: no extractable structured object.
@@ -262,7 +257,8 @@ def parse_semantic_graph(raw_model_output: str, caption: str) -> SemanticGraph:
         label = item["label"]
         if not isinstance(label, str):
             label = str(label)
-        nodes.append(SemanticNode(id=item["id"], kind=_parse_node_kind(item["type"]), label=label))
+        kind = _parse_node_kind(item["type"], notes)
+        nodes.append(SemanticNode(id=item["id"], kind=kind, label=label))
 
     edges = []
     for item in raw_edges:
@@ -275,12 +271,16 @@ def parse_semantic_graph(raw_model_output: str, caption: str) -> SemanticGraph:
             SemanticEdge(
                 from_id=_parse_endpoint(item["from"], "from"),
                 to_id=_parse_endpoint(item["to"], "to"),
-                kind=_parse_edge_kind(item["type"]),
+                kind=_parse_edge_kind(item["type"], notes),
                 label=str(item.get("label", "")),
                 description=str(item.get("description", "")),
             )
         )
-    return SemanticGraph(nodes=tuple(nodes), edges=tuple(edges), source_caption=caption)
+    graph = SemanticGraph(nodes=tuple(nodes), edges=tuple(edges), source_caption=caption)
+    for index, edge in enumerate(graph.edges):
+        if edge.from_id == edge.to_id:
+            notes.append(f"edge {index} is a self-loop on {edge.from_id}")
+    return graph
 
 
 def graph_to_payload(graph: SemanticGraph) -> dict:

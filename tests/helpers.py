@@ -145,6 +145,7 @@ class ScenarioScript:
         self.graph = None
         self.mask = None
         self.suggestion: Optional[str] = None
+        self.notes: list[str] = []  # what the parsers noted while scripting
 
     def set(self, request: ModelRequest, reply: str) -> None:
         self.backend.fixtures[cache_key(request)] = reply
@@ -153,7 +154,7 @@ class ScenarioScript:
         if reply is None:
             reply = graph_reply_for(self.caption)
         self.set(build_graph_request(self.caption, self.config), reply)
-        self.graph = parse_semantic_graph(reply, self.caption)
+        self.graph = parse_semantic_graph(reply, self.caption, self.notes)
         self.mask = fresh_mask(self.graph)
 
     def script_level(
@@ -176,13 +177,13 @@ class ScenarioScript:
         )
         self.suggestion = None
         self.set(request, question_reply)
-        batch = parse_question_batch(question_reply, level)
+        batch = parse_question_batch(question_reply, level, self.notes)
 
         answers = []
         verdicts = []
         for item, vqa_reply, eval_reply in zip(batch.items, vqa_replies, eval_replies):
             self.set(build_vqa_request(item.question, self.image, self.config), vqa_reply)
-            parsed = parse_vqa_reply(vqa_reply)
+            parsed = parse_vqa_reply(vqa_reply, self.notes)
             self.set(
                 build_eval_request(
                     item.question, item.expected_answer, parsed.answer, self.config
@@ -206,7 +207,7 @@ class ScenarioScript:
             ),
             coverage_reply,
         )
-        parsed_coverage = parse_coverage_reply(coverage_reply)
+        parsed_coverage = parse_coverage_reply(coverage_reply, self.notes)
         self.mask = apply_coverage(
             self.mask,
             parsed_coverage.examined_nodes & set(self.mask.node_flags),

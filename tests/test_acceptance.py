@@ -169,6 +169,7 @@ def test_05a_mask_monotonicity_10k():
             }
         ),
         "caption",
+        [],
     )
     for _ in range(10_000):
         mask = fresh_mask(graph)

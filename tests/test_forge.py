@@ -65,6 +65,7 @@ class TestGroundTruth:
             config.bindings.captioners,
             config.bindings.fusion,
             config,
+            [],
         )
         assert caption == "ground truth caption (gpt-4o)"
         # no fusion call was made
@@ -91,6 +92,7 @@ class TestGroundTruth:
             config.bindings.captioners,
             config.bindings.fusion,
             config,
+            [],
         )
         assert caption == "fused caption"
         fusion_prompt = next(
@@ -108,6 +110,7 @@ class TestGroundTruth:
                 config.bindings.captioners,
                 config.bindings.fusion,
                 config,
+                [],
             )
 
     def test_partial_failure_tolerated(self):
@@ -128,14 +131,17 @@ class TestGroundTruth:
             captioner_model_ids=("good", "bad"),
             templates=TEMPLATES,
         )
-        with pytest.warns(UserWarning, match="captioner"):
-            caption = generate_ground_truth(
-                TINY_PNG,
-                DEFAULT_GRANULARITY_SPECS[0],
-                config.bindings.captioners,
-                config.bindings.fusion,
-                config,
-            )
+        notes: list[str] = []
+        caption = generate_ground_truth(
+            TINY_PNG,
+            DEFAULT_GRANULARITY_SPECS[0],
+            config.bindings.captioners,
+            config.bindings.fusion,
+            config,
+            notes,
+        )
+        assert len(notes) == 1
+        assert notes[0].startswith("1 captioner(s) failed: ['captioner 1: ")
         assert caption == "solo caption"
 
 
@@ -325,8 +331,7 @@ class TestBuildDataset:
     def test_empty_image_list(self, tmp_path):
         config, _ = forge_config(forge_responder())
         out = tmp_path / "empty.jsonl"
-        with pytest.warns(UserWarning, match="no images"):
-            summary = build_dataset([], config, out)
+        summary = build_dataset([], config, out)
         assert out.read_text() == ""
         assert summary.records_written == 0
 
@@ -355,6 +360,32 @@ class TestBuildDataset:
         assert summary.errors
         assert any("AllCaptionersFailedError" in e for e in summary.errors)
         assert summary.records_written == 6  # granularities 2-4 only
+
+    def test_captioner_failure_noted_in_summary(self, images, tmp_path):
+        def flaky(request):
+            if request.prompt.startswith("Describe the image") and request.model_id == "bad":
+                return None
+            return forge_responder(fool_at_version=1)(request)
+
+        backend = DynamicBackend(flaky)
+        gateway = Gateway(backend)
+        config = ForgeConfig(
+            bindings=ForgeBindings(
+                captioners=(gateway, gateway),
+                fusion=gateway,
+                perturb=gateway,
+                detector=gateway,
+            ),
+            captioner_model_ids=("good", "bad"),
+            specs=DEFAULT_GRANULARITY_SPECS[:1],
+            templates=TEMPLATES,
+        )
+        summary = build_dataset(images[:1], config, tmp_path / "data.jsonl")
+        assert summary.records_written == 2
+        assert len(summary.errors) == 1
+        assert summary.errors[0].startswith(
+            f"{images[0]} g1: 1 captioner(s) failed: ['captioner 1: "
+        )
 
 
 class TestGranularitySpecs:

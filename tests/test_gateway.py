@@ -277,14 +277,26 @@ class TestCaching:
 
 
 class TestRecordWrites:
-    def test_failed_write_leaves_no_file_under_the_key(self, tmp_path):
-        # A lone surrogate cannot be encoded as UTF-8, so the write fails
-        # after the record file was opened.
+    def test_failed_write_leaves_no_file_under_the_key(self, tmp_path, monkeypatch):
+        # The write fails after the record file was opened.
+        real_fdopen = os.fdopen
+
+        def fdopen_failing_write(*args, **kwargs):
+            handle = real_fdopen(*args, **kwargs)
+
+            def write(text):
+                raise OSError("disk full")
+
+            handle.write = write
+            return handle
+
         request = text_request("record me")
-        backend = DynamicBackend(lambda r: "half a reply \ud800")
+        backend = DynamicBackend(lambda r: "half a reply")
         broken = Gateway(backend, cache_dir=tmp_path, record=True)
-        with pytest.raises(UnicodeEncodeError):
-            broken.call(request)
+        with monkeypatch.context() as patch:
+            patch.setattr(gateway_module.os, "fdopen", fdopen_failing_write)
+            with pytest.raises(OSError, match="disk full"):
+                broken.call(request)
         assert list(tmp_path.iterdir()) == []
 
         live = DynamicBackend(lambda r: "whole reply")
@@ -293,6 +305,27 @@ class TestRecordWrites:
         stored = tmp_path / f"{cache_key(request)}.txt"
         assert stored.read_text(encoding="utf-8") == "whole reply"
         assert list(tmp_path.iterdir()) == [stored]
+
+    def test_lone_surrogate_recorded_and_replayed(self, tmp_path):
+        # json.loads turns a "\ud800" escape in an HTTP body into a lone
+        # surrogate; record mode must serve it as live mode does.
+        request = text_request("record me")
+        reply = "half a reply \ud800"
+        recorder = Gateway(DynamicBackend(lambda r: reply), cache_dir=tmp_path, record=True)
+        assert recorder.call(request).text == reply
+        stored = tmp_path / f"{cache_key(request)}.txt"
+        assert stored.read_bytes() == b"half a reply \xed\xa0\x80"
+
+        assert Gateway(ScriptedBackend(fixture_dir=tmp_path)).call(request).text == reply
+        offline = DynamicBackend(lambda r: None)
+        cached = Gateway(offline, cache_dir=tmp_path).call(request)
+        assert (cached.text, cached.cached) == (reply, 1)
+        assert offline.calls == []
+
+        valid, text = text_request("valid"), "caf\u00e9 \u2713"
+        writer = Gateway(DynamicBackend(lambda r: text), cache_dir=tmp_path, record=True)
+        writer.call(valid)
+        assert (tmp_path / f"{cache_key(valid)}.txt").read_bytes() == text.encode("utf-8")
 
     def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
         def crash(src, dst):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -463,6 +464,66 @@ class TestLoopBehavior:
         assert any("marked incorrect" in d for d in report.diagnostics)
 
 
+def _noting_responder(request):
+    """One level whose question and VQA replies each need a coerced field."""
+    prompt = request.prompt
+    if prompt.startswith("Your task is to parse"):
+        return GRAPH_REPLY
+    if prompt.startswith("You are a specialized question generator"):
+        first = {**_question(1, 0, covered=["N1", "N2", "N3"]), "Covered-Edges": [0, 1, "x"]}
+        return json.dumps({"Questions": [first, first, _question(1, 1)]})
+    if "visual question answering" in prompt:
+        confidence = 1.7 if "question 0?" in prompt else "high"
+        return json.dumps({"Answer": "a dog", "Confidence": confidence})
+    if prompt.startswith("You are a question answer evaluator"):
+        return json.dumps({"Correct": True})
+    return "explanation text"
+
+
+class TestParserNotes:
+    def test_notes_reach_every_report_in_order_at_any_fan_out(self):
+        expected = [
+            "ignoring non-integer edge index 'x'",
+            "dropping duplicate question 'level 1 question 0?'",
+            "confidence 1.7 clamped into [0, 1]",
+            "non-numeric confidence 'high'; defaulting to 1.0",
+        ]
+        payloads = {}
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for workers in (1, 4):
+                config = _dynamic_config(_noting_responder, intra_level_parallelism=workers)
+                reports = [evaluate_pair(TINY_PNG, "caption", config) for _ in range(2)]
+                assert [list(report.diagnostics) for report in reports] == [expected] * 2
+                payloads[workers] = [report.to_json() for report in reports]
+        assert caught == []
+        assert payloads[1] == payloads[4]
+
+    def test_graph_and_coverage_notes_reach_the_report(self):
+        graph = json.loads(GRAPH_REPLY)
+        graph["nodes"][2]["type"] = "Furniture"
+        graph["edges"].append({"from": "N3", "to": "N3", "type": "Mood", "label": "self"})
+        coverage = json.dumps(
+            {"Verified-Complete": True, "Examined-Nodes": [], "Examined-Edges": ["y"]}
+        )
+
+        def respond(request):
+            if request.prompt.startswith("Your task is to parse"):
+                return json.dumps(graph)
+            if "based on QA results" in request.prompt:
+                return coverage
+            return _noting_responder(request)
+
+        config = _dynamic_config(respond, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        assert report.diagnostics[:3] == (
+            "unknown node kind 'Furniture'; mapped to Other",
+            "unknown edge kind 'Mood'; mapped to Other",
+            "edge 2 is a self-loop on N3",
+        )
+        assert report.diagnostics[-1] == "ignoring non-integer edge index 'y'"
+
+
 def _role(prompt: str) -> str:
     if prompt.startswith("Your task is to parse"):
         return "graph"
@@ -675,6 +736,14 @@ class TestDatasetLoading:
         path = tmp_path / "data.jsonl"
         path.write_text('{"image_path": "a", "caption": "c", "label": 3}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="label"):
+            load_dataset_jsonl(path)
+
+    def test_bad_granularity_rejected(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            '{"image_path": "a", "caption": "c", "granularity": 5}\n', encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="granularity must be 1-4 or null"):
             load_dataset_jsonl(path)
 
     def test_missing_caption_rejected(self, tmp_path):

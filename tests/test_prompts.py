@@ -127,29 +127,30 @@ class TestTemplates:
 
 class TestVqaReply:
     def test_answer_and_confidence(self):
-        reply = parse_vqa_reply('{"Answer": "yes, a dog", "Confidence": 0.9}')
+        reply = parse_vqa_reply('{"Answer": "yes, a dog", "Confidence": 0.9}', [])
         assert reply.answer == "yes, a dog"
         assert reply.confidence == pytest.approx(0.9)
 
     def test_missing_confidence_defaults_to_one(self):
-        assert parse_vqa_reply('{"Answer": "blue"}').confidence == 1.0
+        assert parse_vqa_reply('{"Answer": "blue"}', []).confidence == 1.0
 
     def test_confidence_clamped(self):
-        with pytest.warns(UserWarning, match="clamped"):
-            reply = parse_vqa_reply('{"Confidence": 1.2, "Answer": "x"}')
+        notes: list[str] = []
+        reply = parse_vqa_reply('{"Confidence": 1.2, "Answer": "x"}', notes)
+        assert notes == ["confidence 1.2 clamped into [0, 1]"]
         assert reply.answer == "x"
         assert reply.confidence == 1.0
 
     def test_fenced_reply(self):
         raw = 'Sure:\n```json\n{"Answer": "two", "Confidence": 0.5}\n```'
-        assert parse_vqa_reply(raw).answer == "two"
+        assert parse_vqa_reply(raw, []).answer == "two"
 
     def test_numeric_answer_coerced(self):
-        assert parse_vqa_reply('{"Answer": 3, "Confidence": 0.7}').answer == "3"
+        assert parse_vqa_reply('{"Answer": 3, "Confidence": 0.7}', []).answer == "3"
 
     def test_malformed(self):
         with pytest.raises(MalformedOutputError):
-            parse_vqa_reply("I see a dog.")
+            parse_vqa_reply("I see a dog.", [])
 
 
 class TestEvalReply:
@@ -187,7 +188,7 @@ class TestQuestionBatch:
             {"Question": f"q{i}", "Expected-Answer": "a", "Verify-Fact": "f"}
             for i in range(3)
         ]
-        batch = parse_question_batch(json.dumps({"Questions": items}), level=2)
+        batch = parse_question_batch(json.dumps({"Questions": items}), 2, [])
         assert batch.level == 2
         assert len(batch.items) == 3
 
@@ -196,14 +197,15 @@ class TestQuestionBatch:
             {"Question": "same", "Expected-Answer": "a"},
             {"Question": "same", "Expected-Answer": "b"},
         ]
-        with pytest.warns(UserWarning, match="duplicate"):
-            batch = parse_question_batch(json.dumps({"Questions": items}), level=1)
+        notes: list[str] = []
+        batch = parse_question_batch(json.dumps({"Questions": items}), 1, notes)
+        assert notes == ["dropping duplicate question 'same'"]
         assert len(batch.items) == 1
         assert batch.items[0].expected_answer == "a"  # first wins
 
     def test_empty_list(self):
         with pytest.raises(EmptyBatchError):
-            parse_question_batch('{"Questions": []}', level=1)
+            parse_question_batch('{"Questions": []}', 1, [])
 
     def test_parent_and_coverage_fields(self):
         items = [
@@ -215,7 +217,7 @@ class TestQuestionBatch:
                 "Covered-Edges": [0, "2"],
             }
         ]
-        batch = parse_question_batch(json.dumps({"Questions": items}), level=2)
+        batch = parse_question_batch(json.dumps({"Questions": items}), 2, [])
         item = batch.items[0]
         assert item.parent_ids == {"Q1.1", "Q1.2"}
         assert item.covered_nodes == {"N1"}
@@ -223,7 +225,7 @@ class TestQuestionBatch:
 
     def test_top_level_array_tolerated(self):
         batch = parse_question_batch(
-            json.dumps([{"Question": "q", "Expected-Answer": "a"}]), level=1
+            json.dumps([{"Question": "q", "Expected-Answer": "a"}]), 1, []
         )
         assert len(batch.items) == 1
 
@@ -232,8 +234,9 @@ class TestQuestionBatch:
             {"Question": "incomplete"},
             {"Question": "ok", "Expected-Answer": "a"},
         ]
-        with pytest.warns(UserWarning):
-            batch = parse_question_batch(json.dumps({"Questions": items}), level=1)
+        notes: list[str] = []
+        batch = parse_question_batch(json.dumps({"Questions": items}), 1, notes)
+        assert notes == ["skipping question without expected answer: 'incomplete'"]
         assert [i.question for i in batch.items] == ["ok"]
 
 
@@ -241,7 +244,8 @@ class TestCoverageReply:
     def test_complete(self):
         reply = parse_coverage_reply(
             '{"Verified-Complete": true, "Examined-Nodes": [], '
-            '"Examined-Edges": [], "Next-Level-Suggestion": null}'
+            '"Examined-Edges": [], "Next-Level-Suggestion": null}',
+            [],
         )
         assert reply.verified_complete is True
         assert reply.examined_nodes == frozenset()
@@ -256,7 +260,8 @@ class TestCoverageReply:
                     "Examined-Edges": [],
                     "Next-Level-Suggestion": "verify attributes of the sofa",
                 }
-            )
+            ),
+            [],
         )
         assert reply.verified_complete is False
         assert reply.examined_nodes == {"N1", "N2"}
@@ -271,24 +276,25 @@ class TestCoverageReply:
                         "Verified-Complete": True,
                         "Next-Level-Suggestion": "keep going anyway",
                     }
-                )
+                ),
+                [],
             )
 
     def test_none_string_suggestion_normalized(self):
         reply = parse_coverage_reply(
-            '{"Verified-Complete": true, "Next-Level-Suggestion": "None"}'
+            '{"Verified-Complete": true, "Next-Level-Suggestion": "None"}', []
         )
         assert reply.next_level_suggestion is None
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=300)
 @given(st.text(max_size=300))
 def test_parsers_total_under_fuzz(raw):
+    notes: list[str] = []
     for parser in (
-        parse_vqa_reply,
+        lambda text: parse_vqa_reply(text, notes),
         parse_eval_reply,
-        parse_coverage_reply,
+        lambda text: parse_coverage_reply(text, notes),
         parse_consistency_reply,
     ):
         try:
@@ -296,12 +302,11 @@ def test_parsers_total_under_fuzz(raw):
         except (MalformedOutputError, SchemaViolationError):
             pass
     try:
-        parse_question_batch(raw, level=1)
+        parse_question_batch(raw, 1, notes)
     except (MalformedOutputError, EmptyBatchError, SchemaViolationError):
         pass
 
 
-@pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=200)
 @given(
     st.dictionaries(
@@ -319,7 +324,12 @@ def test_parsers_total_under_fuzz(raw):
 )
 def test_parsers_total_on_near_miss_payloads(payload):
     raw = json.dumps(payload)
-    for parser in (parse_vqa_reply, parse_eval_reply, parse_coverage_reply):
+    notes: list[str] = []
+    for parser in (
+        lambda text: parse_vqa_reply(text, notes),
+        parse_eval_reply,
+        lambda text: parse_coverage_reply(text, notes),
+    ):
         try:
             parser(raw)
         except (MalformedOutputError, SchemaViolationError):

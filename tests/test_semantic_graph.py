@@ -1,6 +1,5 @@
 import json
 import random
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -47,7 +46,7 @@ MINIMAL_PAYLOAD = json.dumps(
 
 
 def small_graph() -> SemanticGraph:
-    return parse_semantic_graph(MINIMAL_PAYLOAD, "a brown dog")
+    return parse_semantic_graph(MINIMAL_PAYLOAD, "a brown dog", [])
 
 
 class TestParse:
@@ -70,7 +69,7 @@ class TestParse:
             }
         )
         with pytest.raises(DuplicateNodeIdError):
-            parse_semantic_graph(payload, "c")
+            parse_semantic_graph(payload, "c", [])
 
     def test_dangling_edge(self):
         payload = json.dumps(
@@ -80,11 +79,11 @@ class TestParse:
             }
         )
         with pytest.raises(DanglingEdgeError):
-            parse_semantic_graph(payload, "c")
+            parse_semantic_graph(payload, "c", [])
 
     def test_code_fence_and_prose(self):
         wrapped = f"Sure! Here is the graph:\n```json\n{MINIMAL_PAYLOAD}\n```\nDone."
-        graph = parse_semantic_graph(wrapped, "a brown dog")
+        graph = parse_semantic_graph(wrapped, "a brown dog", [])
         assert len(graph.nodes) == 2
 
     def test_endpoint_pairs(self):
@@ -104,7 +103,7 @@ class TestParse:
                 ],
             }
         )
-        graph = parse_semantic_graph(payload, "c")
+        graph = parse_semantic_graph(payload, "c", [])
         assert graph.edges[0].from_id == "N1"
         assert graph.edges[0].to_id == "N2"
 
@@ -115,8 +114,9 @@ class TestParse:
                 "edges": [],
             }
         )
-        with pytest.warns(UserWarning, match="unknown node kind"):
-            graph = parse_semantic_graph(payload, "c")
+        notes: list[str] = []
+        graph = parse_semantic_graph(payload, "c", notes)
+        assert notes == ["unknown node kind 'Vehicle'; mapped to Other"]
         assert graph.nodes[0].kind is NodeKind.OTHER
 
     def test_others_alias(self):
@@ -126,20 +126,20 @@ class TestParse:
                 "edges": [],
             }
         )
-        assert parse_semantic_graph(payload, "c").nodes[0].kind is NodeKind.OTHER
+        assert parse_semantic_graph(payload, "c", []).nodes[0].kind is NodeKind.OTHER
 
     def test_no_structured_object(self):
         with pytest.raises(MalformedOutputError):
-            parse_semantic_graph("I could not build a graph, sorry.", "c")
+            parse_semantic_graph("I could not build a graph, sorry.", "c", [])
 
     def test_empty_nodes_rejected(self):
         with pytest.raises(SchemaViolationError):
-            parse_semantic_graph(json.dumps({"nodes": [], "edges": []}), "c")
+            parse_semantic_graph(json.dumps({"nodes": [], "edges": []}), "c", [])
 
     def test_missing_node_field(self):
         payload = json.dumps({"nodes": [{"id": "N1", "label": "dog"}], "edges": []})
         with pytest.raises(SchemaViolationError, match="missing fields"):
-            parse_semantic_graph(payload, "c")
+            parse_semantic_graph(payload, "c", [])
 
     def test_self_loop_warns_but_parses(self):
         payload = json.dumps(
@@ -148,13 +148,14 @@ class TestParse:
                 "edges": [{"from": "N1", "to": "N1", "type": "Others", "label": "self"}],
             }
         )
-        with pytest.warns(UserWarning, match="self-loop"):
-            graph = parse_semantic_graph(payload, "c")
+        notes: list[str] = []
+        graph = parse_semantic_graph(payload, "c", notes)
+        assert notes == ["edge 0 is a self-loop on N1"]
         assert len(graph.edges) == 1
 
     def test_round_trip(self):
         graph = small_graph()
-        again = parse_semantic_graph(graph_to_json(graph), graph.source_caption)
+        again = parse_semantic_graph(graph_to_json(graph), graph.source_caption, [])
         assert again == graph
 
 
@@ -242,7 +243,6 @@ def graphs(max_nodes: int = 8, max_edges: int = 8):
     return _graph()
 
 
-@pytest.mark.filterwarnings("ignore:edge .* self-loop")
 class TestProperties:
     @settings(max_examples=200)
     @given(graphs())
@@ -270,16 +270,21 @@ class TestProperties:
     @settings(max_examples=200)
     @given(graphs())
     def test_serialization_round_trip(self, graph):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # random graphs may contain self-loops
-            reparsed = parse_semantic_graph(graph_to_json(graph), "prop caption")
+        notes: list[str] = []
+        reparsed = parse_semantic_graph(graph_to_json(graph), "prop caption", notes)
         assert reparsed == graph
+        # random graphs may contain self-loops; each one is noted by index
+        assert notes == [
+            f"edge {index} is a self-loop on {edge.from_id}"
+            for index, edge in enumerate(graph.edges)
+            if edge.from_id == edge.to_id
+        ]
 
     @settings(max_examples=300)
     @given(st.text(max_size=200))
     def test_parse_totality_on_garbage(self, raw):
         try:
-            graph = parse_semantic_graph(raw, "caption")
+            graph = parse_semantic_graph(raw, "caption", [])
         except (MalformedOutputError, SchemaViolationError):
             return
         # If anything parsed, the invariants must hold by construction.
@@ -309,7 +314,7 @@ def test_fuzzed_mutations_never_yield_invalid_graph():
         else:
             payload = {"unexpected": True}
         try:
-            graph = parse_semantic_graph(json.dumps(payload), "c")
+            graph = parse_semantic_graph(json.dumps(payload), "c", [])
         except (MalformedOutputError, SchemaViolationError):
             continue
         ids = set(graph.node_ids())
