@@ -41,9 +41,6 @@ EXIT_USAGE = 64
 
 IMAGE_EXTENSIONS = {".png", ".jpg", ".jpeg", ".gif", ".webp", ".bmp"}
 
-EVAL_ROLES = ("GRAPH_GEN", "QUESTION_GEN", "VQA", "EVAL", "COVERAGE", "EXPLAIN")
-FORGE_ROLES = ("CAPTION", "FUSION", "PERTURB", "DETECTOR")
-
 
 class UsageError(Exception):
     """Invalid flags or configuration; maps to exit code 64."""
@@ -102,103 +99,74 @@ def _load_config_file(path: Optional[str]) -> dict:
     return data
 
 
-def _positive_int(value, name: str) -> int:
+def _number(value, name: str, kind=int, low=1, strict=False):
+    """value as ``kind``, required to be >= low (> low when ``strict``)."""
     try:
-        number = int(value)
+        number = kind(value)
     except (TypeError, ValueError):
-        raise UsageError(f"{name}: expected an integer, got {value!r}")
-    if number < 1:
-        raise UsageError(f"{name}: must be >= 1, got {number}")
+        expected = "an integer" if kind is int else "a number"
+        raise UsageError(f"{name}: expected {expected}, got {value!r}")
+    if number < low or (strict and number == low):
+        raise UsageError(f"{name}: must be {'>' if strict else '>='} {low}, got {number}")
     return number
 
 
 def _build_run_config(args, mode: str) -> RunConfig:
     file_cfg = _load_config_file(getattr(args, "config", None))
-    endpoint = _resolve(args.endpoint, _env("HMGIE_ENDPOINT"), file_cfg.get("endpoint"))
-    api_key = _resolve(args.api_key, _env("HMGIE_API_KEY"), file_cfg.get("api_key"))
-    model = _resolve(args.model, _env("HMGIE_MODEL"), file_cfg.get("model"), "gpt-4o")
-    cache_dir = _resolve(
-        args.cache_dir, _env("HMGIE_CACHE_DIR"), file_cfg.get("cache_dir")
-    )
-    templates_dir = _resolve(
-        args.templates_dir, _env("HMGIE_TEMPLATES_DIR"), file_cfg.get("templates_dir")
-    )
-    replay_dir = getattr(args, "replay", None)
-    if mode == "replay" and replay_dir is None:
-        replay_dir = cache_dir
-        if replay_dir is None:
-            raise UsageError("replay needs --replay DIR or a cache dir (HMGIE_CACHE_DIR)")
-    if replay_dir is not None:
-        mode = "replay"
-        if not Path(replay_dir).is_dir():
-            raise UsageError(f"replay dir does not exist: {replay_dir}")
-    if getattr(args, "record", False) or mode == "record":
-        if mode == "replay" and getattr(args, "record", False):
-            raise UsageError("--record and --replay are mutually exclusive")
-        mode = "record"
-        if cache_dir is None:
-            raise UsageError("record mode needs --cache-dir or HMGIE_CACHE_DIR")
-    if mode in ("live", "record"):
-        if not api_key:
-            raise UsageError("no API key configured (--api-key or HMGIE_API_KEY)")
-        if not endpoint:
-            raise UsageError("no endpoint configured (--endpoint or HMGIE_ENDPOINT)")
 
-    temperature_raw = _resolve(
-        args.temperature, _env("HMGIE_TEMPERATURE"), file_cfg.get("temperature"), 0.3
+    def setting(key: str, default=None, env: bool = False):
+        """Flag > HMGIE_<KEY> (for env-backed keys) > config file > default."""
+        from_env = _env(f"HMGIE_{key.upper()}") if env else None
+        return _resolve(getattr(args, key, None), from_env, file_cfg.get(key), default)
+
+    endpoint = setting("endpoint", env=True)
+    api_key = setting("api_key", env=True)
+    cache_dir = setting("cache_dir", env=True)
+    # The subcommand's mode, then the flags: --replay (or the replay
+    # subcommand's cache-dir fallback) wins, --record turns live into record.
+    record = getattr(args, "record", False)
+    replay_dir = _resolve(
+        getattr(args, "replay", None), cache_dir if mode == "replay" else None
     )
-    try:
-        temperature = float(temperature_raw)
-    except (TypeError, ValueError):
-        raise UsageError(f"temperature: expected a number, got {temperature_raw!r}")
-    if temperature < 0:
-        raise UsageError(f"temperature: must be >= 0, got {temperature}")
+    if mode == "replay" and replay_dir is None:
+        raise UsageError("replay needs --replay DIR or a cache dir (HMGIE_CACHE_DIR)")
+    elif replay_dir is not None and not Path(replay_dir).is_dir():
+        raise UsageError(f"replay dir does not exist: {replay_dir}")
+    elif replay_dir is not None and record:
+        raise UsageError("--record and --replay are mutually exclusive")
+    elif replay_dir is not None:
+        mode = "replay"
+    elif (record or mode == "record") and cache_dir is None:
+        raise UsageError("record mode needs --cache-dir or HMGIE_CACHE_DIR")
+    elif not api_key:
+        raise UsageError("no API key configured (--api-key or HMGIE_API_KEY)")
+    elif not endpoint:
+        raise UsageError("no endpoint configured (--endpoint or HMGIE_ENDPOINT)")
+    elif record:
+        mode = "record"
 
     return RunConfig(
         mode=mode,
         endpoint=endpoint,
         api_key=api_key,
-        model=str(model),
-        temperature=temperature,
+        model=str(setting("model", "gpt-4o", env=True)),
+        temperature=_number(
+            setting("temperature", 0.3, env=True), "temperature", float, 0
+        ),
         cache_dir=cache_dir,
         replay_dir=replay_dir,
-        templates_dir=templates_dir,
-        retry_limit=_positive_int(
-            _resolve(args.retry_limit, file_cfg.get("retry_limit"), 3), "retry-limit"
+        templates_dir=setting("templates_dir", env=True),
+        retry_limit=_number(setting("retry_limit", 3), "retry-limit"),
+        max_level=_number(setting("max_level", 5), "max-level"),
+        max_per_level=_number(setting("max_per_level", 10), "max-per-level"),
+        weight_ratio=_number(
+            setting("weight_ratio", 1.2), "weight-ratio", float, 0, strict=True
         ),
-        max_level=_positive_int(
-            _resolve(getattr(args, "max_level", None), file_cfg.get("max_level"), 5),
-            "max-level",
-        ),
-        max_per_level=_positive_int(
-            _resolve(
-                getattr(args, "max_per_level", None), file_cfg.get("max_per_level"), 10
-            ),
-            "max-per-level",
-        ),
-        weight_ratio=_weight_ratio(
-            _resolve(
-                getattr(args, "weight_ratio", None), file_cfg.get("weight_ratio"), 1.2
-            )
-        ),
-        parallelism=_positive_int(
-            _resolve(getattr(args, "parallelism", None), file_cfg.get("parallelism"), 1),
-            "parallelism",
-        ),
-        max_output_tokens=_positive_int(
-            _resolve(file_cfg.get("max_output_tokens"), 2048), "max_output_tokens"
+        parallelism=_number(setting("parallelism", 1), "parallelism"),
+        max_output_tokens=_number(
+            setting("max_output_tokens", 2048), "max_output_tokens"
         ),
     )
-
-
-def _weight_ratio(value) -> float:
-    try:
-        ratio = float(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"weight-ratio: expected a number, got {value!r}")
-    if ratio <= 0:
-        raise UsageError(f"weight-ratio: must be > 0, got {ratio}")
-    return ratio
 
 
 class _GatewayFactory:
@@ -299,6 +267,18 @@ def _safe_name(identifier: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in identifier)
 
 
+def _check_report_names(dataset) -> None:
+    """Refuse a batch in which two item ids would write one report file."""
+    owners: dict[str, str] = {}
+    for item in dataset:
+        name = f"{_safe_name(item.id)}.report.json"
+        if name in owners:
+            raise ValueError(
+                f"items {owners[name]!r} and {item.id!r} would both write {name}"
+            )
+        owners[name] = item.id
+
+
 def _write_report(out_dir: Optional[str], name: str, report: EvaluationReport) -> None:
     if out_dir is None:
         return
@@ -343,6 +323,8 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
 
     try:
         dataset = load_dataset_jsonl(args.dataset)
+        if args.out is not None:
+            _check_report_names(dataset)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -350,33 +332,25 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
 
     summary_rows = []
     for result in batch.results:
-        if result.report is not None:
-            decision = "consistent" if result.report.decision else "inconsistent"
+        report = result.report
+        if report is None:
+            print(f"{result.item.id}: error {result.error}")
+        else:
+            decision = "consistent" if report.decision else "inconsistent"
             print(
                 f"{result.item.id}: decision={decision} "
-                f"h_acc={result.report.h_acc:.6f} h_comp={result.report.h_comp:.6f}"
+                f"h_acc={report.h_acc:.6f} h_comp={report.h_comp:.6f}"
             )
-            _write_report(args.out, result.item.id, result.report)
-            summary_rows.append(
-                {
-                    "id": result.item.id,
-                    "decision": result.report.decision,
-                    "h_acc": result.report.h_acc,
-                    "h_comp": result.report.h_comp,
-                    "error": None,
-                }
-            )
-        else:
-            print(f"{result.item.id}: error {result.error}")
-            summary_rows.append(
-                {
-                    "id": result.item.id,
-                    "decision": None,
-                    "h_acc": None,
-                    "h_comp": None,
-                    "error": result.error,
-                }
-            )
+            _write_report(args.out, result.item.id, report)
+        summary_rows.append(
+            {
+                "id": result.item.id,
+                "decision": None if report is None else report.decision,
+                "h_acc": None if report is None else report.h_acc,
+                "h_comp": None if report is None else report.h_comp,
+                "error": result.error,
+            }
+        )
     print(f"items: {batch.evaluated} evaluated, {batch.failed} failed")
     if batch.metrics is not None:
         if batch.failed:
@@ -401,7 +375,7 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
 
 def cmd_forge(args) -> int:
     try:
-        rc = _build_run_config(args, "live" if not getattr(args, "replay", None) else "replay")
+        rc = _build_run_config(args, "live")
     except (UsageError, HmgieError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -411,7 +385,7 @@ def cmd_forge(args) -> int:
 
 def _forge(args, rc: RunConfig, factory: _GatewayFactory) -> int:
     try:
-        max_iterations = _positive_int(args.max_iter, "max-iter")
+        max_iterations = _number(args.max_iter, "max-iter")
         granularities = args.granularity or [1, 2, 3, 4]
         specs = tuple(
             spec for spec in DEFAULT_GRANULARITY_SPECS if spec.level in granularities
@@ -518,13 +492,16 @@ def build_parser() -> _Parser:
 
     evaluate = sub.add_parser("evaluate", help="evaluate image-caption consistency")
     _add_eval_args(evaluate)
+    evaluate.set_defaults(mode="live")
 
     record = sub.add_parser("record", help="evaluate live and capture replay fixtures")
     _add_eval_args(record, include_modes=False)
+    record.set_defaults(mode="record")
 
     replay = sub.add_parser("replay", help="re-run an evaluation from fixtures only")
     _add_eval_args(replay, include_modes=False)
     replay.add_argument("--replay", help="fixture directory (defaults to the cache dir)")
+    replay.set_defaults(mode="replay")
 
     forge = sub.add_parser("forge", help="construct an adversarial dataset")
     forge.add_argument("--images", required=True, help="directory of input images")
@@ -564,17 +541,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "evaluate":
-        return cmd_evaluate(args)
-    if args.command == "record":
-        args.record = True
-        args.replay = None
-        return cmd_evaluate(args, mode="record")
-    if args.command == "replay":
-        args.record = False
-        return cmd_evaluate(args, mode="replay")
     if args.command == "forge":
         return cmd_forge(args)
+    if args.command is not None:
+        return cmd_evaluate(args, args.mode)
     parser.print_usage(sys.stderr)
     return EXIT_USAGE
 

@@ -252,6 +252,22 @@ def compose_perturbation_prompt(ground_truth: str, history: Sequence[str]) -> st
     )
 
 
+def _request(
+    config: ForgeConfig,
+    prompt: str,
+    image: Optional[ImageRef] = None,
+    model_id: Optional[str] = None,
+) -> ModelRequest:
+    """A forge request: sampling fields from the config, vision with an image."""
+    return ModelRequest(
+        prompt=prompt,
+        image=image,
+        model_id=config.model_id if model_id is None else model_id,
+        temperature=config.temperature,
+        max_output_tokens=config.max_output_tokens,
+    )
+
+
 def generate_ground_truth(
     image: ImageRef | bytes,
     spec: GranularitySpec,
@@ -271,13 +287,7 @@ def generate_ground_truth(
     captions = []
     failures = []
     for index, gateway in enumerate(captioners):
-        request = ModelRequest.vision(
-            spec.prompt,
-            image,
-            model_id=config.captioner_model(index),
-            temperature=config.temperature,
-            max_output_tokens=config.max_output_tokens,
-        )
+        request = _request(config, spec.prompt, image, config.captioner_model(index))
         try:
             captions.append(gateway.call(request).text)
         except GatewayError as exc:
@@ -288,13 +298,7 @@ def generate_ground_truth(
         notes.append(f"{len(failures)} captioner(s) failed: {failures}")
     if len(captions) == 1:
         return captions[0]
-    request = ModelRequest.text(
-        compose_fusion_prompt(captions),
-        model_id=config.model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
-    return fusion.call(request).text
+    return fusion.call(_request(config, compose_fusion_prompt(captions))).text
 
 
 def _parse_perturbed_caption(raw: str) -> str:
@@ -335,26 +339,13 @@ def perturb_iteratively(
     try:
         for _ in range(max_iterations):
             reply = perturb_backend.call(
-                ModelRequest.text(
-                    compose_perturbation_prompt(ground_truth, history),
-                    model_id=config.model_id,
-                    temperature=config.temperature,
-                    max_output_tokens=config.max_output_tokens,
-                )
+                _request(config, compose_perturbation_prompt(ground_truth, history))
             )
             perturbed = _parse_perturbed_caption(reply.text)
             history.append(perturbed)
 
             detect_prompt = render(detector_template, {"caption": perturbed})
-            detect_reply = detector_backend.call(
-                ModelRequest.vision(
-                    detect_prompt,
-                    image,
-                    model_id=config.model_id,
-                    temperature=config.temperature,
-                    max_output_tokens=config.max_output_tokens,
-                )
-            )
+            detect_reply = detector_backend.call(_request(config, detect_prompt, image))
             try:
                 consistent = parse_consistency_reply(detect_reply.text).consistent
             except MalformedOutputError:
@@ -363,25 +354,18 @@ def perturb_iteratively(
                 consistent = False
             verdicts.append(1 if consistent else 0)
             if consistent:
-                return ForgeRecord(
-                    image_path=image_path,
-                    granularity=granularity,
-                    ground_truth_caption=ground_truth,
-                    perturbed_caption=perturbed,
-                    perturbation_history=tuple(history),
-                    detector_verdicts=tuple(verdicts),
-                    status=ForgeStatus.ADVERSARIAL_FOUND,
-                )
+                break
     except GatewayError as exc:
         raise ForgeError(f"perturbation aborted: {exc}", history=history) from exc
+    evaded = verdicts[-1] == 1
     return ForgeRecord(
         image_path=image_path,
         granularity=granularity,
         ground_truth_caption=ground_truth,
-        perturbed_caption=None,
+        perturbed_caption=history[-1] if evaded else None,
         perturbation_history=tuple(history),
         detector_verdicts=tuple(verdicts),
-        status=ForgeStatus.MAX_ITER_REACHED,
+        status=ForgeStatus.ADVERSARIAL_FOUND if evaded else ForgeStatus.MAX_ITER_REACHED,
     )
 
 

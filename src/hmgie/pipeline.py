@@ -332,12 +332,20 @@ def _generate_graph(
 def _sanitize_batch(
     batch: QuestionBatch, graph: SemanticGraph, hieg: Hieg, diagnostics: list[str]
 ) -> QuestionBatch:
-    """Drop hallucinated parent ids and coverage targets before expansion."""
+    """Drop questions asked at an earlier level, then hallucinated parent ids
+    and coverage targets, before expansion."""
     known_nodes = set(graph.node_ids())
     known_edges = set(range(len(graph.edges)))
     known_parents = hieg.node_ids()
+    asked = hieg.question_texts()
     items = []
     for item in batch.items:
+        if item.question in asked:
+            diagnostics.append(
+                f"level {batch.level}: dropped question {item.question!r} "
+                "already asked at an earlier level"
+            )
+            continue
         bad_parents = item.parent_ids - known_parents
         bad_nodes = item.covered_nodes - known_nodes
         bad_edges = item.covered_edges - known_edges
@@ -489,6 +497,11 @@ def evaluate_pair(
                     level=level, items=batch.items[: config.max_questions_per_level]
                 )
             batch = _sanitize_batch(batch, graph, hieg, diagnostics)
+            if not batch.items:
+                diagnostics.append(
+                    f"level {level}: every question repeats an earlier level"
+                )
+                break
 
             answers, verdicts, notes = _run_level(batch, image, config)
             diagnostics.extend(notes)
@@ -612,11 +625,14 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
             for key in ("image_path", "caption"):
                 if key not in record:
                     raise ValueError(f"{path}:{line_no}: missing {key!r}")
+            # type(...) is int: JSON true and 1.0 compare equal to 1
             label = record.get("label")
-            if label not in (0, 1, None):
+            if label is not None and (type(label) is not int or label not in (0, 1)):
                 raise ValueError(f"{path}:{line_no}: label must be 0, 1, or null")
             granularity = record.get("granularity")
-            if granularity not in (1, 2, 3, 4, None):
+            if granularity is not None and (
+                type(granularity) is not int or not 1 <= granularity <= 4
+            ):
                 raise ValueError(f"{path}:{line_no}: granularity must be 1-4 or null")
             items.append(
                 DatasetItem(

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,35 @@ class TestEvaluateBatch:
         assert code == EXIT_RUNTIME
         assert "broken: error" in captured.out
         assert "4 evaluated, 1 failed" in captured.out
+
+
+    @pytest.mark.parametrize("first, second", [("a/b", "a_b"), ("x", "x")])
+    def test_ids_sharing_a_report_file_exit_2_before_any_call(
+        self, batch_setup, capsys, tmp_path, first, second
+    ):
+        fixture_dir, dataset = batch_setup
+        rows = [json.loads(line) for line in dataset.read_text().splitlines()][:2]
+        rows[0]["id"], rows[1]["id"] = first, second
+        dataset.write_text(
+            "\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8"
+        )
+        out_dir = tmp_path / "reports"
+        code = main(
+            [
+                "evaluate",
+                "--dataset", str(dataset),
+                "--replay", str(fixture_dir),
+                "--out", str(out_dir),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_RUNTIME
+        name = first.replace("/", "_")
+        assert captured.err == (
+            f"error: items {first!r} and {second!r} would both write {name}.report.json\n"
+        )
+        assert captured.out == ""
+        assert not out_dir.exists()
 
 
 def router(prompt: str) -> str:
@@ -514,3 +544,79 @@ class TestConfigResolution:
         )
         assert code == EXIT_USAGE
         assert "weight-ratio" in capsys.readouterr().err
+
+
+# Every way the flags can fail to resolve into a run mode or a setting, with
+# the exact stderr line. {fx} is an existing fixture directory, {missing} a
+# directory that does not exist.
+EVAL = ["evaluate", "--caption", "c", "--image", "i"]
+FORGE = ["forge", "--images", "{fx}", "--out", "{fx}/x.jsonl"]
+ENDPOINT = ["--endpoint", "http://example.invalid"]
+KEY = ["--api-key", "k"]
+FX = ["--replay", "{fx}"]
+CONFLICT = "--record and --replay are mutually exclusive"
+NO_CACHE = "record mode needs --cache-dir or HMGIE_CACHE_DIR"
+RUN_CONFIG_ERRORS = [
+    (EVAL + ["--record"] + FX, CONFLICT),
+    (FORGE + ["--record"] + FX, CONFLICT),
+    (EVAL + ["--replay", "{missing}"], "replay dir does not exist: {missing}"),
+    (FORGE + ["--replay", "{missing}"], "replay dir does not exist: {missing}"),
+    (
+        ["replay", "--caption", "c", "--image", "i"],
+        "replay needs --replay DIR or a cache dir (HMGIE_CACHE_DIR)",
+    ),
+    (["record", "--caption", "c", "--image", "i"] + ENDPOINT + KEY, NO_CACHE),
+    (EVAL + ENDPOINT + KEY + ["--record"], NO_CACHE),
+    (EVAL + KEY, "no endpoint configured (--endpoint or HMGIE_ENDPOINT)"),
+    (EVAL + ENDPOINT, "no API key configured (--api-key or HMGIE_API_KEY)"),
+    (EVAL + FX + ["--temperature", "hot"], "temperature: expected a number, got 'hot'"),
+    (EVAL + FX + ["--temperature", "-1"], "temperature: must be >= 0, got -1.0"),
+    (EVAL + FX + ["--weight-ratio", "x"], "weight-ratio: expected a number, got 'x'"),
+    (EVAL + FX + ["--weight-ratio", "0"], "weight-ratio: must be > 0, got 0.0"),
+    (EVAL + FX + ["--max-level", "2.5"], "max-level: expected an integer, got '2.5'"),
+    (FORGE + ENDPOINT + KEY + ["--max-iter", "0"], "max-iter: must be >= 1, got 0"),
+]
+
+
+class TestRunConfigErrors:
+    @pytest.mark.parametrize("argv, message", RUN_CONFIG_ERRORS)
+    def test_exit_64_with_exact_message(self, tmp_path, capsys, argv, message):
+        paths = {"fx": tmp_path, "missing": tmp_path / "missing"}
+        code = main([arg.format(**paths) for arg in argv])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message.format(**paths)}\n"
+
+    def test_replay_falls_back_to_the_cache_dir_env(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HMGIE_CACHE_DIR", str(tmp_path / "missing"))
+        code = main(["replay", "--caption", "c", "--image", "i"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"config error: replay dir does not exist: {tmp_path / 'missing'}\n"
+        )
+
+
+COMMON_FLAGS = {
+    "--api-key", "--cache-dir", "--config", "--endpoint", "--help", "--model",
+    "--parallelism", "--retry-limit", "--temperature", "--templates-dir",
+}
+EVAL_FLAGS = COMMON_FLAGS | {
+    "--caption", "--dataset", "--image", "--json", "--max-level", "--max-per-level",
+    "--out", "--per-granularity", "--weight-ratio",
+}
+HELP_FLAGS = {
+    "evaluate": EVAL_FLAGS | {"--record", "--replay"},
+    "record": EVAL_FLAGS,
+    "replay": EVAL_FLAGS | {"--replay"},
+    # --record is accepted but hidden from forge's help
+    "forge": COMMON_FLAGS | {
+        "--captioner-model", "--detector", "--granularity", "--images",
+        "--include-undetected", "--max-iter", "--out", "--replay",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_help_lists_each_subcommands_flags(capsys, command):
+    assert main([command, "--help"]) == EXIT_OK
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == HELP_FLAGS[command]

@@ -425,6 +425,29 @@ class TestLoopBehavior:
         report = evaluate_pair(TINY_PNG, "caption", config)
         assert any("coverage check failed" in d for d in report.diagnostics)
 
+    def test_question_repeated_from_earlier_level_dropped(self):
+        responder = _routing_responder(
+            question_plan={1: [_question(1, 0)], 2: [_question(1, 0), _question(2, 0)]},
+            coverage_plan={1: incomplete_coverage, 2: incomplete_coverage},
+        )
+        config = _dynamic_config(responder, max_level=2, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        assert [n.question for n in report.hieg.levels[1]] == ["level 2 question 0?"]
+        assert (
+            "level 2: dropped question 'level 1 question 0?' already asked at an "
+            "earlier level"
+        ) in report.diagnostics
+
+    def test_level_of_only_repeated_questions_ends_loop(self):
+        responder = _routing_responder(
+            question_plan={1: [_question(1, 0)], 2: [_question(1, 0)]},
+            coverage_plan={1: incomplete_coverage, 2: incomplete_coverage},
+        )
+        config = _dynamic_config(responder, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        assert report.realized_depth == 1
+        assert "level 2: every question repeats an earlier level" in report.diagnostics
+
     def test_unknown_declared_ids_sanitized(self):
         responder = _routing_responder(
             question_plan={
@@ -744,6 +767,27 @@ class TestDatasetLoading:
             '{"image_path": "a", "caption": "c", "granularity": 5}\n', encoding="utf-8"
         )
         with pytest.raises(ValueError, match="granularity must be 1-4 or null"):
+            load_dataset_jsonl(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("label", True, "label must be 0, 1, or null"),
+            ("label", 1.0, "label must be 0, 1, or null"),
+            ("granularity", 1.0, "granularity must be 1-4 or null"),
+            ("granularity", True, "granularity must be 1-4 or null"),
+        ],
+    )
+    def test_label_and_granularity_must_be_json_integers(
+        self, tmp_path, field, value, message
+    ):
+        path = tmp_path / "data.jsonl"
+        rows = [
+            {"image_path": "a", "caption": "c", "label": 0, "granularity": 1},
+            {"image_path": "a", "caption": "c", field: value},
+        ]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             load_dataset_jsonl(path)
 
     def test_missing_caption_rejected(self, tmp_path):
