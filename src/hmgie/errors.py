@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class HmgieError(Exception):
     """Base class for all package errors."""
@@ -90,7 +92,14 @@ class FixtureMissingError(ExhaustedError):
 
 
 class TransientBackendError(GatewayError):
-    """Internal marker for failures worth retrying (HTTP 429/5xx/timeout)."""
+    """Internal marker for failures worth retrying (HTTP 429/5xx/timeout).
+
+    ``retry_after`` is the delay in seconds the server asked for, if any.
+    """
+
+    def __init__(self, message: str, retry_after: Optional[float] = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 # --- scoring ---

@@ -19,6 +19,7 @@ import base64
 import hashlib
 import json
 import os
+import select
 import tempfile
 import threading
 import time
@@ -26,10 +27,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Optional, Protocol, TypeVar
-
-if TYPE_CHECKING:
-    import requests
+from typing import Callable, Mapping, Optional, Protocol, TypeVar
 
 from .errors import (
     AuthError,
@@ -77,7 +75,7 @@ class ImageRef:
     The SHA-256 digest is computed from the payload at construction and
     cannot be supplied by the caller; refs compare by digest. The data URL
     (media type sniffed from the magic bytes, payload base64-encoded) is
-    built on first use and kept.
+    built on first use and kept as ASCII bytes, ready to go on the wire.
     """
 
     payload: bytes = field(compare=False, repr=False)
@@ -96,9 +94,9 @@ class ImageRef:
         return sniff_media_type(self.payload)
 
     @cached_property
-    def data_url(self) -> str:
-        encoded = base64.b64encode(self.payload).decode("ascii")
-        return f"data:{self.media_type or 'image/jpeg'};base64,{encoded}"
+    def data_url(self) -> bytes:
+        prefix = f"data:{self.media_type or 'image/jpeg'};base64,".encode("ascii")
+        return prefix + base64.b64encode(self.payload)
 
 
 @dataclass(frozen=True)
@@ -189,11 +187,38 @@ class Backend(Protocol):
     def complete(self, request: ModelRequest) -> str: ...
 
 
+# Idle keep-alive connections one HttpBackend keeps for reuse. A call takes
+# an idle connection or opens a new one; a connection handed back while this
+# many are idle is closed instead.
+MAX_IDLE_CONNECTIONS = 8
+
+# Stands in for the image's data URL while a vision body is serialized; the
+# URL's bytes are then spliced over its last occurrence, so the base64 text
+# is encoded once per image, never once per request.
+_IMAGE_SLOT = "hmgie:image-data-url"
+_IMAGE_SLOT_JSON = json.dumps(_IMAGE_SLOT).encode("ascii")
+
+
+def _retry_after(value: Optional[str]) -> Optional[float]:
+    """Seconds of a Retry-After header; None when absent or not a delay in
+    seconds (the HTTP-date form is not read)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        return None
+    return seconds if seconds >= 0 else None
+
+
 class HttpBackend:
     """Chat-completions HTTP client; images travel as base64 data URLs.
 
-    ``requests`` is imported when the first backend is built, so importing
-    the package does not pay for it.
+    Speaks HTTP/1.1 through ``http.client`` and keeps one shared pool of at
+    most MAX_IDLE_CONNECTIONS idle keep-alive connections, whichever thread
+    made them; ``close()`` closes the idle ones. https verifies certificates
+    and host names with ``ssl.create_default_context()``. The proxy for the
+    endpoint's scheme (``http_proxy`` / ``https_proxy``, minus ``no_proxy``)
+    is read once, when the backend is built. ``http.client`` and ``ssl`` are
+    imported then too, so importing the package does not pay for them.
     """
 
     def __init__(
@@ -203,9 +228,9 @@ class HttpBackend:
         supports_vision: bool = True,
         timeout: float = 120.0,
         system_prompt: Optional[str] = None,
-        session: Optional[requests.Session] = None,
     ):
-        import requests
+        import urllib.parse
+        import urllib.request
 
         self.name = f"http:{endpoint}"
         self.endpoint = endpoint.rstrip("/")
@@ -213,67 +238,148 @@ class HttpBackend:
         self.supports_vision = supports_vision
         self.timeout = timeout
         self.system_prompt = system_prompt
-        self._session = session or requests.Session()
+        url = urllib.parse.urlsplit(self.endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
+        self._host, self._port, self._tunnel = url.hostname, url.port, None
+        self._path = f"{url.path}/chat/completions"
+        self._headers = {
+            "Content-Type": "application/json",
+            "Authorization": f"Bearer {api_key}",
+        }
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if proxy and not urllib.request.proxy_bypass(url.netloc):
+            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_headers = {}
+            if proxy_url.username is not None:
+                unquote = urllib.parse.unquote
+                credentials = f"{unquote(proxy_url.username)}:{unquote(proxy_url.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if url.scheme == "http":
+                # A proxy forwarding plain http is sent the absolute URL.
+                self._path = f"{self.endpoint}/chat/completions"
+                self._headers.update(proxy_headers)
+            else:
+                self._tunnel = (url.hostname, url.port, proxy_headers)
+            self._host, self._port = proxy_url.hostname, proxy_url.port or 80
+        self._context = None
+        if url.scheme == "https":
+            import ssl
+
+            self._context = ssl.create_default_context()
+        self._idle: list = []  # http.client connections, most recently used last
+        self._lock = threading.Lock()
+
+    def _connect(self):
+        """A new connection to the endpoint or its proxy; it opens its socket
+        when first used."""
+        import http.client
+
+        if self._context is None:
+            return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+        connection = http.client.HTTPSConnection(
+            self._host, self._port, timeout=self.timeout, context=self._context
+        )
+        if self._tunnel is not None:
+            connection.set_tunnel(*self._tunnel)
+        return connection
 
     def close(self) -> None:
-        """Close the HTTP session and the connections it pools."""
-        self._session.close()
+        """Close every idle pooled connection; a later call opens a new one."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
-    def _messages(self, request: ModelRequest) -> list[dict]:
-        messages: list[dict] = []
-        if self.system_prompt:
-            messages.append({"role": "system", "content": self.system_prompt})
-        if request.kind is RequestKind.TEXT:
-            messages.append({"role": "user", "content": request.prompt})
+    def _take(self):
+        """An idle connection whose server has not closed it, or a new one."""
+        while True:
+            with self._lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return self._connect()
+            # A server that closed an idle connection leaves its socket
+            # readable (at end of file); reusing it would cost a retry.
+            sock = connection.sock
+            if sock is not None and not select.select([sock], [], [], 0)[0]:
+                return connection
+            connection.close()
+
+    def _give_back(self, connection) -> None:
+        with self._lock:
+            if connection.sock is not None and len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def _body(self, request: ModelRequest) -> bytes:
+        """The JSON body, serialized once; a vision body gets the image's
+        cached data URL spliced in as bytes (base64 needs no JSON escaping)."""
+        if request.image is None:
+            content = request.prompt
         else:
-            messages.append(
-                {
-                    "role": "user",
-                    "content": [
-                        {"type": "text", "text": request.prompt},
-                        {
-                            "type": "image_url",
-                            "image_url": {"url": request.image.data_url},
-                        },
-                    ],
-                }
-            )
-        return messages
+            content = [
+                {"type": "text", "text": request.prompt},
+                {"type": "image_url", "image_url": {"url": _IMAGE_SLOT}},
+            ]
+        messages = [{"role": "system", "content": self.system_prompt}] if self.system_prompt else []
+        messages.append({"role": "user", "content": content})
+        body = json.dumps(
+            {
+                "model": request.model_id,
+                "temperature": request.temperature,
+                "max_tokens": request.max_output_tokens,
+                "messages": messages,
+            },
+            allow_nan=False,
+        ).encode("utf-8")
+        if request.image is None:
+            return body
+        # The slot is the last string in the body, after any prompt text
+        # that happens to spell it.
+        at = body.rindex(_IMAGE_SLOT_JSON)
+        return b"".join(
+            (body[:at], b'"', request.image.data_url, b'"', body[at + len(_IMAGE_SLOT_JSON):])
+        )
 
     def complete(self, request: ModelRequest) -> str:
-        import requests
+        import http.client
 
-        body = {
-            "model": request.model_id,
-            "temperature": request.temperature,
-            "max_tokens": request.max_output_tokens,
-            "messages": self._messages(request),
-        }
+        body = self._body(request)
+        connection = self._take()
         try:
-            response = self._session.post(
-                f"{self.endpoint}/chat/completions",
-                json=body,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout,
-            )
-        except (
-            requests.Timeout,
-            requests.ConnectionError,
-            requests.exceptions.ChunkedEncodingError,
-            requests.exceptions.ContentDecodingError,
-        ) as exc:
-            raise TransientBackendError(f"transport failure: {exc}") from exc
-        if response.status_code in (401, 403):
-            raise AuthError(f"backend rejected credentials (HTTP {response.status_code})")
-        if response.status_code == 429 or response.status_code >= 500:
-            raise TransientBackendError(f"HTTP {response.status_code}: {response.text[:200]}")
-        if response.status_code >= 400:
-            raise GatewayError(f"HTTP {response.status_code}: {response.text[:200]}")
+            connection.request("POST", self._path, body=body, headers=self._headers)
+            response = connection.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise TransientBackendError(f"transport failure: {exc!r}") from exc
+        except BaseException:
+            connection.close()
+            raise
+        # The whole response is read, so the connection is free for reuse
+        # (unless the server said it closes it; then it is closed already).
+        self._give_back(connection)
+        status = response.status
+        if status in (401, 403):
+            raise AuthError(f"backend rejected credentials (HTTP {status})")
+        if status == 429 or status >= 500:
+            retry_after = None
+            if status in (429, 503):
+                retry_after = _retry_after(response.getheader("Retry-After"))
+            raise TransientBackendError(f"HTTP {status}: {_excerpt(data)}", retry_after)
+        if status >= 400:
+            raise GatewayError(f"HTTP {status}: {_excerpt(data)}")
         try:
-            content = response.json()["choices"][0]["message"]["content"]
+            content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"unexpected response shape: {exc}") from exc
         return content if isinstance(content, str) else ""
+
+
+def _excerpt(data: bytes) -> str:
+    return data.decode("utf-8", "replace")[:200]
 
 
 @dataclass(frozen=True)
@@ -342,6 +448,17 @@ class RetryPolicy:
             raise SchemaViolationError("retry delays must be >= 0")
 
 
+class _Gate:
+    """One call in flight: duplicates of it wait on ``lock``, and ``error``
+    holds what the call raised, for those waiters only."""
+
+    __slots__ = ("lock", "error")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.error: Optional[Exception] = None
+
+
 class Gateway:
     """Caching, retrying, coalescing front door to a backend.
 
@@ -368,7 +485,7 @@ class Gateway:
         self._sleeper = sleeper
         self._memory: dict[str, str] = {}
         self._lock = threading.Lock()
-        self._inflight: dict[str, threading.Lock] = {}
+        self._inflight: dict[str, _Gate] = {}
 
     def _cached_text(self, key: str) -> Optional[str]:
         if key in self._memory:
@@ -406,8 +523,10 @@ class Gateway:
             except TransientBackendError as exc:
                 last = exc
                 if attempt + 1 < self.retry.attempts:
+                    # Wait at least as long as the server asked, within budget.
                     budget = self.retry.max_total_delay - slept
-                    pause = max(0.0, min(delay, budget))
+                    wanted = max(delay, exc.retry_after or 0.0)
+                    pause = max(0.0, min(wanted, budget))
                     if pause > 0:
                         self._sleeper(pause)
                         slept += pause
@@ -418,6 +537,9 @@ class Gateway:
 
     def call(self, request: ModelRequest) -> ModelResponse:
         """Resolve a request through cache, coalescing, and retry.
+
+        Concurrent duplicates of a request wait for one call and share its
+        outcome: its reply, or the error it raised.
 
         Raises:
             UnsupportedRequestError: vision request to a text-only backend.
@@ -433,20 +555,28 @@ class Gateway:
         if cached is not None:
             return ModelResponse(text=cached, cached=1)
         with self._lock:
-            gate = self._inflight.setdefault(key, threading.Lock())
-        with gate:
+            gate = self._inflight.setdefault(key, _Gate())
+        with gate.lock:
             try:
+                if gate.error is not None:
+                    # A concurrent duplicate failed first; share its failure.
+                    raise gate.error
                 cached = self._cached_text(key)
                 if cached is not None:
                     # A concurrent duplicate finished first; serve its result.
                     return ModelResponse(text=cached, cached=1)
-                text = self._complete_with_retries(request)
-                self._store(key, text)
+                try:
+                    text = self._complete_with_retries(request)
+                    self._store(key, text)
+                except Exception as exc:
+                    gate.error = exc
+                    raise
                 return ModelResponse(text=text, cached=0)
             finally:
                 # Drop the gate once the call is done so the map holds only
                 # calls in flight; duplicates already waiting on this gate
-                # re-check the cache when they acquire it.
+                # get its reply from the cache or its error from the gate,
+                # and a later call starts afresh.
                 with self._lock:
                     if self._inflight.get(key) is gate:
                         del self._inflight[key]

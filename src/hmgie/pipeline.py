@@ -330,22 +330,33 @@ def _generate_graph(
 
 
 def _sanitize_batch(
-    batch: QuestionBatch, graph: SemanticGraph, hieg: Hieg, diagnostics: list[str]
+    batch: QuestionBatch,
+    graph: SemanticGraph,
+    hieg: Hieg,
+    budget: int,
+    diagnostics: list[str],
 ) -> QuestionBatch:
-    """Drop questions asked at an earlier level, then hallucinated parent ids
-    and coverage targets, before expansion."""
-    known_nodes = set(graph.node_ids())
-    known_edges = set(range(len(graph.edges)))
-    known_parents = hieg.node_ids()
+    """Drop questions asked at an earlier level, keep at most ``budget`` of
+    the rest (so repeats never use up the budget), then drop hallucinated
+    parent ids and coverage targets of those kept, before expansion."""
     asked = hieg.question_texts()
-    items = []
+    fresh = []
     for item in batch.items:
         if item.question in asked:
             diagnostics.append(
                 f"level {batch.level}: dropped question {item.question!r} "
                 "already asked at an earlier level"
             )
-            continue
+        else:
+            fresh.append(item)
+    if len(fresh) > budget:
+        diagnostics.append(f"level {batch.level}: truncated {len(fresh)} questions to {budget}")
+        fresh = fresh[:budget]
+    known_nodes = set(graph.node_ids())
+    known_edges = set(range(len(graph.edges)))
+    known_parents = hieg.node_ids()
+    items = []
+    for item in fresh:
         bad_parents = item.parent_ids - known_parents
         bad_nodes = item.covered_nodes - known_nodes
         bad_edges = item.covered_edges - known_edges
@@ -488,15 +499,9 @@ def evaluate_pair(
             if batch is None:
                 break
 
-            if len(batch.items) > config.max_questions_per_level:
-                diagnostics.append(
-                    f"level {level}: truncated {len(batch.items)} questions to "
-                    f"{config.max_questions_per_level}"
-                )
-                batch = QuestionBatch(
-                    level=level, items=batch.items[: config.max_questions_per_level]
-                )
-            batch = _sanitize_batch(batch, graph, hieg, diagnostics)
+            batch = _sanitize_batch(
+                batch, graph, hieg, config.max_questions_per_level, diagnostics
+            )
             if not batch.items:
                 diagnostics.append(
                     f"level {level}: every question repeats an earlier level"

@@ -9,9 +9,13 @@ import hashlib
 import http.server
 import json
 import random
+import socket
+import struct
 import threading
+import time
 import types
 import zlib
+from enum import Enum
 from typing import Callable, Optional
 
 from hmgie import gateway as gateway_module
@@ -378,26 +382,76 @@ def write_fixture_dir(fixtures: dict, directory) -> None:
         (root / f"{key}.txt").write_text(text, encoding="utf-8")
 
 
-class FakeChatServer:
-    """Minimal chat-completions server for HTTP backend tests.
+class Fault(Enum):
+    """Transport faults a FakeChatServer responder can return instead of a reply."""
 
-    responder(body) returns (status, reply_text); by default every request
-    succeeds with a canned reply.
+    SHORT_BODY = "short body"  # announce the reply's length, send half of it, close
+    RESET = "reset"  # reset the connection without answering
+
+
+class FakeChatServer:
+    """Minimal chat-completions server for HTTP backend tests, speaking
+    HTTP/1.1 with keep-alive.
+
+    responder(body) returns (status, reply_text), (status, reply_text,
+    headers) or a Fault; by default every request succeeds with a canned
+    reply. With drop_idle, the server closes each connection once its reply
+    is sent without saying so, as a server that times out idle keep-alive
+    connections does.
+
+    .requests holds each parsed body, .raw the bytes as received, .headers
+    and .paths the rest of each request. .open_connections counts the
+    connections open now, .peak_connections the most open at once.
     """
 
-    def __init__(self, responder: Optional[Callable[[dict], tuple[int, str]]] = None):
+    def __init__(
+        self,
+        responder: Optional[Callable[[dict], tuple | Fault]] = None,
+        drop_idle: bool = False,
+    ):
         self.responder = responder or (lambda body: (200, "canned reply"))
         self.requests: list[dict] = []
+        self.raw: list[bytes] = []
         self.headers: list[dict] = []
+        self.paths: list[str] = []
+        self.open_connections = 0
+        self.peak_connections = 0
+        self._count_lock = threading.Lock()
         outer = self
 
+        class Server(http.server.ThreadingHTTPServer):
+            request_queue_size = 64  # accept every connection a test opens at once
+
+            def process_request_thread(self, request, client_address):
+                outer._count_connections(+1)
+                try:
+                    super().process_request_thread(request, client_address)
+                finally:
+                    # Counted once the socket is closed, so a client can see it.
+                    outer._count_connections(-1)
+
         class Handler(http.server.BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
             def do_POST(self):
                 length = int(self.headers.get("Content-Length", 0))
-                body = json.loads(self.rfile.read(length))
-                outer.requests.append(body)
+                raw = self.rfile.read(length)
+                outer.raw.append(raw)
+                outer.requests.append(json.loads(raw))
                 outer.headers.append(dict(self.headers))
-                status, reply = outer.responder(body)
+                outer.paths.append(self.path)
+                outcome = outer.responder(outer.requests[-1])
+                if outcome is Fault.RESET:
+                    # Closing with a zero linger time sends a reset.
+                    self.connection.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                    self.close_connection = True
+                    return
+                if outcome is Fault.SHORT_BODY:
+                    status, reply, headers = 200, "a reply cut short", {}
+                else:
+                    status, reply, headers = outcome if len(outcome) == 3 else (*outcome, {})
                 if status == 200:
                     payload = {"choices": [{"message": {"content": reply}}]}
                 else:
@@ -406,14 +460,24 @@ class FakeChatServer:
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
                 self.end_headers()
+                if outcome is Fault.SHORT_BODY:
+                    self.wfile.write(data[: len(data) // 2])
+                    self.close_connection = True
+                    return
                 self.wfile.write(data)
+                if drop_idle:
+                    self.close_connection = True
 
             def log_message(self, *args):
                 pass
 
-        self._server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._server = Server(("127.0.0.1", 0), Handler)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+        )
 
     def __enter__(self) -> "FakeChatServer":
         self._thread.start()
@@ -427,3 +491,16 @@ class FakeChatServer:
     def endpoint(self) -> str:
         host, port = self._server.server_address
         return f"http://{host}:{port}"
+
+    def _count_connections(self, change: int) -> None:
+        with self._count_lock:
+            self.open_connections += change
+            self.peak_connections = max(self.peak_connections, self.open_connections)
+
+    def wait_for_open_connections(self, at_most: int, timeout: float = 5.0) -> int:
+        """Wait until at most ``at_most`` connections are open (a server
+        notices a client's close only when it next reads); return the count."""
+        deadline = time.monotonic() + timeout
+        while self.open_connections > at_most and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.open_connections

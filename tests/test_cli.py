@@ -316,7 +316,13 @@ class TestRecordReplay:
 
     def test_commands_close_the_backends_they_built(self, tmp_path, monkeypatch):
         closed = []
-        monkeypatch.setattr(HttpBackend, "close", lambda backend: closed.append(backend))
+        close = HttpBackend.close
+
+        def recording_close(backend):
+            closed.append(backend)
+            close(backend)
+
+        monkeypatch.setattr(HttpBackend, "close", recording_close)
         image = tmp_path / "img.png"
         image.write_bytes(TINY_PNG)
         with FakeChatServer(http_responder) as server:

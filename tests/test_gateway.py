@@ -1,26 +1,27 @@
 import base64
 import hashlib
+import http.client
 import json
 import os
+import ssl
 import subprocess
 import sys
 import threading
 import time
-import types
 from contextlib import closing
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
-import requests
 
-from helpers import TINY_PNG, DynamicBackend, FakeChatServer, count_payload_hashes
+from helpers import TINY_PNG, DynamicBackend, FakeChatServer, Fault, count_payload_hashes
 from hmgie import gateway as gateway_module
 from hmgie.errors import (
     AuthError,
     ExhaustedError,
     EmptyBatchError,
     FixtureMissingError,
+    GatewayError,
     MalformedOutputError,
     SchemaViolationError,
     TransientBackendError,
@@ -75,11 +76,9 @@ class TestImageRef:
     def test_data_url_and_media_type(self):
         ref = ImageRef(TINY_PNG)
         assert ref.media_type == "image/png"
-        assert ref.data_url == (
-            "data:image/png;base64," + base64.b64encode(TINY_PNG).decode("ascii")
-        )
+        assert ref.data_url == b"data:image/png;base64," + base64.b64encode(TINY_PNG)
         assert ref.data_url is ref.data_url
-        assert ImageRef(b"no magic").data_url.startswith("data:image/jpeg;base64,")
+        assert ImageRef(b"no magic").data_url.startswith(b"data:image/jpeg;base64,")
 
     def test_of_keeps_an_existing_ref(self):
         ref = ImageRef(TINY_PNG)
@@ -472,9 +471,50 @@ class TestInflightGates:
         prompts = [r.prompt for r in backend.calls]
         for key in keys[:5]:
             assert prompts.count(key) == 1
-        # the failing key is never cached, so each caller tried it
+        # a failure is never cached: only callers waiting on its gate share
+        # it, so the failing key is tried at least once and at most per caller
         assert errors == ["k5"] * 12
-        assert prompts.count("k5") == 12
+        assert 1 <= prompts.count("k5") <= 12
+
+    def test_failure_goes_to_every_waiter_on_the_gate(self):
+        """Duplicates that wait on a failing call get its error instead of
+        running the whole retry loop again, one after another."""
+        callers = 12
+        arrived = []
+        all_arrived = threading.Event()
+
+        def always_fails(request):
+            # Hold the first attempt until every caller is at the gate.
+            all_arrived.wait(timeout=10)
+            time.sleep(0.05)
+            raise TransientBackendError("always down")
+
+        backend = DynamicBackend(always_fails)
+        gateway = Gateway(backend, retry=RetryPolicy(attempts=3), sleeper=lambda s: None)
+        errors = []
+
+        def worker():
+            arrived.append(1)
+            if len(arrived) == callers:
+                all_arrived.set()
+            try:
+                gateway.call(text_request("down"))
+            except ExhaustedError as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker) for _ in range(callers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(errors) == callers
+        assert len(backend.calls) == 3
+        assert gateway._inflight == {}
+        # the failure is not cached beyond its gate
+        with pytest.raises(ExhaustedError):
+            gateway.call(text_request("down"))
+        assert len(backend.calls) == 6
 
 
 class TestRetry:
@@ -542,15 +582,98 @@ class TestRetry:
             gateway.call(ModelRequest.vision("p", TINY_PNG))
 
 
+def _vision_body(prompt, payload, media, system_prompt=None) -> bytes:
+    """The chat-completions body of a vision request, as the wire shape
+    defines it, serialized the standard way."""
+    encoded = base64.b64encode(payload).decode("ascii")
+    messages = [{"role": "system", "content": system_prompt}] if system_prompt else []
+    messages.append(
+        {
+            "role": "user",
+            "content": [
+                {"type": "text", "text": prompt},
+                {"type": "image_url", "image_url": {"url": f"data:{media};base64,{encoded}"}},
+            ],
+        }
+    )
+    body = {"model": "vm", "temperature": 0.1, "max_tokens": 64, "messages": messages}
+    return json.dumps(body).encode()
+
+
+def _package_env() -> dict:
+    src = str(Path(gateway_module.__file__).parents[1])
+    tests = str(Path(__file__).parent)
+    path = os.pathsep.join([src, tests, os.environ.get("PYTHONPATH", "")])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestHttpBackend:
     def test_package_import_leaves_requests_unloaded(self):
-        src = str(Path(gateway_module.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        probe = "import sys, hmgie; print('requests' in sys.modules)"
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        """Importing the package loads no HTTP or TLS module."""
+        probe = (
+            "import sys, hmgie; "
+            "print([m for m in ('requests', 'http.client', 'ssl') if m in sys.modules])"
         )
-        assert result.stdout.strip() == "False"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=_package_env(), capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+    def test_round_trips_need_no_third_party_package(self):
+        probe = """
+import sys
+sys.modules["requests"] = None  # any import of it now fails
+from contextlib import closing
+from helpers import TINY_PNG, FakeChatServer
+from hmgie.gateway import HttpBackend, ModelRequest
+with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as backend:
+    print(backend.complete(ModelRequest.text("ping")))
+    print(backend.complete(ModelRequest.vision("look", TINY_PNG)))
+"""
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=_package_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split("\n")[:2] == ["canned reply", "canned reply"]
+
+    def test_https_connection_verifies_certificates(self):
+        backend = HttpBackend(endpoint="https://api.example.com/v1", api_key="k")
+        connection = backend._connect()
+        assert connection.sock is None  # nothing opened
+        assert (connection.host, connection.port) == ("api.example.com", 443)
+        assert connection._context.verify_mode is ssl.CERT_REQUIRED
+        assert connection._context.check_hostname
+        backend.close()
+
+    def test_https_proxy_tunnels(self, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("https_proxy", "http://user:pw@proxy.example:3128")
+        connection = HttpBackend(endpoint="https://api.example.com/v1", api_key="k")._connect()
+        assert connection.sock is None
+        assert (connection.host, connection.port) == ("proxy.example", 3128)
+        assert (connection._tunnel_host, connection._tunnel_port) == ("api.example.com", 443)
+        auth = base64.b64encode(b"user:pw").decode("ascii")
+        assert connection._tunnel_headers == {"Proxy-Authorization": f"Basic {auth}"}
+
+    def test_http_proxy_is_sent_the_absolute_url(self, monkeypatch):
+        for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with FakeChatServer() as proxy:
+            monkeypatch.setenv("http_proxy", proxy.endpoint)
+            with closing(HttpBackend("http://model.example/v1", "k")) as backend:
+                assert backend.complete(text_request()) == "canned reply"
+            monkeypatch.setenv("no_proxy", "model.example")
+            with closing(HttpBackend("http://model.example/v1", "k")) as bypassing:
+                assert bypassing._connect().host == "model.example"
+        assert proxy.paths == ["http://model.example/v1/chat/completions"]
+        assert proxy.headers[0]["Host"] == "model.example"
+
+    def test_endpoint_must_be_http(self):
+        with pytest.raises(GatewayError, match="http or https URL"):
+            HttpBackend(endpoint="model.example/v1", api_key="k")
 
     def test_text_round_trip_and_wire_shape(self):
         with FakeChatServer(lambda body: (200, "server says hi")) as server, closing(
@@ -560,11 +683,16 @@ class TestHttpBackend:
                 text_request("ping", model_id="my-model", temperature=0.3)
             )
             assert response.text == "server says hi"
-            body = server.requests[0]
-            assert body["model"] == "my-model"
-            assert body["temperature"] == 0.3
-            assert body["messages"][0] == {"role": "user", "content": "ping"}
+            expected = {
+                "model": "my-model",
+                "temperature": 0.3,
+                "max_tokens": 1024,
+                "messages": [{"role": "user", "content": "ping"}],
+            }
+            assert server.raw[0] == json.dumps(expected).encode()
+            assert server.paths[0] == "/chat/completions"
             assert server.headers[0]["Authorization"] == "Bearer secret-key"
+            assert server.headers[0]["Content-Type"] == "application/json"
 
     def test_vision_request_embeds_data_url(self):
         with FakeChatServer() as server, closing(
@@ -579,55 +707,30 @@ class TestHttpBackend:
             assert base64.b64decode(url[len(prefix):]) == TINY_PNG
 
     def test_vision_body_byte_identical(self):
-        """The wire body, data URL included, as the chat-completions shape
-        defines it: media type from the magic bytes (JPEG when unknown)."""
-
-        class CapturingSession:
-            def __init__(self):
-                self.bodies = []
-
-            def post(self, url, json, headers, timeout):
-                self.bodies.append(json)
-                return types.SimpleNamespace(
-                    status_code=200,
-                    json=lambda: {"choices": [{"message": {"content": "ok"}}]},
+        """The bytes on the wire, data URL included, are those of one
+        json.dumps of the chat-completions shape: media type from the magic
+        bytes (JPEG when unknown), image part after any prompt text, even
+        text that spells the splice slot."""
+        slot = gateway_module._IMAGE_SLOT
+        cases = [
+            (TINY_PNG, "image/png", "look", "be terse"),
+            (TINY_PNG, "image/png", "look", None),
+            (b"unknown bytes", "image/jpeg", "look", "be terse"),
+            (TINY_PNG, "image/png", slot, None),
+            (TINY_PNG, "image/png", slot, slot),
+        ]
+        for payload, media, prompt, system_prompt in cases:
+            with FakeChatServer() as server, closing(
+                HttpBackend(endpoint=server.endpoint, api_key="k", system_prompt=system_prompt)
+            ) as backend:
+                request = ModelRequest.vision(
+                    prompt, ImageRef(payload), model_id="vm", temperature=0.1,
+                    max_output_tokens=64,
                 )
-
-        for payload, media in ((TINY_PNG, "image/png"), (b"unknown bytes", "image/jpeg")):
-            session = CapturingSession()
-            backend = HttpBackend(
-                endpoint="http://model.invalid/v1",
-                api_key="k",
-                system_prompt="be terse",
-                session=session,
-            )
-            request = ModelRequest.vision(
-                "look", ImageRef(payload), model_id="vm", temperature=0.1,
-                max_output_tokens=64,
-            )
-            backend.complete(request)
-            backend.complete(request)
-            encoded = base64.b64encode(payload).decode("ascii")
-            expected = {
-                "model": "vm",
-                "temperature": 0.1,
-                "max_tokens": 64,
-                "messages": [
-                    {"role": "system", "content": "be terse"},
-                    {
-                        "role": "user",
-                        "content": [
-                            {"type": "text", "text": "look"},
-                            {
-                                "type": "image_url",
-                                "image_url": {"url": f"data:{media};base64,{encoded}"},
-                            },
-                        ],
-                    },
-                ],
-            }
-            for body in session.bodies:
-                assert json.dumps(body).encode() == json.dumps(expected).encode()
+                backend.complete(request)
+                backend.complete(request)
+            expected = _vision_body(prompt, payload, media, system_prompt)
+            assert server.raw == [expected, expected]
 
     def test_retry_on_429(self):
         state = {"n": 0}
@@ -642,6 +745,39 @@ class TestHttpBackend:
             gateway = Gateway(backend, sleeper=lambda s: None)
             assert gateway.call(text_request()).text == "finally"
         assert state["n"] == 2
+
+    @pytest.mark.parametrize("status", [429, 503])
+    def test_retry_after_is_honoured(self, status):
+        replies = iter([(status, "slow down", {"Retry-After": "2"}), (200, "finally")])
+        sleeps = []
+        with FakeChatServer(lambda body: next(replies)) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(backend, sleeper=sleeps.append)
+            assert gateway.call(text_request()).text == "finally"
+        assert sleeps == [2.0]
+
+    @pytest.mark.parametrize(
+        "header, seconds",
+        [("2", 2.0), ("0.5", 0.5), ("-1", None), ("nan", None), (None, None),
+         ("Wed, 21 Oct 2015 07:28:00 GMT", None)],
+    )
+    def test_retry_after_reads_seconds_only(self, header, seconds):
+        assert gateway_module._retry_after(header) == seconds
+
+    def test_retry_after_stays_within_the_budget(self):
+        sleeps = []
+        with FakeChatServer(lambda body: (429, "later", {"Retry-After": "3600"})) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(
+                backend,
+                retry=RetryPolicy(attempts=3, base_delay=1.0, max_total_delay=5.0),
+                sleeper=sleeps.append,
+            )
+            with pytest.raises(ExhaustedError):
+                gateway.call(text_request())
+        assert sleeps == [5.0]
 
     def test_auth_failure(self):
         with FakeChatServer(lambda body: (401, "who are you")) as server, closing(
@@ -661,35 +797,78 @@ class TestHttpBackend:
                 gateway.call(text_request())
 
     @pytest.mark.parametrize(
-        "fault",
-        [requests.exceptions.ChunkedEncodingError, requests.exceptions.ContentDecodingError],
+        "fault, cause",
+        [(Fault.SHORT_BODY, http.client.IncompleteRead), (Fault.RESET, ConnectionResetError)],
+        ids=["short-body", "reset"],
     )
-    def test_broken_body_is_retried(self, fault):
-        class BrokenSession:
-            posts = 0
+    def test_broken_transport_is_retried(self, fault, cause):
+        with FakeChatServer(lambda body: fault) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(backend, retry=RetryPolicy(attempts=3), sleeper=lambda s: None)
+            with pytest.raises(ExhaustedError) as exc_info:
+                gateway.call(text_request())
+            transient = exc_info.value.__cause__
+            assert isinstance(transient, TransientBackendError)
+            assert isinstance(transient.__cause__, cause)
+            assert len(server.requests) == 3
+            # A broken connection is closed, never pooled.
+            assert backend._idle == []
+            assert server.wait_for_open_connections(0) == 0
 
-            def post(self, url, json, headers, timeout):
-                self.posts += 1
-                raise fault("connection broken mid-body")
+    def test_connection_closed_while_idle_is_not_reused(self):
+        sleeps = []
+        with FakeChatServer(drop_idle=True) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(backend, sleeper=sleeps.append)
+            assert gateway.call(text_request("first")).text == "canned reply"
+            assert len(backend._idle) == 1  # the server did not say it closes
+            assert server.wait_for_open_connections(0) == 0
+            assert gateway.call(text_request("second")).text == "canned reply"
+        assert sleeps == []
+        assert len(server.requests) == 2
 
-        session = BrokenSession()
-        backend = HttpBackend(endpoint="http://model.invalid/v1", api_key="k", session=session)
-        gateway = Gateway(backend, retry=RetryPolicy(attempts=3), sleeper=lambda s: None)
-        with pytest.raises(ExhaustedError) as exc_info:
-            gateway.call(text_request())
-        assert isinstance(exc_info.value.__cause__, TransientBackendError)
-        assert session.posts == 3
+    def test_keep_alive_connection_is_reused(self):
+        with FakeChatServer() as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            for prompt in ("a", "b", "c"):
+                backend.complete(text_request(prompt))
+            assert server.peak_connections == 1
 
-    def test_close_closes_the_session(self):
-        class Session:
-            closed = False
+    def test_pool_is_bounded_and_close_closes_idle_connections(self):
+        """40 short-lived threads share one backend: the pool keeps at most
+        MAX_IDLE_CONNECTIONS of their connections, and close() closes them."""
+        bound = gateway_module.MAX_IDLE_CONNECTIONS
+        threads_count = 40
+        barrier = threading.Barrier(threads_count)
 
-            def close(self):
-                self.closed = True
+        def responder(body):
+            time.sleep(0.05)  # keep the calls in flight together
+            return 200, "ok"
 
-        session = Session()
-        HttpBackend(endpoint="http://model.invalid/v1", api_key="k", session=session).close()
-        assert session.closed
+        with FakeChatServer(responder) as server:
+            backend = HttpBackend(endpoint=server.endpoint, api_key="k")
+            replies = []
+
+            def worker(index):
+                barrier.wait(timeout=10)
+                replies.append(backend.complete(text_request(f"q{index}")))
+
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert replies == ["ok"] * threads_count
+            assert server.peak_connections > bound
+            assert len(backend._idle) == bound
+            assert server.wait_for_open_connections(bound) == bound
+            backend.close()
+            assert backend._idle == []
+            assert server.wait_for_open_connections(0) == 0
 
 
 def test_sniff_media_type():

@@ -371,6 +371,26 @@ class TestLoopBehavior:
         assert report.per_level[0].count == 2
         assert any("truncated" in d for d in report.diagnostics)
 
+    def test_repeats_do_not_use_up_the_budget(self):
+        """A question repeated from an earlier level is dropped before the
+        batch is cut to its budget, so the new question behind it is kept."""
+        responder = _routing_responder(
+            question_plan={
+                1: [_question(1, 0)],
+                2: [_question(1, 0), _question(2, 0)],
+                3: [],
+            },
+            coverage_plan={1: incomplete_coverage, 2: incomplete_coverage},
+        )
+        config = _dynamic_config(
+            responder, max_questions_per_level=1, intra_level_parallelism=1
+        )
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        assert report.realized_depth == 2
+        assert [node.question for node in report.hieg.levels[1]] == ["level 2 question 0?"]
+        assert any("already asked" in d for d in report.diagnostics)
+        assert not any("truncated" in d for d in report.diagnostics)
+
     def test_runs_all_levels_when_never_covered(self):
         plan = {level: [_question(level, 0)] for level in range(1, 6)}
         responder = _routing_responder(
