@@ -279,14 +279,27 @@ def _check_report_names(dataset) -> None:
         owners[name] = item.id
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write a file whole or not at all, through a temp file moved into place.
+
+    A lone surrogate, which JSON text carries from a reply or a dataset
+    field, is written as its ``\\udxxx`` escape, so the file stays JSON
+    that reads back to the same string.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, "w", encoding="utf-8", errors="backslashreplace") as handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+
+
 def _write_report(out_dir: Optional[str], name: str, report: EvaluationReport) -> None:
-    if out_dir is None:
-        return
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{_safe_name(name)}.report.json").write_text(
-        report.to_json() + "\n", encoding="utf-8"
-    )
+    if out_dir is not None:
+        _write_text(Path(out_dir) / f"{_safe_name(name)}.report.json", report.to_json() + "\n")
 
 
 def cmd_evaluate(args, mode: str = "live") -> int:
@@ -357,8 +370,6 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
             print(f"metrics cover {batch.evaluated} of {len(batch.results)} items")
         _print_metrics(batch.metrics, args.per_granularity)
     if args.out is not None:
-        directory = Path(args.out)
-        directory.mkdir(parents=True, exist_ok=True)
         summary = {
             "items": len(batch.results),
             "evaluated": batch.evaluated,
@@ -366,9 +377,9 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
             "metrics": batch.metrics.to_dict() if batch.metrics else None,
             "results": summary_rows,
         }
-        (directory / "summary.json").write_text(
+        _write_text(
+            Path(args.out) / "summary.json",
             json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-            encoding="utf-8",
         )
     return EXIT_RUNTIME if batch.failed else EXIT_OK
 
@@ -536,6 +547,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # A reply or a dataset field may hold a lone surrogate; print its escape.
+    for stream in (sys.stdout, sys.stderr):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="backslashreplace")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

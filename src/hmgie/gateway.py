@@ -20,9 +20,9 @@ import hashlib
 import json
 import os
 import select
-import tempfile
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
@@ -39,10 +39,6 @@ from .errors import (
     TransientBackendError,
     UnsupportedRequestError,
 )
-
-# Reply files are UTF-8 with this handler, so a reply holding a lone surrogate
-# (which json.loads makes of a "\ud800" escape) replays as the very same string.
-_REPLY_ERRORS = "surrogatepass"
 
 _MAGIC_SIGNATURES = (
     (b"\x89PNG\r\n\x1a\n", "image/png"),
@@ -392,13 +388,109 @@ class CallRecord:
     image_digest: Optional[str]
 
 
+class ReplyLog:
+    """The replies recorded in one directory, keyed by cache key.
+
+    Replies live in one append-only file, ``<dir>/replies.jsonl``, one line
+    per reply: ``json.dumps([key, reply])`` (ASCII, so a lone surrogate or a
+    ``\\r`` comes back exactly). Each line is written with a single
+    ``os.write`` to an ``O_APPEND`` descriptor opened on the first append,
+    so a crash can tear only the last line; readers skip a line that does
+    not parse, and an append to a file that does not end in a newline
+    starts one first.
+
+    ``replies`` indexes the log. A lookup that misses it reads only the
+    lines appended since the last read, by this process or another, then
+    the key's ``<key>.txt`` file, which is how earlier versions recorded
+    each reply. When a key appears twice, its first line wins.
+    """
+
+    def __init__(self, directory: str | Path):
+        self.directory = Path(directory)
+        self.path = self.directory / "replies.jsonl"
+        self._key_file_prefix = os.path.join(directory, "")  # + key + ".txt"
+        self.replies: dict[str, str] = {}
+        self._indexed = 0  # bytes of the log read into ``replies``
+        self._fd: Optional[int] = None
+        self._release = None
+        self._lock = threading.Lock()
+
+    def get(self, key: str) -> Optional[str]:
+        reply = self.replies.get(key)
+        if reply is not None:
+            return reply
+        with self._lock:
+            self._read_new_lines()
+            reply = self.replies.get(key)
+            if reply is None:
+                try:
+                    with open(f"{self._key_file_prefix}{key}.txt", "rb") as handle:
+                        data = handle.read()
+                except FileNotFoundError:
+                    return None
+                reply = self.replies.setdefault(key, data.decode("utf-8", "surrogatepass"))
+        return reply
+
+    def append(self, key: str, reply: str) -> None:
+        """Record one reply; an error or a short write raises."""
+        line = (json.dumps([key, reply]) + "\n").encode("ascii")
+        with self._lock:
+            if self._fd is None:
+                self._open()
+            try:
+                written = os.write(self._fd, line)
+                if written != len(line):
+                    raise OSError(f"short write to {self.path}: {written} of {len(line)} bytes")
+            except OSError:
+                # Reopening checks the last byte, so the next line starts afresh.
+                self._release()
+                self._fd = None
+                raise
+            end = os.lseek(self._fd, 0, os.SEEK_CUR)
+            if end - written == self._indexed:
+                # No line came between the indexed part and this one.
+                self._indexed = end
+            self.replies.setdefault(key, reply)
+
+    def _open(self) -> None:
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o600)
+        self._release = weakref.finalize(self, os.close, fd)
+        size = os.lseek(fd, 0, os.SEEK_END)
+        if size:
+            os.lseek(fd, size - 1, os.SEEK_SET)
+            if os.read(fd, 1) != b"\n":
+                os.write(fd, b"\n")  # end a line torn by a crash
+        self._fd = fd
+
+    def _read_new_lines(self) -> None:
+        try:
+            if os.stat(self.path).st_size <= self._indexed:
+                return
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return
+        with handle:
+            handle.seek(self._indexed)
+            for line in handle:
+                if not line.endswith(b"\n"):
+                    break  # torn, or still being written
+                self._indexed += len(line)
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    continue  # a line torn by a crash
+                if type(entry) is list and [type(part) for part in entry] == [str, str]:
+                    self.replies.setdefault(*entry)
+
+
 class ScriptedBackend:
     """Replay backend serving recorded replies keyed by cache_key.
 
-    Fixtures come from an in-memory mapping, a directory of one file per
-    key (content = raw reply text), or both; the mapping wins on overlap.
-    Every served request is appended to .calls as a CallRecord for trace
-    assertions; the record holds the image digest, never the payload.
+    Fixtures come from an in-memory mapping, a directory's ReplyLog, or
+    both; the mapping wins on overlap. Every served request is appended to
+    .calls as a CallRecord for trace assertions; the record holds the image
+    digest, never the payload.
     """
 
     def __init__(
@@ -414,6 +506,7 @@ class ScriptedBackend:
         self.fixtures = dict(fixtures or {})
         self.calls: list[CallRecord] = []
         self._lock = threading.Lock()
+        self._log = ReplyLog(self.fixture_dir) if self.fixture_dir is not None else None
 
     def complete(self, request: ModelRequest) -> str:
         key = request.key
@@ -422,15 +515,12 @@ class ScriptedBackend:
         )
         with self._lock:
             self.calls.append(record)
-        if key in self.fixtures:
-            return self.fixtures[key]
-        if self.fixture_dir is not None:
-            try:
-                path = self.fixture_dir / f"{key}.txt"
-                return path.read_text(encoding="utf-8", errors=_REPLY_ERRORS)
-            except FileNotFoundError:
-                pass
-        raise FixtureMissingError(key)
+        reply = self.fixtures.get(key)
+        if reply is None and self._log is not None:
+            reply = self._log.get(key)
+        if reply is None:
+            raise FixtureMissingError(key)
+        return reply
 
 
 @dataclass(frozen=True)
@@ -462,10 +552,10 @@ class _Gate:
 class Gateway:
     """Caching, retrying, coalescing front door to a backend.
 
-    With cache_dir set, replies are read through the on-disk store (one file
-    per cache key); record=True additionally writes live replies back, so a
-    real run can later be replayed with a ScriptedBackend over the same
-    directory.
+    With cache_dir set, replies are read through that directory's ReplyLog,
+    whose index is then the gateway's in-memory cache; record=True
+    additionally appends live replies to the log, so a real run can later
+    be replayed with a ScriptedBackend over the same directory.
     """
 
     def __init__(
@@ -483,35 +573,21 @@ class Gateway:
         self.record = record
         self.retry = retry or RetryPolicy()
         self._sleeper = sleeper
-        self._memory: dict[str, str] = {}
+        self._log = ReplyLog(self.cache_dir) if self.cache_dir is not None else None
+        self._memory: dict[str, str] = self._log.replies if self._log is not None else {}
         self._lock = threading.Lock()
         self._inflight: dict[str, _Gate] = {}
 
     def _cached_text(self, key: str) -> Optional[str]:
-        if key in self._memory:
-            return self._memory[key]
-        if self.cache_dir is not None:
-            path = self.cache_dir / f"{key}.txt"
-            if path.exists():
-                text = path.read_text(encoding="utf-8", errors=_REPLY_ERRORS)
-                self._memory[key] = text
-                return text
-        return None
+        if self._log is not None:
+            return self._log.get(key)
+        return self._memory.get(key)
 
     def _store(self, key: str, text: str) -> None:
         if self.record:
-            # Write a temp file and rename it over the key, so a failed or
-            # interrupted write never leaves a truncated reply to replay.
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, temp = tempfile.mkstemp(dir=self.cache_dir, prefix=f".{key}.", suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8", errors=_REPLY_ERRORS) as handle:
-                    handle.write(text)
-                os.replace(temp, self.cache_dir / f"{key}.txt")
-            except BaseException:
-                os.unlink(temp)
-                raise
-        self._memory[key] = text
+            self._log.append(key, text)
+        else:
+            self._memory[key] = text
 
     def _complete_with_retries(self, request: ModelRequest) -> str:
         delay = self.retry.base_delay

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ from helpers import (
     write_fixture_dir,
 )
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from hmgie.gateway import HttpBackend
+from hmgie.gateway import Gateway, HttpBackend
+from hmgie.pipeline import RoleBindings, evaluate_pair
 
 CAPTION = "A brown dog lies on a sofa."
 
@@ -395,9 +397,11 @@ class TestRecordReplay:
                 ]
             )
         capsys.readouterr()
-        victim = sorted(cache_dir.iterdir())[0]
-        key = victim.stem
-        victim.unlink()
+        log = cache_dir / "replies.jsonl"
+        assert list(cache_dir.iterdir()) == [log]
+        lines = log.read_bytes().splitlines(keepends=True)
+        key = json.loads(lines[0])[0]
+        log.write_bytes(b"".join(lines[1:]))
         code = main(
             [
                 "replay",
@@ -409,6 +413,74 @@ class TestRecordReplay:
         captured = capsys.readouterr()
         assert code == EXIT_RUNTIME
         assert key in captured.err
+
+
+class TestLoneSurrogates:
+    """A reply or dataset field holding a lone surrogate costs no item."""
+
+    EXPLANATION = "The caption matches.\ud800"
+
+    @pytest.fixture()
+    def recorded(self, tmp_path):
+        config = scripted_config()
+        script = build_two_level_scenario(config, caption=CAPTION)
+        script.script_explain(self.EXPLANATION)
+        fixture_dir = tmp_path / "fixtures"
+        recorder = Gateway(scripted_backend_of(config), cache_dir=fixture_dir, record=True)
+        recording = replace(config, backends=RoleBindings.uniform(recorder))
+        evaluate_pair(TINY_PNG, CAPTION, recording)
+        image = tmp_path / "img.png"
+        image.write_bytes(TINY_PNG)
+        return fixture_dir, image
+
+    def test_single_pair_prints_and_writes_the_escape(self, recorded, capsys, tmp_path):
+        fixture_dir, image = recorded
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                "--image", str(image),
+                "--caption", CAPTION,
+                "--replay", str(fixture_dir),
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        assert "explanation: The caption matches.\\ud800\n" in capsys.readouterr().out
+        text = (out_dir / "pair.report.json").read_text(encoding="utf-8")
+        assert '"explanation": "The caption matches.\\ud800"' in text
+        assert json.loads(text)["explanation"] == self.EXPLANATION
+        assert [path.name for path in out_dir.iterdir()] == ["pair.report.json"]
+
+    def test_batch_writes_every_report_and_the_summary(self, recorded, capsys, tmp_path):
+        fixture_dir, image = recorded
+        dataset = tmp_path / "data.jsonl"
+        rows = [
+            {"id": "a", "image_path": str(image), "caption": CAPTION},
+            {"id": "b\udcff", "image_path": str(image), "caption": CAPTION},
+        ]
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        code = main(
+            [
+                "evaluate",
+                "--dataset", str(dataset),
+                "--replay", str(fixture_dir),
+                "--out", str(out_dir),
+            ]
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert out.startswith("a: decision=consistent ")
+        assert "\nb\\udcff: decision=consistent " in out
+        for name in ("a.report.json", "b_.report.json"):
+            report = json.loads((out_dir / name).read_text(encoding="utf-8"))
+            assert report["explanation"] == self.EXPLANATION
+        summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
+        assert [row["id"] for row in summary["results"]] == ["a", "b\udcff"]
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "a.report.json", "b_.report.json", "summary.json"
+        ]
 
 
 class TestForgeCli:

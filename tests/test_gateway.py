@@ -4,6 +4,7 @@ import http.client
 import json
 import os
 import ssl
+import stat
 import subprocess
 import sys
 import threading
@@ -14,7 +15,17 @@ from pathlib import Path
 
 import pytest
 
-from helpers import TINY_PNG, DynamicBackend, FakeChatServer, Fault, count_payload_hashes
+from helpers import (
+    TINY_PNG,
+    DynamicBackend,
+    FakeChatServer,
+    Fault,
+    build_two_level_scenario,
+    count_payload_hashes,
+    scripted_backend_of,
+    scripted_config,
+    write_fixture_dir,
+)
 from hmgie import gateway as gateway_module
 from hmgie.errors import (
     AuthError,
@@ -40,6 +51,7 @@ from hmgie.gateway import (
     call_parsed,
     sniff_media_type,
 )
+from hmgie.pipeline import RoleBindings, evaluate_pair
 
 
 def text_request(prompt: str = "hello", **kwargs) -> ModelRequest:
@@ -275,35 +287,58 @@ class TestCaching:
         assert len(backend.calls) == 1
 
 
+def _log_entries(directory: Path) -> list:
+    """The [key, reply] entries of a directory's reply log, in file order."""
+    return [json.loads(line) for line in (directory / "replies.jsonl").read_bytes().splitlines()]
+
+
 class TestRecordWrites:
     def test_failed_write_leaves_no_file_under_the_key(self, tmp_path, monkeypatch):
-        # The write fails after the record file was opened.
-        real_fdopen = os.fdopen
-
-        def fdopen_failing_write(*args, **kwargs):
-            handle = real_fdopen(*args, **kwargs)
-
-            def write(text):
-                raise OSError("disk full")
-
-            handle.write = write
-            return handle
+        # The write fails after the reply log was opened.
+        def write_failing(fd, data):
+            raise OSError("disk full")
 
         request = text_request("record me")
         backend = DynamicBackend(lambda r: "half a reply")
         broken = Gateway(backend, cache_dir=tmp_path, record=True)
         with monkeypatch.context() as patch:
-            patch.setattr(gateway_module.os, "fdopen", fdopen_failing_write)
+            patch.setattr(gateway_module.os, "write", write_failing)
             with pytest.raises(OSError, match="disk full"):
                 broken.call(request)
-        assert list(tmp_path.iterdir()) == []
+        log = tmp_path / "replies.jsonl"
+        assert list(tmp_path.iterdir()) == [log]
+        assert log.read_bytes() == b""
 
         live = DynamicBackend(lambda r: "whole reply")
         assert Gateway(live, cache_dir=tmp_path, record=True).call(request).text == "whole reply"
         assert len(live.calls) == 1
-        stored = tmp_path / f"{cache_key(request)}.txt"
-        assert stored.read_text(encoding="utf-8") == "whole reply"
-        assert list(tmp_path.iterdir()) == [stored]
+        assert _log_entries(tmp_path) == [[request.key, "whole reply"]]
+        assert list(tmp_path.iterdir()) == [log]
+
+    def test_short_write_raises_and_the_next_line_starts_afresh(self, tmp_path, monkeypatch):
+        real_write = os.write
+
+        def write_half(fd, data):
+            return real_write(fd, data[: len(data) // 2])
+
+        first, second = text_request("first"), text_request("second")
+        gateway = Gateway(
+            DynamicBackend(lambda r: f"{r.prompt} reply"), cache_dir=tmp_path, record=True
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(gateway_module.os, "write", write_half)
+            with pytest.raises(OSError, match="short write"):
+                gateway.call(first)
+        assert gateway.call(second).text == "second reply"
+
+        torn, whole = (tmp_path / "replies.jsonl").read_bytes().splitlines()
+        assert json.loads(whole) == [second.key, "second reply"]
+        whole_first = (json.dumps([first.key, "first reply"]) + "\n").encode("ascii")
+        assert torn == whole_first[: len(whole_first) // 2]
+        replay = Gateway(ScriptedBackend(fixture_dir=tmp_path))
+        assert replay.call(second).text == "second reply"
+        with pytest.raises(FixtureMissingError):
+            replay.call(first)
 
     def test_lone_surrogate_recorded_and_replayed(self, tmp_path):
         # json.loads turns a "\ud800" escape in an HTTP body into a lone
@@ -312,8 +347,8 @@ class TestRecordWrites:
         reply = "half a reply \ud800"
         recorder = Gateway(DynamicBackend(lambda r: reply), cache_dir=tmp_path, record=True)
         assert recorder.call(request).text == reply
-        stored = tmp_path / f"{cache_key(request)}.txt"
-        assert stored.read_bytes() == b"half a reply \xed\xa0\x80"
+        log = tmp_path / "replies.jsonl"
+        assert log.read_bytes() == f'["{request.key}", "half a reply \\ud800"]\n'.encode("ascii")
 
         assert Gateway(ScriptedBackend(fixture_dir=tmp_path)).call(request).text == reply
         offline = DynamicBackend(lambda r: None)
@@ -324,17 +359,107 @@ class TestRecordWrites:
         valid, text = text_request("valid"), "caf\u00e9 \u2713"
         writer = Gateway(DynamicBackend(lambda r: text), cache_dir=tmp_path, record=True)
         writer.call(valid)
-        assert (tmp_path / f"{cache_key(valid)}.txt").read_bytes() == text.encode("utf-8")
+        assert log.read_bytes().splitlines()[1] == (
+            f'["{valid.key}", "caf\\u00e9 \\u2713"]'.encode("ascii")
+        )
 
-    def test_failed_rename_leaves_no_file(self, tmp_path, monkeypatch):
-        def crash(src, dst):
-            raise OSError("disk gone")
 
-        monkeypatch.setattr(gateway_module.os, "replace", crash)
-        gateway = Gateway(DynamicBackend(lambda r: "reply"), cache_dir=tmp_path, record=True)
-        with pytest.raises(OSError, match="disk gone"):
-            gateway.call(text_request("record me"))
-        assert list(tmp_path.iterdir()) == []
+class TestReplyLog:
+    def test_golden_line(self, tmp_path):
+        recorder = Gateway(DynamicBackend(lambda r: 'a "reply"\n'), cache_dir=tmp_path, record=True)
+        recorder.call(text_request("golden"))
+        assert (tmp_path / "replies.jsonl").read_bytes() == (
+            b'["374550fe500183c66f6be4838a0e47f2ba075fecd6c99b814a119bed3eef8f4a", '
+            b'"a \\"reply\\"\\n"]\n'
+        )
+
+    def test_record_leaves_one_private_log_and_no_file_per_reply(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        gateway = Gateway(DynamicBackend(lambda r: r.prompt), cache_dir=cache_dir, record=True)
+        requests = [text_request(f"prompt {n}") for n in range(12)]
+        for request in requests:
+            gateway.call(request)
+        log = cache_dir / "replies.jsonl"
+        assert list(cache_dir.iterdir()) == [log]
+        assert stat.S_IMODE(log.stat().st_mode) == 0o600
+        assert _log_entries(cache_dir) == [[r.key, r.prompt] for r in requests]
+
+    def test_torn_last_line_is_skipped_and_the_next_record_reads_back(self, tmp_path):
+        first, second = text_request("first"), text_request("second")
+        Gateway(DynamicBackend(lambda r: "one"), cache_dir=tmp_path, record=True).call(first)
+        log = tmp_path / "replies.jsonl"
+        with open(log, "ab") as handle:
+            handle.write(b'["' + b"f" * 64 + b'", "a reply cut sh')  # a crash mid-line
+        assert Gateway(ScriptedBackend(fixture_dir=tmp_path)).call(first).text == "one"
+
+        Gateway(DynamicBackend(lambda r: "two"), cache_dir=tmp_path, record=True).call(second)
+        lines = log.read_bytes().split(b"\n")
+        assert lines[1] == b'["' + b"f" * 64 + b'", "a reply cut sh'
+        assert lines[3] == b""
+        replay = Gateway(ScriptedBackend(fixture_dir=tmp_path))
+        assert [replay.call(r).text for r in (first, second)] == ["one", "two"]
+
+    def test_a_second_gateway_sees_the_first_ones_replies_on_a_miss(self, tmp_path):
+        early, late = text_request("early"), text_request("late")
+        recorder = Gateway(DynamicBackend(lambda r: r.prompt), cache_dir=tmp_path, record=True)
+        recorder.call(early)
+        offline = DynamicBackend(lambda r: None)
+        reader = Gateway(offline, cache_dir=tmp_path)
+        replay = Gateway(ScriptedBackend(fixture_dir=tmp_path))
+        assert reader.call(early).cached == 1
+        assert replay.call(early).text == "early"
+
+        recorder.call(late)  # after both readers indexed the log
+        response = reader.call(late)
+        assert (response.text, response.cached) == ("late", 1)
+        assert replay.call(late).text == "late"
+        assert offline.calls == []
+
+    def test_first_line_wins_for_a_duplicate_key(self, tmp_path):
+        request = text_request("twice")
+        log = tmp_path / "replies.jsonl"
+        log.write_bytes(json.dumps([request.key, "first"]).encode("ascii") + b"\n")
+        early = ScriptedBackend(fixture_dir=tmp_path)
+        assert early.complete(request) == "first"
+        with open(log, "ab") as handle:
+            handle.write(json.dumps([request.key, "second"]).encode("ascii") + b"\n")
+        with pytest.raises(FixtureMissingError):
+            early.complete(text_request("unrecorded"))  # indexes the second line
+        late = ScriptedBackend(fixture_dir=tmp_path)
+        cached = Gateway(DynamicBackend(lambda r: None), cache_dir=tmp_path)
+        replies = [early.complete(request), late.complete(request), cached.call(request).text]
+        assert replies == ["first"] * 3
+
+    @pytest.mark.parametrize(
+        "reply", ["line one\r\nline two\rend", "lone \ud800 and \udfff", "caf\u00e9 \u2713\x00"]
+    )
+    def test_reply_round_trips_byte_exact(self, tmp_path, reply):
+        request = text_request("exact")
+        Gateway(DynamicBackend(lambda r: reply), cache_dir=tmp_path, record=True).call(request)
+        assert Gateway(ScriptedBackend(fixture_dir=tmp_path)).call(request).text == reply
+        cached = Gateway(DynamicBackend(lambda r: None), cache_dir=tmp_path).call(request)
+        assert (cached.text, cached.cached) == (reply, 1)
+        assert (tmp_path / "replies.jsonl").read_bytes().isascii()
+
+    def test_legacy_key_file_replays_carriage_returns(self, tmp_path):
+        request = text_request("legacy")
+        reply = "line one\r\nline two\rend \ud800"
+        (tmp_path / f"{request.key}.txt").write_bytes(reply.encode("utf-8", "surrogatepass"))
+        assert Gateway(ScriptedBackend(fixture_dir=tmp_path)).call(request).text == reply
+        cached = Gateway(DynamicBackend(lambda r: None), cache_dir=tmp_path).call(request)
+        assert (cached.text, cached.cached) == (reply, 1)
+
+    def test_legacy_fixture_dir_replays_the_two_level_scenario(self, tmp_path):
+        config = scripted_config()
+        build_two_level_scenario(config)
+        expected = evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", config).to_json()
+        write_fixture_dir(scripted_backend_of(config).fixtures, tmp_path)
+        before = sorted(tmp_path.iterdir())
+
+        gateway = Gateway(ScriptedBackend(fixture_dir=tmp_path))
+        replay = replace(config, backends=RoleBindings.uniform(gateway))
+        assert evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", replay).to_json() == expected
+        assert sorted(tmp_path.iterdir()) == before
 
 
 def _parse_int(text: str) -> int:
