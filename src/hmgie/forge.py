@@ -12,7 +12,6 @@ captions enter the adversarial set by default.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -27,6 +26,7 @@ from .errors import (
     SchemaViolationError,
 )
 from .gateway import Gateway, ImageRef, ModelRequest
+from .pipeline import ordered_map
 from .prompts import (
     TemplateName,
     load_templates,
@@ -278,20 +278,23 @@ def generate_ground_truth(
 ) -> str:
     """Ensemble captioning followed by fusion; identity for one member.
 
-    Captioner failures are tolerated, with a note, as long as at least one
-    member replies; AllCaptionersFailedError otherwise.
+    Every member is asked at once; captions and failure notes keep captioner
+    order. AllCaptionersFailedError when no member replies.
     """
     if not captioners:
         raise AllCaptionersFailedError("no captioners configured")
     image = ImageRef.of(image)
-    captions = []
-    failures = []
-    for index, gateway in enumerate(captioners):
+
+    def caption(index: int) -> str | GatewayError:
         request = _request(config, spec.prompt, image, config.captioner_model(index))
         try:
-            captions.append(gateway.call(request).text)
+            return captioners[index].call(request).text
         except GatewayError as exc:
-            failures.append(f"captioner {index}: {exc}")
+            return exc
+
+    outcomes = ordered_map(caption, range(len(captioners)), len(captioners))
+    captions = [text for text in outcomes if isinstance(text, str)]
+    failures = [f"captioner {i}: {e}" for i, e in enumerate(outcomes) if not isinstance(e, str)]
     if not captions:
         raise AllCaptionersFailedError("; ".join(failures))
     if failures:
@@ -468,11 +471,7 @@ def build_dataset(
         except (HmgieError, OSError) as exc:
             return [], [f"{path} g{spec.level}: {type(exc).__name__}: {exc}"], 0
 
-    if config.parallelism == 1 or len(cells) <= 1:
-        outcomes = [_one(cell) for cell in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            outcomes = list(pool.map(_one, cells))
+    outcomes = ordered_map(_one, cells, config.parallelism)
 
     all_lines: list[dict] = []
     errors: list[str] = []
@@ -489,7 +488,8 @@ def build_dataset(
 
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as handle:
+    # backslashreplace writes a lone surrogate in a reply as its JSON escape.
+    with open(out, "w", encoding="utf-8", errors="backslashreplace") as handle:
         for line in all_lines:
             handle.write(json.dumps(line, sort_keys=True, ensure_ascii=False) + "\n")
 

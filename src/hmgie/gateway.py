@@ -69,9 +69,9 @@ class ImageRef:
     """An image payload prepared once for every request that carries it.
 
     The SHA-256 digest is computed from the payload at construction and
-    cannot be supplied by the caller; refs compare by digest. The data URL
-    (media type sniffed from the magic bytes, payload base64-encoded) is
-    built on first use and kept as ASCII bytes, ready to go on the wire.
+    cannot be supplied by the caller; refs compare by digest. The payload's
+    base64 text is encoded on first use and kept as ASCII bytes, ready to go
+    on the wire as one chunk of every vision body that carries the image.
     """
 
     payload: bytes = field(compare=False, repr=False)
@@ -90,9 +90,8 @@ class ImageRef:
         return sniff_media_type(self.payload)
 
     @cached_property
-    def data_url(self) -> bytes:
-        prefix = f"data:{self.media_type or 'image/jpeg'};base64,".encode("ascii")
-        return prefix + base64.b64encode(self.payload)
+    def base64_payload(self) -> bytes:
+        return base64.b64encode(self.payload)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,8 @@ def cache_key(request: ModelRequest) -> str:
     if request.attempt >= 2:
         fields["attempt"] = request.attempt
     canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    # A quoted reply may hold a lone surrogate; valid text encodes the same.
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class Backend(Protocol):
@@ -189,8 +189,7 @@ class Backend(Protocol):
 MAX_IDLE_CONNECTIONS = 8
 
 # Stands in for the image's data URL while a vision body is serialized; the
-# URL's bytes are then spliced over its last occurrence, so the base64 text
-# is encoded once per image, never once per request.
+# body then goes out in chunks, the image's cached base64 in the slot's place.
 _IMAGE_SLOT = "hmgie:image-data-url"
 _IMAGE_SLOT_JSON = json.dumps(_IMAGE_SLOT).encode("ascii")
 
@@ -309,9 +308,9 @@ class HttpBackend:
                 return
         connection.close()
 
-    def _body(self, request: ModelRequest) -> bytes:
-        """The JSON body, serialized once; a vision body gets the image's
-        cached data URL spliced in as bytes (base64 needs no JSON escaping)."""
+    def _body(self, request: ModelRequest) -> tuple[bytes, ...]:
+        """The JSON body, serialized once, as the chunks to send; a vision body's
+        image is the ref's cached base64 text (which needs no JSON escaping)."""
         if request.image is None:
             content = request.prompt
         else:
@@ -331,21 +330,23 @@ class HttpBackend:
             allow_nan=False,
         ).encode("utf-8")
         if request.image is None:
-            return body
+            return (body,)
         # The slot is the last string in the body, after any prompt text
-        # that happens to spell it.
+        # that happens to spell it; head and tail keep its quotes.
         at = body.rindex(_IMAGE_SLOT_JSON)
-        return b"".join(
-            (body[:at], b'"', request.image.data_url, b'"', body[at + len(_IMAGE_SLOT_JSON):])
-        )
+        prefix = f"data:{request.image.media_type or 'image/jpeg'};base64,".encode("ascii")
+        tail = body[at + len(_IMAGE_SLOT_JSON) - 1 :]
+        return body[: at + 1], prefix, request.image.base64_payload, tail
 
     def complete(self, request: ModelRequest) -> str:
         import http.client
 
         body = self._body(request)
+        # An explicit length makes http.client send the chunks as they are.
+        headers = {**self._headers, "Content-Length": str(sum(map(len, body)))}
         connection = self._take()
         try:
-            connection.request("POST", self._path, body=body, headers=self._headers)
+            connection.request("POST", self._path, body=body, headers=headers)
             response = connection.getresponse()
             data = response.read()
         except (OSError, http.client.HTTPException) as exc:
@@ -637,9 +638,9 @@ class Gateway:
                 if gate.error is not None:
                     # A concurrent duplicate failed first; share its failure.
                     raise gate.error
-                cached = self._cached_text(key)
+                cached = self._memory.get(key)
                 if cached is not None:
-                    # A concurrent duplicate finished first; serve its result.
+                    # A concurrent duplicate finished first; serve its reply.
                     return ModelResponse(text=cached, cached=1)
                 try:
                     text = self._complete_with_retries(request)

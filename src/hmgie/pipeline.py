@@ -12,7 +12,8 @@ are assembled into an EvaluationReport.
 
 Levels are strictly sequential because each one consumes the previous
 level's graph and mask; within a level, answering and judging distinct
-questions fans out concurrently.
+questions fans out concurrently, through the package's one fan-out,
+``ordered_map``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
     EmptyBatchError,
@@ -153,6 +154,19 @@ def _sampling(config: PipelineConfig) -> dict:
         "temperature": config.temperature,
         "max_output_tokens": config.max_output_tokens,
     }
+
+
+def ordered_map(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(item) for item in items]``, inline when ``min(workers, len(items))
+    <= 1``; otherwise each call runs on a new pool of that many threads (this
+    module's ``ThreadPoolExecutor``, read at each call), never on the calling
+    thread, and the first error in input order is raised once all have ended."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+    return [future.result() for future in futures]
 
 
 def format_unverified(graph: SemanticGraph, mask: CoverageMask) -> str:
@@ -420,22 +434,11 @@ def _run_level(
     batch: QuestionBatch, image: ImageRef, config: PipelineConfig
 ) -> tuple[list[tuple[str, float]], list[bool], list[str]]:
     """Fan stage 2+3 out over the batch; results keep batch order."""
-    workers = min(config.intra_level_parallelism, len(batch.items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    lambda item: _answer_and_judge(
-                        item.question, item.expected_answer, image, config
-                    ),
-                    batch.items,
-                )
-            )
-    else:
-        outcomes = [
-            _answer_and_judge(item.question, item.expected_answer, image, config)
-            for item in batch.items
-        ]
+    outcomes = ordered_map(
+        lambda item: _answer_and_judge(item.question, item.expected_answer, image, config),
+        batch.items,
+        config.intra_level_parallelism,
+    )
     answers = [(answer, confidence) for answer, confidence, _, _ in outcomes]
     verdicts = [verdict for _, _, verdict, _ in outcomes]
     notes = [note for _, _, _, item_notes in outcomes for note in item_notes]
@@ -673,11 +676,7 @@ def evaluate_batch(
         except (HmgieError, OSError, ValueError) as exc:
             return ItemResult(item=item, error=f"{type(exc).__name__}: {exc}")
 
-    if parallelism == 1 or len(dataset) <= 1:
-        results = [_one(item) for item in dataset]
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            results = list(pool.map(_one, dataset))
+    results = ordered_map(_one, dataset, parallelism)
 
     evaluated = sum(1 for r in results if r.report is not None)
     failed = len(results) - evaluated

@@ -1,5 +1,6 @@
 import json
 import re
+import threading
 
 import pytest
 
@@ -12,6 +13,7 @@ from hmgie.forge import (
     ForgeStatus,
     GranularitySpec,
     build_dataset,
+    compose_fusion_prompt,
     compose_perturbation_prompt,
     generate_ground_truth,
     perturb_iteratively,
@@ -54,6 +56,31 @@ def forge_config(responder, **overrides) -> tuple[ForgeConfig, DynamicBackend]:
     )
     defaults.update(overrides)
     return ForgeConfig(**defaults), backend
+
+
+def ensemble_config(responder, size: int = 3) -> tuple[ForgeConfig, DynamicBackend]:
+    """A forge config whose captioners share one gateway, named model-0, model-1, ..."""
+    backend = DynamicBackend(responder)
+    gateway = Gateway(backend)
+    config = ForgeConfig(
+        bindings=ForgeBindings(
+            captioners=(gateway,) * size, fusion=gateway, perturb=gateway, detector=gateway
+        ),
+        captioner_model_ids=tuple(f"model-{index}" for index in range(size)),
+        templates=TEMPLATES,
+    )
+    return config, backend
+
+
+def ground_truth(config: ForgeConfig, notes: list[str]) -> str:
+    return generate_ground_truth(
+        TINY_PNG,
+        DEFAULT_GRANULARITY_SPECS[1],
+        config.bindings.captioners,
+        config.bindings.fusion,
+        config,
+        notes,
+    )
 
 
 class TestGroundTruth:
@@ -143,6 +170,51 @@ class TestGroundTruth:
         assert len(notes) == 1
         assert notes[0].startswith("1 captioner(s) failed: ['captioner 1: ")
         assert caption == "solo caption"
+
+    def test_ensemble_members_are_asked_at_once(self):
+        # Each caption call waits until all three are in flight; asked one
+        # after another, the first call breaks the barrier.
+        barrier = threading.Barrier(3, timeout=5)
+        plain = forge_responder()
+
+        def respond(request):
+            if request.prompt.startswith("Describe the image"):
+                barrier.wait()
+            return plain(request)
+
+        config, backend = ensemble_config(respond)
+        notes: list[str] = []
+        assert ground_truth(config, notes) == "fused caption"
+        assert notes == []
+        assert len(backend.calls) == 4
+
+    def test_ensemble_order_holds_when_replies_arrive_reversed(self):
+        # Captioner 2 replies first, then captioner 1 fails, then captioner 0
+        # replies; captions, fusion prompt and notes keep captioner order.
+        turns = [threading.Event() for _ in range(3)]
+        turns[2].set()
+        arrivals = []
+
+        def respond(request):
+            if not request.prompt.startswith("Describe the image"):
+                return "fused caption"
+            index = int(request.model_id.rsplit("-", 1)[1])
+            assert turns[index].wait(timeout=5)
+            arrivals.append(index)
+            if index:
+                turns[index - 1].set()
+            return None if index == 1 else f"caption {index}"
+
+        config, backend = ensemble_config(respond)
+        notes: list[str] = []
+        assert ground_truth(config, notes) == "fused caption"
+        assert arrivals == [2, 1, 0]
+        failed = next(c for c in backend.calls if c.model_id == "model-1")
+        assert notes == [
+            "1 captioner(s) failed: "
+            f"['captioner 1: no fixture recorded for request key {failed.key}']"
+        ]
+        assert backend.calls[-1].prompt == compose_fusion_prompt(["caption 0", "caption 2"])
 
 
 class TestPerturbation:
@@ -386,6 +458,23 @@ class TestBuildDataset:
         assert summary.errors[0].startswith(
             f"{images[0]} g1: 1 captioner(s) failed: ['captioner 1: "
         )
+
+    def test_lone_surrogate_in_a_reply_keeps_the_run(self, images, tmp_path):
+        # json.loads makes a lone surrogate of a "\ud800" escape in an HTTP
+        # reply; the prompts that quote it still get keys, and the dataset
+        # file carries it as its JSON escape.
+        def respond(request):
+            if request.prompt.startswith("Describe the image"):
+                return "a caption \ud800"
+            return forge_responder(fool_at_version=1)(request)
+
+        config, _ = forge_config(respond, specs=DEFAULT_GRANULARITY_SPECS[:1])
+        out = tmp_path / "data.jsonl"
+        summary = build_dataset(images[:1], config, out)
+        assert summary.errors == ()
+        assert summary.records_written == 2
+        lines = [json.loads(line) for line in out.read_text("ascii").splitlines()]
+        assert [line["ground_truth"] for line in lines] == ["a caption \ud800"] * 2
 
 
 class TestGranularitySpecs:

@@ -88,9 +88,9 @@ class TestImageRef:
     def test_data_url_and_media_type(self):
         ref = ImageRef(TINY_PNG)
         assert ref.media_type == "image/png"
-        assert ref.data_url == b"data:image/png;base64," + base64.b64encode(TINY_PNG)
-        assert ref.data_url is ref.data_url
-        assert ImageRef(b"no magic").data_url.startswith(b"data:image/jpeg;base64,")
+        assert ref.base64_payload == base64.b64encode(TINY_PNG)
+        assert ref.base64_payload is ref.base64_payload
+        assert ImageRef(b"no magic").media_type is None
 
     def test_of_keeps_an_existing_ref(self):
         ref = ImageRef(TINY_PNG)
@@ -178,6 +178,18 @@ class TestCacheKey:
         a = ModelRequest.vision("p", TINY_PNG)
         b = ModelRequest.vision("p", TINY_PNG + b"\x00")
         assert cache_key(a) != cache_key(b)
+
+    def test_lone_surrogate_has_a_key(self):
+        # A reply quoted in a later prompt may hold a lone surrogate.
+        request = text_request("caption \ud800")
+        assert request.key != text_request("caption ").key
+        valid = text_request("caf\u00e9 \u2713")
+        canonical = json.dumps(
+            {"kind": "text", "model_id": "gpt-4o", "temperature": 0.3,
+             "prompt": "caf\u00e9 \u2713", "image_digest": None},
+            sort_keys=True, ensure_ascii=False,
+        )
+        assert valid.key == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class TestScriptedBackend:
@@ -285,6 +297,23 @@ class TestCaching:
             thread.join(timeout=5)
         assert results == ["slow"] * 4
         assert len(backend.calls) == 1
+
+    def test_recorded_miss_looks_for_a_key_file_once(self, tmp_path, monkeypatch):
+        # The re-check under the gate reads the in-memory index only.
+        opened = []
+
+        def counting_open(path, *args, **kwargs):
+            if str(path).endswith(".txt"):
+                opened.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(gateway_module, "open", counting_open, raising=False)
+        gateway = Gateway(DynamicBackend(lambda r: "live"), cache_dir=tmp_path, record=True)
+        for prompt in ("first", "second"):
+            request = text_request(prompt)
+            assert gateway.call(request).text == "live"
+            assert opened == [f"{tmp_path}{os.sep}{request.key}.txt"]
+            opened.clear()
 
 
 def _log_entries(directory: Path) -> list:
@@ -601,6 +630,35 @@ class TestInflightGates:
         assert errors == ["k5"] * 12
         assert 1 <= prompts.count("k5") <= 12
 
+    def test_recorded_duplicates_coalesced(self, tmp_path):
+        """In record mode the re-check under the gate reads only memory; a
+        duplicate that waited there is served the reply its twin logged."""
+        keys = [f"k{i}" for i in range(4)]
+        backend = DynamicBackend(lambda r: time.sleep(0.002) or f"reply to {r.prompt}")
+        gateway = Gateway(backend, cache_dir=tmp_path, record=True)
+        replies = []
+
+        def worker(offset):
+            for key in keys[offset:] + keys[:offset]:
+                replies.append((key, gateway.call(text_request(key)).text))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i % 4,)) for i in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(replies) == sorted((k, f"reply to {k}") for k in keys for _ in range(12))
+        assert sorted(r.prompt for r in backend.calls) == keys
+        assert sorted(key for key, _ in _log_entries(tmp_path)) == sorted(
+            text_request(k).key for k in keys
+        )
+
     def test_failure_goes_to_every_waiter_on_the_gate(self):
         """Duplicates that wait on a failing call get its error instead of
         running the whole retry loop again, one after another."""
@@ -856,6 +914,25 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
                 backend.complete(request)
             expected = _vision_body(prompt, payload, media, system_prompt)
             assert server.raw == [expected, expected]
+
+    def test_vision_body_sent_in_chunks_with_a_length(self):
+        """The image's cached base64 text goes out as its own chunk, under an
+        explicit Content-Length, never chunked transfer encoding."""
+        ref = ImageRef(TINY_PNG * 40)
+        request = ModelRequest.vision(
+            "look", ref, model_id="vm", temperature=0.1, max_output_tokens=64
+        )
+        with FakeChatServer() as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            chunks = backend._body(request)
+            assert chunks[2] is ref.base64_payload
+            backend.complete(request)
+        expected = _vision_body("look", TINY_PNG * 40, "image/png")
+        assert server.raw == [expected]
+        assert b"".join(chunks) == expected
+        assert server.headers[0]["Content-Length"] == str(len(expected))
+        assert "Transfer-Encoding" not in server.headers[0]
 
     def test_retry_on_429(self):
         state = {"n": 0}

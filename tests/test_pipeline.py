@@ -1,8 +1,12 @@
+import ast
 import hashlib
 import json
 import re
+import threading
+import time
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,7 @@ from hmgie.pipeline import (
     evaluate_batch,
     evaluate_pair,
     load_dataset_jsonl,
+    ordered_map,
 )
 from hmgie.prompts import load_templates
 
@@ -759,6 +764,82 @@ class TestBatch:
         ]
         batch = evaluate_batch(items, config, parallelism=3)
         assert [r.item.id for r in batch.results] == [f"item-{k}" for k in range(5)]
+
+
+class TestOrderedMap:
+    def test_results_keep_input_order(self):
+        def square_late_first(n):
+            time.sleep((8 - n) * 0.005)  # early items finish last
+            return n * n
+
+        assert ordered_map(square_late_first, range(8), 4) == [n * n for n in range(8)]
+
+    def test_at_most_workers_threads_none_of_them_the_callers(self, monkeypatch):
+        pools = []
+
+        class CountingPool(pipeline_module.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        # The pool class is read from the module at each call.
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", CountingPool)
+        lock = threading.Lock()
+        running, peak, threads = [0], [0], set()
+
+        def task(n):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.01)
+            with lock:
+                running[0] -= 1
+            return n
+
+        assert ordered_map(task, range(12), 3) == list(range(12))
+        assert pools == [3]
+        assert peak[0] <= 3
+        assert len(threads) <= 3
+        assert threading.get_ident() not in threads
+
+    @pytest.mark.parametrize("workers, count", [(1, 5), (4, 1), (4, 0)])
+    def test_runs_inline_without_a_second_worker(self, workers, count, monkeypatch):
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", None)  # any use fails
+        threads = ordered_map(lambda n: threading.get_ident(), range(count), workers)
+        assert threads == [threading.get_ident()] * count
+
+    def test_first_error_in_input_order_raised_after_every_task_ends(self):
+        ended = []
+
+        def task(n):
+            time.sleep({1: 0.05, 3: 0.0, 5: 0.1}.get(n, 0.01))
+            ended.append(n)
+            if n in (1, 3):  # 3 fails first in time, 1 first in order
+                raise ValueError(str(n))
+            return n
+
+        with pytest.raises(ValueError, match="^1$"):
+            ordered_map(task, range(6), 3)
+        assert sorted(ended) == list(range(6))
+
+
+def test_only_pipeline_imports_a_thread_pool():
+    """ordered_map is the package's one fan-out, and pipeline's
+    ThreadPoolExecutor the one pool class a caller needs to swap."""
+    package = Path(pipeline_module.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any("concurrent" in name or "ThreadPoolExecutor" in name for name in names):
+                importers.append(path.name)
+    assert importers == ["pipeline.py"]
 
 
 class TestDatasetLoading:
