@@ -225,6 +225,10 @@ def _pipeline_config(rc: RunConfig, factory: _GatewayFactory) -> PipelineConfig:
         temperature=rc.temperature,
         max_output_tokens=rc.max_output_tokens,
         templates=load_templates(rc.templates_dir),
+        # Replay waits on no model, so level fan-out threads only add switching.
+        intra_level_parallelism=(
+            1 if rc.mode == "replay" else PipelineConfig.intra_level_parallelism
+        ),
     )
 
 
@@ -440,7 +444,11 @@ def _forge(args, rc: RunConfig, factory: _GatewayFactory) -> int:
     image_paths = sorted(
         str(p) for p in images_dir.iterdir() if p.suffix.lower() in IMAGE_EXTENSIONS
     )
-    summary = build_dataset(image_paths, config, args.out)
+    try:
+        summary = build_dataset(image_paths, config, args.out)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"records: {summary.records_written} "
           f"({summary.clean_records} clean, {summary.adversarial_records} adversarial)")
     for granularity in sorted(summary.per_granularity):

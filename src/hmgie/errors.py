@@ -139,8 +139,4 @@ class AllCaptionersFailedError(HmgieError):
 
 
 class ForgeError(HmgieError):
-    """Dataset forging aborted; carries the perturbation history so far."""
-
-    def __init__(self, message: str, history=()):
-        super().__init__(message)
-        self.history = tuple(history)
+    """A backend failure aborted the perturbation of one forge cell."""

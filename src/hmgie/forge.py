@@ -112,26 +112,24 @@ class ForgeStatus(Enum):
 
 @dataclass(frozen=True)
 class ForgeRecord:
-    """Outcome of perturbing one ground-truth caption."""
+    """Outcome of perturbing one ground-truth caption: one verdict per try."""
 
-    image_path: str
-    granularity: int
     ground_truth_caption: str
-    perturbed_caption: Optional[str]
     perturbation_history: tuple[str, ...]
     detector_verdicts: tuple[int, ...]
-    status: ForgeStatus
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "perturbation_history", tuple(self.perturbation_history)
-        )
-        object.__setattr__(self, "detector_verdicts", tuple(self.detector_verdicts))
+    @property
+    def status(self) -> ForgeStatus:
+        if self.detector_verdicts[-1:] == (1,):
+            return ForgeStatus.ADVERSARIAL_FOUND
+        return ForgeStatus.MAX_ITER_REACHED
+
+    @property
+    def perturbed_caption(self) -> Optional[str]:
+        """The last try when it evaded the detector, else None."""
         if self.status is ForgeStatus.ADVERSARIAL_FOUND:
-            if not self.detector_verdicts or self.detector_verdicts[-1] != 1:
-                raise SchemaViolationError(
-                    "an adversarial record must end with the detector judging consistent"
-                )
+            return self.perturbation_history[-1]
+        return None
 
 
 @dataclass(frozen=True)
@@ -269,20 +267,14 @@ def _request(
 
 
 def generate_ground_truth(
-    image: ImageRef | bytes,
-    spec: GranularitySpec,
-    captioners: Sequence[Gateway],
-    fusion: Gateway,
-    config: ForgeConfig,
-    notes: list[str],
+    image: ImageRef | bytes, spec: GranularitySpec, config: ForgeConfig, notes: list[str]
 ) -> str:
     """Ensemble captioning followed by fusion; identity for one member.
 
     Every member is asked at once; captions and failure notes keep captioner
     order. AllCaptionersFailedError when no member replies.
     """
-    if not captioners:
-        raise AllCaptionersFailedError("no captioners configured")
+    captioners = config.bindings.captioners
     image = ImageRef.of(image)
 
     def caption(index: int) -> str | GatewayError:
@@ -301,7 +293,7 @@ def generate_ground_truth(
         notes.append(f"{len(failures)} captioner(s) failed: {failures}")
     if len(captions) == 1:
         return captions[0]
-    return fusion.call(_request(config, compose_fusion_prompt(captions))).text
+    return config.bindings.fusion.call(_request(config, compose_fusion_prompt(captions))).text
 
 
 def _parse_perturbed_caption(raw: str) -> str:
@@ -317,38 +309,30 @@ def _parse_perturbed_caption(raw: str) -> str:
 
 
 def perturb_iteratively(
-    ground_truth: str,
-    perturb_backend: Gateway,
-    detector_backend: Gateway,
-    image: ImageRef | bytes,
-    max_iterations: int,
-    config: ForgeConfig,
-    image_path: str = "",
-    granularity: int = 1,
+    ground_truth: str, image: ImageRef | bytes, config: ForgeConfig
 ) -> ForgeRecord:
     """Iteratively plant an inconsistency until the detector misses it.
 
     Each iteration's prompt embeds the whole history of failed attempts.
-    Backend errors propagate as ForgeError with the partial history attached.
+    Backend errors propagate as ForgeError.
     """
-    if max_iterations < 1:
-        raise SchemaViolationError("max_iterations must be >= 1")
     if not ground_truth or not ground_truth.strip():
         raise SchemaViolationError("ground truth caption must be nonempty")
     image = ImageRef.of(image)
+    bindings = config.bindings
     detector_template = config.templates[config.detector_template]
     history: list[str] = []
     verdicts: list[int] = []
     try:
-        for _ in range(max_iterations):
-            reply = perturb_backend.call(
+        for _ in range(config.max_iterations):
+            reply = bindings.perturb.call(
                 _request(config, compose_perturbation_prompt(ground_truth, history))
             )
             perturbed = _parse_perturbed_caption(reply.text)
             history.append(perturbed)
 
             detect_prompt = render(detector_template, {"caption": perturbed})
-            detect_reply = detector_backend.call(_request(config, detect_prompt, image))
+            detect_reply = bindings.detector.call(_request(config, detect_prompt, image))
             try:
                 consistent = parse_consistency_reply(detect_reply.text).consistent
             except MalformedOutputError:
@@ -359,17 +343,8 @@ def perturb_iteratively(
             if consistent:
                 break
     except GatewayError as exc:
-        raise ForgeError(f"perturbation aborted: {exc}", history=history) from exc
-    evaded = verdicts[-1] == 1
-    return ForgeRecord(
-        image_path=image_path,
-        granularity=granularity,
-        ground_truth_caption=ground_truth,
-        perturbed_caption=history[-1] if evaded else None,
-        perturbation_history=tuple(history),
-        detector_verdicts=tuple(verdicts),
-        status=ForgeStatus.ADVERSARIAL_FOUND if evaded else ForgeStatus.MAX_ITER_REACHED,
-    )
+        raise ForgeError(f"perturbation aborted: {exc}") from exc
+    return ForgeRecord(ground_truth, tuple(history), tuple(verdicts))
 
 
 @dataclass(frozen=True)
@@ -384,71 +359,46 @@ class ForgeSummary:
 
 def _record_lines(
     image_path: str, spec: GranularitySpec, config: ForgeConfig
-) -> tuple[list[dict], list[str], int]:
-    """Build the JSONL payloads for one (image, granularity) cell."""
-    lines: list[dict] = []
-    notes: list[str] = []
-    skipped = 0
+) -> tuple[list[dict], list[str]]:
+    """Build the JSONL payloads and the notes for one (image, granularity) cell."""
+    cell = f"{image_path} g{spec.level}"
     image = ImageRef(Path(image_path).read_bytes())
     caption_notes: list[str] = []
-    ground_truth = generate_ground_truth(
-        image, spec, config.bindings.captioners, config.bindings.fusion, config, caption_notes
-    )
-    notes.extend(f"{image_path} g{spec.level}: {note}" for note in caption_notes)
-    stem = Path(image_path).stem
-    base = {"image_path": image_path, "granularity": spec.level}
-    lines.append(
+    ground_truth = generate_ground_truth(image, spec, config, caption_notes)
+    notes = [f"{cell}: {note}" for note in caption_notes]
+    record = perturb_iteratively(ground_truth, image, config)
+    base = {"image_path": image_path, "granularity": spec.level, "ground_truth": ground_truth}
+    id_prefix = f"{Path(image_path).stem}-g{spec.level}"
+    lines = [
         {
-            "id": f"{stem}-g{spec.level}-clean",
             **base,
+            "id": f"{id_prefix}-clean",
             "caption": ground_truth,
             "label": 0,
-            "ground_truth": ground_truth,
             "perturbation_history": [],
             "status": ForgeStatus.CLEAN.value,
         }
-    )
-    record = perturb_iteratively(
-        ground_truth,
-        config.bindings.perturb,
-        config.bindings.detector,
-        image,
-        config.max_iterations,
-        config,
-        image_path=image_path,
-        granularity=spec.level,
-    )
-    adversarial = record.perturbed_caption
-    status = record.status
-    if status is ForgeStatus.MAX_ITER_REACHED:
-        if config.include_undetected and record.perturbation_history:
-            adversarial = record.perturbation_history[-1]
-        else:
-            notes.append(
-                f"{image_path} g{spec.level}: no detector-evading perturbation within "
-                f"{config.max_iterations} iterations; adversarial record omitted"
-            )
-            skipped = 1
-            adversarial = None
-    if adversarial is not None:
-        if adversarial == ground_truth:
-            notes.append(
-                f"{image_path} g{spec.level}: perturbation equals ground truth; omitted"
-            )
-            skipped = 1
-        else:
-            lines.append(
-                {
-                    "id": f"{stem}-g{spec.level}-adv",
-                    **base,
-                    "caption": adversarial,
-                    "label": 1,
-                    "ground_truth": ground_truth,
-                    "perturbation_history": list(record.perturbation_history),
-                    "status": status.value,
-                }
-            )
-    return lines, notes, skipped
+    ]
+    adversarial = record.perturbation_history[-1]
+    if record.status is ForgeStatus.MAX_ITER_REACHED and not config.include_undetected:
+        notes.append(
+            f"{cell}: no detector-evading perturbation within "
+            f"{config.max_iterations} iterations; adversarial record omitted"
+        )
+    elif adversarial == ground_truth:
+        notes.append(f"{cell}: perturbation equals ground truth; omitted")
+    else:
+        lines.append(
+            {
+                **base,
+                "id": f"{id_prefix}-adv",
+                "caption": adversarial,
+                "label": 1,
+                "perturbation_history": list(record.perturbation_history),
+                "status": record.status.value,
+            }
+        )
+    return lines, notes
 
 
 def build_dataset(
@@ -459,9 +409,17 @@ def build_dataset(
     """Forge the dataset file: one clean and (when found) one adversarial
     record per (image, granularity), in deterministic order.
 
-    Per-cell errors are logged in the summary and the run continues.
+    Per-cell errors are logged in the summary and the run continues; a cell
+    that wrote its clean record alone counts as skipped. Two images that
+    share a file stem would share record ids: ValueError, before any call.
     """
     ordered = sorted(str(p) for p in image_paths)
+    owners: dict[str, str] = {}
+    for path in ordered:
+        stem = Path(path).stem
+        if stem in owners:
+            raise ValueError(f"images {owners[stem]!r} and {path!r} would share record ids")
+        owners[stem] = path
     cells = [(path, spec) for path in ordered for spec in config.specs]
 
     def _one(cell: tuple[str, GranularitySpec]):
@@ -469,7 +427,7 @@ def build_dataset(
         try:
             return _record_lines(path, spec, config)
         except (HmgieError, OSError) as exc:
-            return [], [f"{path} g{spec.level}: {type(exc).__name__}: {exc}"], 0
+            return [], [f"{path} g{spec.level}: {type(exc).__name__}: {exc}"]
 
     outcomes = ordered_map(_one, cells, config.parallelism)
 
@@ -477,10 +435,10 @@ def build_dataset(
     errors: list[str] = []
     skipped = 0
     per_granularity: dict[int, int] = {}
-    for lines, notes, cell_skipped in outcomes:
+    for lines, notes in outcomes:
         all_lines.extend(lines)
         errors.extend(notes)
-        skipped += cell_skipped
+        skipped += len(lines) == 1
         for line in lines:
             per_granularity[line["granularity"]] = (
                 per_granularity.get(line["granularity"], 0) + 1

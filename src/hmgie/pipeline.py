@@ -633,6 +633,8 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
             for key in ("image_path", "caption"):
                 if key not in record:
                     raise ValueError(f"{path}:{line_no}: missing {key!r}")
+                if not isinstance(record[key], str):
+                    raise ValueError(f"{path}:{line_no}: {key} must be a string")
             # type(...) is int: JSON true and 1.0 compare equal to 1
             label = record.get("label")
             if label is not None and (type(label) is not int or label not in (0, 1)):
@@ -645,8 +647,8 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
             items.append(
                 DatasetItem(
                     id=str(record.get("id", f"line-{line_no}")),
-                    image_path=str(record["image_path"]),
-                    caption=str(record["caption"]),
+                    image_path=record["image_path"],
+                    caption=record["caption"],
                     label=label,
                     granularity=granularity,
                 )

@@ -289,7 +289,7 @@ def _coerce_index_list(value: Any, field: str, notes: list[str]) -> frozenset[in
             continue
         if isinstance(item, int):
             indices.add(item)
-        elif isinstance(item, str) and item.strip().lstrip("-").isdigit():
+        elif isinstance(item, str) and re.fullmatch(r"-?\d+", item.strip()):
             indices.add(int(item.strip()))
         else:
             notes.append(f"ignoring non-integer edge index {item!r}")

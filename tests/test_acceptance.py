@@ -278,14 +278,7 @@ def test_08_forge_history_integrity_and_label_soundness(tmp_path):
     config = ForgeConfig(
         bindings=ForgeBindings.uniform(gateway), templates=TEMPLATES, max_iterations=5
     )
-    record = perturb_iteratively(
-        "ground truth caption",
-        config.bindings.perturb,
-        config.bindings.detector,
-        TINY_PNG,
-        max_iterations=5,
-        config=config,
-    )
+    record = perturb_iteratively("ground truth caption", TINY_PNG, config)
     assert record.status is ForgeStatus.ADVERSARIAL_FOUND
     assert len(record.perturbation_history) == 3
     perturb_prompts = [

@@ -14,6 +14,7 @@ from helpers import (
     scripted_config,
     write_fixture_dir,
 )
+from hmgie import pipeline
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from hmgie.gateway import Gateway, HttpBackend
 from hmgie.pipeline import RoleBindings, evaluate_pair
@@ -316,6 +317,28 @@ class TestRecordReplay:
         replayed = (out_replay / "pair.report.json").read_bytes()
         assert recorded == replayed
 
+    def test_replay_runs_levels_without_a_pool_and_writes_the_same_report(
+        self, replay_setup, tmp_path, monkeypatch
+    ):
+        fixture_dir, image = replay_setup
+        config = replace(scripted_config(), intra_level_parallelism=4)
+        build_two_level_scenario(config, caption=CAPTION)
+        fanned_out = evaluate_pair(TINY_PNG, CAPTION, config).to_json() + "\n"
+        pools = []
+
+        class CountingPool(pipeline.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
+        out = tmp_path / "out"
+        argv = ["replay", "--image", str(image), "--caption", CAPTION, "--out", str(out),
+                "--cache-dir", str(fixture_dir)]
+        assert main(argv) == EXIT_OK
+        assert pools == []
+        assert (out / "pair.report.json").read_text(encoding="utf-8") == fanned_out
+
     def test_commands_close_the_backends_they_built(self, tmp_path, monkeypatch):
         closed = []
         close = HttpBackend.close
@@ -564,6 +587,23 @@ class TestForgeCli:
         )
         assert code == EXIT_USAGE
         assert "max-iter" in capsys.readouterr().err
+
+    def test_images_sharing_a_stem_exit_2_before_any_call(self, tmp_path, capsys):
+        images = tmp_path / "imgs"
+        images.mkdir()
+        for name in ("cat.png", "cat.jpg"):
+            (images / name).write_bytes(TINY_PNG)
+        fixtures = tmp_path / "fx"
+        fixtures.mkdir()
+        out = tmp_path / "dataset.jsonl"
+        argv = ["forge", "--images", str(images), "--out", str(out), "--replay", str(fixtures)]
+        assert main(argv) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: images {str(images / 'cat.jpg')!r} and {str(images / 'cat.png')!r} "
+            "would share record ids\n"
+        )
+        assert not out.exists()
 
 
 class TestConfigResolution:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import threading
@@ -11,6 +12,7 @@ from hmgie.forge import (
     ForgeBindings,
     ForgeConfig,
     ForgeStatus,
+    ForgeSummary,
     GranularitySpec,
     build_dataset,
     compose_fusion_prompt,
@@ -73,27 +75,13 @@ def ensemble_config(responder, size: int = 3) -> tuple[ForgeConfig, DynamicBacke
 
 
 def ground_truth(config: ForgeConfig, notes: list[str]) -> str:
-    return generate_ground_truth(
-        TINY_PNG,
-        DEFAULT_GRANULARITY_SPECS[1],
-        config.bindings.captioners,
-        config.bindings.fusion,
-        config,
-        notes,
-    )
+    return generate_ground_truth(TINY_PNG, DEFAULT_GRANULARITY_SPECS[1], config, notes)
 
 
 class TestGroundTruth:
     def test_single_captioner_identity(self):
         config, backend = forge_config(forge_responder())
-        caption = generate_ground_truth(
-            TINY_PNG,
-            DEFAULT_GRANULARITY_SPECS[0],
-            config.bindings.captioners,
-            config.bindings.fusion,
-            config,
-            [],
-        )
+        caption = generate_ground_truth(TINY_PNG, DEFAULT_GRANULARITY_SPECS[0], config, [])
         assert caption == "ground truth caption (gpt-4o)"
         # no fusion call was made
         assert not any(
@@ -113,14 +101,7 @@ class TestGroundTruth:
             captioner_model_ids=("model-a", "model-b", "model-c"),
             templates=TEMPLATES,
         )
-        caption = generate_ground_truth(
-            TINY_PNG,
-            DEFAULT_GRANULARITY_SPECS[1],
-            config.bindings.captioners,
-            config.bindings.fusion,
-            config,
-            [],
-        )
+        caption = generate_ground_truth(TINY_PNG, DEFAULT_GRANULARITY_SPECS[1], config, [])
         assert caption == "fused caption"
         fusion_prompt = next(
             c.prompt for c in backend.calls if c.prompt.startswith("You are given")
@@ -131,14 +112,7 @@ class TestGroundTruth:
     def test_all_captioners_failed(self):
         config, _ = forge_config(lambda request: None)
         with pytest.raises(AllCaptionersFailedError):
-            generate_ground_truth(
-                TINY_PNG,
-                DEFAULT_GRANULARITY_SPECS[0],
-                config.bindings.captioners,
-                config.bindings.fusion,
-                config,
-                [],
-            )
+            generate_ground_truth(TINY_PNG, DEFAULT_GRANULARITY_SPECS[0], config, [])
 
     def test_partial_failure_tolerated(self):
         def flaky(request):
@@ -159,14 +133,7 @@ class TestGroundTruth:
             templates=TEMPLATES,
         )
         notes: list[str] = []
-        caption = generate_ground_truth(
-            TINY_PNG,
-            DEFAULT_GRANULARITY_SPECS[0],
-            config.bindings.captioners,
-            config.bindings.fusion,
-            config,
-            notes,
-        )
+        caption = generate_ground_truth(TINY_PNG, DEFAULT_GRANULARITY_SPECS[0], config, notes)
         assert len(notes) == 1
         assert notes[0].startswith("1 captioner(s) failed: ['captioner 1: ")
         assert caption == "solo caption"
@@ -220,14 +187,7 @@ class TestGroundTruth:
 class TestPerturbation:
     def test_adversarial_found_at_second_iteration(self):
         config, _ = forge_config(forge_responder(fool_at_version=2))
-        record = perturb_iteratively(
-            "ground truth",
-            config.bindings.perturb,
-            config.bindings.detector,
-            TINY_PNG,
-            max_iterations=3,
-            config=config,
-        )
+        record = perturb_iteratively("ground truth", TINY_PNG, config)
         assert record.status is ForgeStatus.ADVERSARIAL_FOUND
         assert len(record.perturbation_history) == 2
         assert record.detector_verdicts == (0, 1)
@@ -235,14 +195,7 @@ class TestPerturbation:
 
     def test_max_iterations_reached(self):
         config, _ = forge_config(forge_responder(fool_at_version=None))
-        record = perturb_iteratively(
-            "ground truth",
-            config.bindings.perturb,
-            config.bindings.detector,
-            TINY_PNG,
-            max_iterations=3,
-            config=config,
-        )
+        record = perturb_iteratively("ground truth", TINY_PNG, config)
         assert record.status is ForgeStatus.MAX_ITER_REACHED
         assert len(record.perturbation_history) == 3
         assert record.perturbed_caption is None
@@ -251,27 +204,11 @@ class TestPerturbation:
     def test_zero_iterations_invalid(self):
         config, _ = forge_config(forge_responder())
         with pytest.raises(SchemaViolationError):
-            perturb_iteratively(
-                "ground truth",
-                config.bindings.perturb,
-                config.bindings.detector,
-                TINY_PNG,
-                max_iterations=0,
-                config=config,
-            )
-        with pytest.raises(SchemaViolationError):
             ForgeConfig(bindings=config.bindings, templates=TEMPLATES, max_iterations=0)
 
     def test_history_embedded_in_each_prompt(self):
-        config, backend = forge_config(forge_responder(fool_at_version=None))
-        perturb_iteratively(
-            "ground truth",
-            config.bindings.perturb,
-            config.bindings.detector,
-            TINY_PNG,
-            max_iterations=4,
-            config=config,
-        )
+        config, backend = forge_config(forge_responder(fool_at_version=None), max_iterations=4)
+        perturb_iteratively("ground truth", TINY_PNG, config)
         perturb_prompts = [
             c.prompt
             for c in backend.calls
@@ -308,15 +245,9 @@ class TestPerturbation:
             bindings=ForgeBindings.uniform(gateway),
             templates=TEMPLATES,
             detector_template=TemplateName.COT_PROMPT,
-        )
-        record = perturb_iteratively(
-            "ground truth",
-            config.bindings.perturb,
-            config.bindings.detector,
-            TINY_PNG,
             max_iterations=2,
-            config=config,
         )
+        record = perturb_iteratively("ground truth", TINY_PNG, config)
         assert record.status is ForgeStatus.ADVERSARIAL_FOUND
         assert record.perturbed_caption == "tweaked caption"
 
@@ -400,6 +331,21 @@ class TestBuildDataset:
         assert all(line["status"] == "MaxIterReached" for line in adversarial)
         assert all(line["caption"] == "perturbed caption v2" for line in adversarial)
 
+    @pytest.mark.parametrize("names", [("cat.png", "cat.jpg"), ("cat.png", "cat.png")])
+    def test_images_sharing_a_stem_refused_before_any_call(self, tmp_path, names):
+        paths = []
+        for directory, name in zip(("x", "y"), names):
+            (tmp_path / directory).mkdir()
+            paths.append(tmp_path / directory / name)
+            paths[-1].write_bytes(TINY_PNG)
+        config, backend = forge_config(forge_responder(fool_at_version=1))
+        out = tmp_path / "data.jsonl"
+        message = f"images {str(paths[0])!r} and {str(paths[1])!r} would share record ids"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_dataset(paths, config, out)
+        assert backend.calls == []
+        assert not out.exists()
+
     def test_empty_image_list(self, tmp_path):
         config, _ = forge_config(forge_responder())
         out = tmp_path / "empty.jsonl"
@@ -475,6 +421,114 @@ class TestBuildDataset:
         assert summary.records_written == 2
         lines = [json.loads(line) for line in out.read_text("ascii").splitlines()]
         assert [line["ground_truth"] for line in lines] == ["a caption \ud800"] * 2
+
+
+LEVEL_OF_PROMPT = {spec.prompt: spec.level for spec in DEFAULT_GRANULARITY_SPECS}
+
+
+def golden_responder(request):
+    """One cell per granularity of one image, each with its own outcome.
+
+    g1 evades the detector at round 2, g2 never does, g3's perturbation is
+    the ground truth itself, and g4's perturbation call fails at round 2.
+    """
+    prompt = request.prompt
+    if prompt.startswith("Describe the image"):
+        return f"g{LEVEL_OF_PROMPT[prompt]} caption by {request.model_id}"
+    if prompt.startswith("You are given several candidate captions"):
+        return re.search(r"Caption 1: (g\d)", prompt).group(1) + " scene"
+    if prompt.startswith("You are constructing hard negative captions"):
+        level = int(re.search(r"Ground-truth caption: g(\d) scene", prompt).group(1))
+        attempt = prompt.count("Attempt ") + 1
+        if level == 4 and attempt == 2:
+            return None
+        caption = "g3 scene" if level == 3 else f"g{level} scene v{attempt}"
+        return json.dumps({"Perturbed-Caption": caption})
+    if prompt.startswith("Does the image match"):
+        level, version = re.search(r"g(\d) scene(?: v(\d))?", prompt).groups()
+        fooled = level == "3" or (level == "1" and int(version) >= 2)
+        return json.dumps({"Answer": "Yes" if fooled else "No", "Explanation": "e"})
+    return None
+
+
+GOLDEN_CLEAN = (
+    '{"caption": "g1 scene", "granularity": 1, "ground_truth": "g1 scene", '
+    '"id": "cat-g1-clean", "image_path": "cat.png", "label": 0, '
+    '"perturbation_history": [], "status": "Clean"}\n'
+)
+GOLDEN_ADV_G1 = (
+    '{"caption": "g1 scene v2", "granularity": 1, "ground_truth": "g1 scene", '
+    '"id": "cat-g1-adv", "image_path": "cat.png", "label": 1, '
+    '"perturbation_history": ["g1 scene v1", "g1 scene v2"], '
+    '"status": "AdversarialFound"}\n'
+)
+GOLDEN_CLEAN_G2 = GOLDEN_CLEAN.replace("g1", "g2").replace('"granularity": 1', '"granularity": 2')
+GOLDEN_ADV_G2 = (
+    '{"caption": "g2 scene v3", "granularity": 2, "ground_truth": "g2 scene", '
+    '"id": "cat-g2-adv", "image_path": "cat.png", "label": 1, '
+    '"perturbation_history": ["g2 scene v1", "g2 scene v2", "g2 scene v3"], '
+    '"status": "MaxIterReached"}\n'
+)
+GOLDEN_CLEAN_G3 = GOLDEN_CLEAN.replace("g1", "g3").replace('"granularity": 1', '"granularity": 3')
+GOLDEN_KEYS_SHA256 = "f935a40e8dffd4726aaf2a96a914ac5c2da63a9c33c6a698b8eb7a9cbc24b2dd"
+
+
+class TestForgeGolden:
+    """Pins forge's JSONL bytes, summary and request keys over every outcome."""
+
+    @pytest.mark.parametrize("include_undetected", [False, True])
+    def test_every_cell_outcome(self, tmp_path, monkeypatch, include_undetected):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cat.png").write_bytes(TINY_PNG)
+        backend = DynamicBackend(golden_responder)
+        gateway = Gateway(backend)
+        config = ForgeConfig(
+            bindings=ForgeBindings(
+                captioners=(gateway,) * 3, fusion=gateway, perturb=gateway, detector=gateway
+            ),
+            captioner_model_ids=("model-0", "model-1", "model-2"),
+            max_iterations=3,
+            include_undetected=include_undetected,
+            templates=TEMPLATES,
+        )
+        summary = build_dataset(["cat.png"], config, "data.jsonl")
+
+        keys = sorted(call.key for call in backend.calls)
+        assert len(keys) == 31
+        digest = hashlib.sha256("\n".join(keys).encode("ascii")).hexdigest()
+        assert digest == GOLDEN_KEYS_SHA256
+        failed = next(
+            call.key
+            for call in backend.calls
+            if call.prompt.startswith("You are constructing")
+            and "g4 scene" in call.prompt
+            and "Attempt 1" in call.prompt
+        )
+        adv_g2 = GOLDEN_ADV_G2 if include_undetected else ""
+        assert (tmp_path / "data.jsonl").read_bytes() == (
+            GOLDEN_CLEAN + GOLDEN_ADV_G1 + GOLDEN_CLEAN_G2 + adv_g2 + GOLDEN_CLEAN_G3
+        ).encode("utf-8")
+        g2_note = (
+            ()
+            if include_undetected
+            else (
+                "cat.png g2: no detector-evading perturbation within 3 iterations; "
+                "adversarial record omitted",
+            )
+        )
+        assert summary == ForgeSummary(
+            records_written=5 if include_undetected else 4,
+            clean_records=3,
+            adversarial_records=2 if include_undetected else 1,
+            skipped_undetected=1 if include_undetected else 2,
+            per_granularity={1: 2, 2: 2 if include_undetected else 1, 3: 1},
+            errors=g2_note
+            + (
+                "cat.png g3: perturbation equals ground truth; omitted",
+                "cat.png g4: ForgeError: perturbation aborted: "
+                f"no fixture recorded for request key {failed}",
+            ),
+        )
 
 
 class TestGranularitySpecs:

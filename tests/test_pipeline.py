@@ -891,6 +891,19 @@ class TestDatasetLoading:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {message}")):
             load_dataset_jsonl(path)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("caption", None), ("caption", 3), ("image_path", ["x"]), ("image_path", None)],
+    )
+    def test_caption_and_image_path_must_be_strings(self, tmp_path, field, value):
+        # str() once made JSON null the caption "None" and ["x"] the path "['x']"
+        path = tmp_path / "data.jsonl"
+        rows = [{"image_path": "a", "caption": "c"}, {"image_path": "a", "caption": "c"}]
+        rows[1][field] = value
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {field} must be a string")):
+            load_dataset_jsonl(path)
+
     def test_missing_caption_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"image_path": "a", "label": 1}\n', encoding="utf-8")

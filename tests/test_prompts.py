@@ -223,6 +223,14 @@ class TestQuestionBatch:
         assert item.covered_nodes == {"N1"}
         assert item.covered_edges == {0, 2}
 
+    def test_superscript_edge_index_is_ignored_with_a_note(self):
+        # "²".isdigit() is true, but int("²") raises
+        items = [{"Question": "q", "Expected-Answer": "a", "Covered-Edges": ["²", "-1", 3]}]
+        notes: list[str] = []
+        batch = parse_question_batch(json.dumps({"Questions": items}), 1, notes)
+        assert notes == ["ignoring non-integer edge index '²'"]
+        assert batch.items[0].covered_edges == {-1, 3}
+
     def test_top_level_array_tolerated(self):
         batch = parse_question_batch(
             json.dumps([{"Question": "q", "Expected-Answer": "a"}]), 1, []
@@ -279,6 +287,14 @@ class TestCoverageReply:
                 ),
                 [],
             )
+
+    def test_superscript_edge_index_is_ignored_with_a_note(self):
+        notes: list[str] = []
+        reply = parse_coverage_reply(
+            '{"Verified-Complete": true, "Examined-Edges": ["²", " 4 "]}', notes
+        )
+        assert notes == ["ignoring non-integer edge index '²'"]
+        assert reply.examined_edges == {4}
 
     def test_none_string_suggestion_normalized(self):
         reply = parse_coverage_reply(
