@@ -27,7 +27,6 @@ from .gateway import (
     ModelRequest,
     ModelResponse,
     RequestKind,
-    RetryPolicy,
     ScriptedBackend,
     cache_key,
 )
@@ -69,7 +68,6 @@ from .scoring import (
     MetricsSummary,
     RougeScore,
     ScoringConfig,
-    WeightDirection,
     compute_h_acc,
     compute_h_comp,
     detection_metrics,

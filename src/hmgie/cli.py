@@ -24,7 +24,7 @@ from .forge import (
     ForgeConfig,
     build_dataset,
 )
-from .gateway import Gateway, HttpBackend, RetryPolicy, ScriptedBackend
+from .gateway import Gateway, HttpBackend, ScriptedBackend
 from .pipeline import (
     EvaluationReport,
     PipelineConfig,
@@ -197,7 +197,7 @@ class _GatewayFactory:
                 backend,
                 cache_dir=rc.cache_dir,
                 record=(rc.mode == "record"),
-                retry=RetryPolicy(attempts=rc.retry_limit),
+                attempts=rc.retry_limit,
             )
         return self._gateways[key]
 

@@ -61,10 +61,6 @@ class EmptyHiegError(HmgieError):
     """Evaluation produced no questions at all; the decision is undefined."""
 
 
-class PendingNodeError(HmgieError):
-    """An operation requiring final verdicts found a node still pending."""
-
-
 # --- model gateway ---
 
 class GatewayError(HmgieError):
@@ -122,15 +118,7 @@ class DegenerateInputError(HmgieError):
 
 # --- pipeline / forge ---
 
-class PipelineError(HmgieError):
-    """Evaluation aborted before a report could be built.
-
-    Like every HmgieError that leaves evaluate_pair, it carries the partial
-    evaluation graph (.partial_hieg) and the diagnostics so far (.diagnostics).
-    """
-
-
-class GraphGenFailedError(PipelineError):
+class GraphGenFailedError(HmgieError):
     """Semantic graph generation failed on every configured attempt."""
 
 

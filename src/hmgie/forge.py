@@ -142,9 +142,10 @@ class ForgeBindings:
     detector: Gateway
 
     @classmethod
-    def uniform(cls, gateway: Gateway, ensemble_size: int = 1) -> "ForgeBindings":
+    def uniform(cls, gateway: Gateway) -> "ForgeBindings":
+        """One gateway in every role, with a single captioner."""
         return cls(
-            captioners=(gateway,) * ensemble_size,
+            captioners=(gateway,),
             fusion=gateway,
             perturb=gateway,
             detector=gateway,
@@ -385,6 +386,8 @@ def _record_lines(
             f"{cell}: no detector-evading perturbation within "
             f"{config.max_iterations} iterations; adversarial record omitted"
         )
+    elif not adversarial.strip():
+        notes.append(f"{cell}: perturbation is blank; omitted")
     elif adversarial == ground_truth:
         notes.append(f"{cell}: perturbation equals ground truth; omitted")
     else:

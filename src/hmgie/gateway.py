@@ -188,6 +188,11 @@ class Backend(Protocol):
 # many are idle is closed instead.
 MAX_IDLE_CONNECTIONS = 8
 
+# Retry backoff: the first pause after a transient failure, doubling after
+# each retry, and the most one call sleeps in total across its retries.
+BASE_DELAY = 1.0
+MAX_TOTAL_DELAY = 30.0
+
 # Stands in for the image's data URL while a vision body is serialized; the
 # body then goes out in chunks, the image's cached base64 in the slot's place.
 _IMAGE_SLOT = "hmgie:image-data-url"
@@ -222,7 +227,6 @@ class HttpBackend:
         api_key: str,
         supports_vision: bool = True,
         timeout: float = 120.0,
-        system_prompt: Optional[str] = None,
     ):
         import urllib.parse
         import urllib.request
@@ -232,7 +236,6 @@ class HttpBackend:
         self.api_key = api_key
         self.supports_vision = supports_vision
         self.timeout = timeout
-        self.system_prompt = system_prompt
         url = urllib.parse.urlsplit(self.endpoint)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
@@ -318,14 +321,12 @@ class HttpBackend:
                 {"type": "text", "text": request.prompt},
                 {"type": "image_url", "image_url": {"url": _IMAGE_SLOT}},
             ]
-        messages = [{"role": "system", "content": self.system_prompt}] if self.system_prompt else []
-        messages.append({"role": "user", "content": content})
         body = json.dumps(
             {
                 "model": request.model_id,
                 "temperature": request.temperature,
                 "max_tokens": request.max_output_tokens,
-                "messages": messages,
+                "messages": [{"role": "user", "content": content}],
             },
             allow_nan=False,
         ).encode("utf-8")
@@ -524,21 +525,6 @@ class ScriptedBackend:
         return reply
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Backoff doubling from base_delay; total sleep never exceeds max_total_delay."""
-
-    attempts: int = 3
-    base_delay: float = 1.0
-    max_total_delay: float = 30.0
-
-    def __post_init__(self):
-        if self.attempts < 1:
-            raise SchemaViolationError("retry attempts must be >= 1")
-        if self.base_delay < 0 or self.max_total_delay < 0:
-            raise SchemaViolationError("retry delays must be >= 0")
-
-
 class _Gate:
     """One call in flight: duplicates of it wait on ``lock``, and ``error``
     holds what the call raised, for those waiters only."""
@@ -553,6 +539,10 @@ class _Gate:
 class Gateway:
     """Caching, retrying, coalescing front door to a backend.
 
+    A call makes up to ``attempts`` tries at the backend, sleeping between
+    them with backoff doubling from BASE_DELAY and at least as long as a
+    ``Retry-After`` asked, never more than MAX_TOTAL_DELAY in total.
+
     With cache_dir set, replies are read through that directory's ReplyLog,
     whose index is then the gateway's in-memory cache; record=True
     additionally appends live replies to the log, so a real run can later
@@ -564,7 +554,7 @@ class Gateway:
         backend: Backend,
         cache_dir: Optional[str | Path] = None,
         record: bool = False,
-        retry: Optional[RetryPolicy] = None,
+        attempts: int = 3,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
@@ -572,7 +562,9 @@ class Gateway:
         if record and self.cache_dir is None:
             raise ValueError("record mode requires a cache_dir")
         self.record = record
-        self.retry = retry or RetryPolicy()
+        if attempts < 1:
+            raise SchemaViolationError("retry attempts must be >= 1")
+        self.attempts = attempts
         self._sleeper = sleeper
         self._log = ReplyLog(self.cache_dir) if self.cache_dir is not None else None
         self._memory: dict[str, str] = self._log.replies if self._log is not None else {}
@@ -591,17 +583,17 @@ class Gateway:
             self._memory[key] = text
 
     def _complete_with_retries(self, request: ModelRequest) -> str:
-        delay = self.retry.base_delay
+        delay = BASE_DELAY
         slept = 0.0
         last: Optional[Exception] = None
-        for attempt in range(self.retry.attempts):
+        for attempt in range(self.attempts):
             try:
                 return self.backend.complete(request)
             except TransientBackendError as exc:
                 last = exc
-                if attempt + 1 < self.retry.attempts:
+                if attempt + 1 < self.attempts:
                     # Wait at least as long as the server asked, within budget.
-                    budget = self.retry.max_total_delay - slept
+                    budget = MAX_TOTAL_DELAY - slept
                     wanted = max(delay, exc.retry_after or 0.0)
                     pause = max(0.0, min(wanted, budget))
                     if pause > 0:
@@ -609,7 +601,7 @@ class Gateway:
                         slept += pause
                     delay *= 2
         raise ExhaustedError(
-            f"backend {self.backend.name} failed after {self.retry.attempts} attempts: {last}"
+            f"backend {self.backend.name} failed after {self.attempts} attempts: {last}"
         ) from last
 
     def call(self, request: ModelRequest) -> ModelResponse:

@@ -9,13 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DuplicateQuestionError,
     EmptyHiegError,
     LevelGapError,
-    PendingNodeError,
     SchemaViolationError,
     UnknownParentError,
 )
@@ -23,16 +22,16 @@ from .errors import (
 
 @dataclass(frozen=True)
 class EvalNode:
-    """One evaluation unit; correct is None while the answer is still pending."""
+    """One evaluation unit: a question answered and judged."""
 
     id: str
     level: int
     question: str
     verify_fact: str
     expected_answer: str
-    actual_answer: Optional[str]
+    actual_answer: str
     confidence: float
-    correct: Optional[bool]
+    correct: bool
     parent_ids: frozenset[str] = frozenset()
     covered_nodes: frozenset[str] = frozenset()
     covered_edges: frozenset[int] = frozenset()
@@ -47,10 +46,8 @@ class EvalNode:
             raise SchemaViolationError(
                 f"node {self.id} confidence {self.confidence} outside [0, 1]"
             )
-        if (self.correct is None) != (self.actual_answer is None):
-            raise SchemaViolationError(
-                f"node {self.id}: verdict must be pending exactly when unanswered"
-            )
+        if self.actual_answer is None or self.correct is None:
+            raise SchemaViolationError(f"node {self.id} needs an answer and a verdict")
 
     def to_dict(self) -> dict:
         """Full-fidelity dict for report files (sets sorted for determinism)."""
@@ -106,7 +103,11 @@ class QuestionBatch:
 
 @dataclass(frozen=True)
 class Hieg:
-    """Evaluation nodes grouped by level; levels[0] holds level 1."""
+    """Evaluation nodes grouped by level; levels[0] holds level 1.
+
+    Node ids and question texts are distinct across the graph, and each
+    node's parents sit at lower levels.
+    """
 
     levels: tuple[tuple[EvalNode, ...], ...] = ()
     max_level: int = 5
@@ -122,6 +123,7 @@ class Hieg:
                 f"{len(self.levels)} levels exceed max_level {self.max_level}"
             )
         seen: set[str] = set()
+        questions: set[str] = set()
         lower_ids: set[str] = set()
         for index, level_nodes in enumerate(self.levels):
             level = index + 1
@@ -135,6 +137,11 @@ class Hieg:
                 if node.id in seen:
                     raise SchemaViolationError(f"duplicate node id {node.id}")
                 seen.add(node.id)
+                if node.question in questions:
+                    raise DuplicateQuestionError(
+                        f"question text already present: {node.question!r}"
+                    )
+                questions.add(node.question)
                 unknown = node.parent_ids - lower_ids
                 if unknown:
                     raise UnknownParentError(
@@ -169,13 +176,14 @@ class Hieg:
 def expand(
     hieg: Hieg,
     batch: QuestionBatch,
-    answers: Sequence[tuple[Optional[str], float]],
-    verdicts: Sequence[Optional[bool]],
+    answers: Sequence[tuple[str, float]],
+    verdicts: Sequence[bool],
 ) -> Hieg:
     """Append one level of nodes built from the batch and its results.
 
     answers and verdicts align with batch.items by index. Node ids are
-    assigned deterministically as "Q<level>.<ordinal>".
+    assigned deterministically as "Q<level>.<ordinal>". The new graph's
+    constructor rejects unknown parents and repeated questions.
     """
     if not batch.items:
         raise ValueError("cannot expand with an empty batch")
@@ -191,21 +199,10 @@ def expand(
     if not (len(answers) == len(verdicts) == len(batch.items)):
         raise ValueError("answers and verdicts must align with batch items")
 
-    existing_ids = hieg.node_ids()
-    existing_questions = hieg.question_texts()
     new_nodes = []
     for ordinal, (item, answer, verdict) in enumerate(
         zip(batch.items, answers, verdicts), start=1
     ):
-        unknown = item.parent_ids - existing_ids
-        if unknown:
-            raise UnknownParentError(
-                f"question {item.question!r} references unknown parents {sorted(unknown)}"
-            )
-        if item.question in existing_questions:
-            raise DuplicateQuestionError(
-                f"question text already present: {item.question!r}"
-            )
         actual, confidence = answer
         new_nodes.append(
             EvalNode(
@@ -229,13 +226,7 @@ def overall_decision(hieg: Hieg) -> int:
     """1 iff every node was answered correctly; empty graphs are an error."""
     if hieg.node_count == 0:
         raise EmptyHiegError("no questions were generated; decision undefined")
-    decision = 1
-    for node in hieg.nodes():
-        if node.correct is None:
-            raise PendingNodeError(f"node {node.id} has no verdict yet")
-        if not node.correct:
-            decision = 0
-    return decision
+    return int(all(node.correct for node in hieg.nodes()))
 
 
 @dataclass(frozen=True)
@@ -253,8 +244,6 @@ def level_stats(hieg: Hieg) -> tuple[LevelStats, ...]:
     for index, level_nodes in enumerate(hieg.levels):
         weighted = 0.0
         for node in level_nodes:
-            if node.correct is None:
-                raise PendingNodeError(f"node {node.id} has no verdict yet")
             weighted += node.confidence * (1.0 if node.correct else 0.0)
         stats.append(
             LevelStats(level=index + 1, count=len(level_nodes), correct_weighted_sum=weighted)

@@ -636,6 +636,9 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
                 if not isinstance(record[key], str):
                     raise ValueError(f"{path}:{line_no}: {key} must be a string")
             # type(...) is int: JSON true and 1.0 compare equal to 1
+            item_id = record.get("id", f"line-{line_no}")
+            if type(item_id) is not int and not (isinstance(item_id, str) and item_id):
+                raise ValueError(f"{path}:{line_no}: id must be a nonempty string or an integer")
             label = record.get("label")
             if label is not None and (type(label) is not int or label not in (0, 1)):
                 raise ValueError(f"{path}:{line_no}: label must be 0, 1, or null")
@@ -646,7 +649,7 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
                 raise ValueError(f"{path}:{line_no}: granularity must be 1-4 or null")
             items.append(
                 DatasetItem(
-                    id=str(record.get("id", f"line-{line_no}")),
+                    id=str(item_id),
                     image_path=record["image_path"],
                     caption=record["caption"],
                     label=label,

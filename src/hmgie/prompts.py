@@ -156,7 +156,6 @@ class ConsistencyReply:
     """Parsed yes/no verdict from the direct or step-by-step detector."""
 
     consistent: bool
-    explanation: str = ""
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def parse_eval_reply(raw: str) -> EvalReply:
 
 
 def parse_consistency_reply(raw: str) -> ConsistencyReply:
-    """Parse the detector reply ({"Answer": "Yes"/"No", "Explanation": ...})."""
+    """Parse the detector reply's verdict ({"Answer": "Yes"/"No", ...})."""
     payload = extract_json_value(raw)
     if not isinstance(payload, dict):
         raise MalformedOutputError("detector reply is not a JSON object")
@@ -263,11 +262,7 @@ def parse_consistency_reply(raw: str) -> ConsistencyReply:
         consistent = False
     else:
         raise MalformedOutputError(f"detector answer is not Yes/No: {answer!r}")
-    explanation = _get_field(payload, "Explanation", "explanation")
-    return ConsistencyReply(
-        consistent=consistent,
-        explanation=explanation if isinstance(explanation, str) else "",
-    )
+    return ConsistencyReply(consistent=consistent)
 
 
 def _coerce_id_list(value: Any, field: str) -> frozenset[str]:

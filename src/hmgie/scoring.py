@@ -14,7 +14,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from itertools import groupby
 from typing import Optional, Sequence
 
@@ -28,11 +27,6 @@ from .errors import (
 from .hieg import LevelStats
 
 
-class WeightDirection(Enum):
-    INCREASING_WITH_DEPTH = "IncreasingWithDepth"
-    DECREASING_WITH_DEPTH = "DecreasingWithDepth"
-
-
 @dataclass(frozen=True)
 class ScoringConfig:
     """Weight schedule and per-level question budgets."""
@@ -40,7 +34,6 @@ class ScoringConfig:
     weight_ratio: float = 1.2
     max_level: int = 5
     max_per_level: int | tuple[int, ...] = 10
-    weight_direction: WeightDirection = WeightDirection.INCREASING_WITH_DEPTH
 
     def __post_init__(self):
         if self.weight_ratio <= 0:
@@ -61,19 +54,13 @@ class ScoringConfig:
         object.__setattr__(self, "max_per_level", per_level)
 
 
-def geometric_weights(
-    count: int,
-    ratio: float,
-    direction: WeightDirection = WeightDirection.INCREASING_WITH_DEPTH,
-) -> tuple[float, ...]:
-    """Normalized geometric weight sequence of the given length."""
+def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
+    """Normalized geometric weights ratio**i, shallowest level first."""
     if count < 1:
         raise NoLevelsError("weight sequence needs at least one level")
     if ratio <= 0:
         raise SchemaViolationError("weight ratio must be > 0")
     raw = [ratio**i for i in range(count)]
-    if direction is WeightDirection.DECREASING_WITH_DEPTH:
-        raw.reverse()
     total = sum(raw)
     return tuple(w / total for w in raw)
 
@@ -89,7 +76,7 @@ def compute_h_acc(stats: Sequence[LevelStats], config: ScoringConfig) -> float:
     for entry in stats:
         if entry.count < 1:
             raise SchemaViolationError(f"level {entry.level} has no questions")
-    weights = geometric_weights(len(stats), config.weight_ratio, config.weight_direction)
+    weights = geometric_weights(len(stats), config.weight_ratio)
     return sum(
         weight * (entry.correct_weighted_sum / entry.count)
         for weight, entry in zip(weights, stats)
@@ -115,9 +102,7 @@ def compute_h_comp(counts: Sequence[int], config: ScoringConfig) -> float:
             raise SchemaViolationError(
                 f"level {level} count {n} exceeds its budget {cap}"
             )
-    weights = geometric_weights(
-        config.max_level, config.weight_ratio, config.weight_direction
-    )
+    weights = geometric_weights(config.max_level, config.weight_ratio)
     return sum(w * n / cap for w, n, cap in zip(weights, padded, budgets))
 
 

@@ -224,6 +224,11 @@ def _parse_endpoint(raw: Any, field: str) -> str:
     )
 
 
+def _optional_text(value: Any) -> str:
+    """An edge's optional text field; null reads as absent."""
+    return "" if value is None else str(value)
+
+
 def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) -> SemanticGraph:
     """Parse the graph-extraction reply into a validated SemanticGraph.
 
@@ -255,10 +260,10 @@ def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) 
         if not isinstance(item["id"], str):
             raise SchemaViolationError(f"node id must be a string, got {item['id']!r}")
         label = item["label"]
-        if not isinstance(label, str):
-            label = str(label)
+        if isinstance(label, bool) or not isinstance(label, (str, int, float)):
+            raise SchemaViolationError(f"node label must be a string or a number: {item!r}")
         kind = _parse_node_kind(item["type"], notes)
-        nodes.append(SemanticNode(id=item["id"], kind=kind, label=label))
+        nodes.append(SemanticNode(id=item["id"], kind=kind, label=str(label)))
 
     edges = []
     for item in raw_edges:
@@ -272,8 +277,8 @@ def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) 
                 from_id=_parse_endpoint(item["from"], "from"),
                 to_id=_parse_endpoint(item["to"], "to"),
                 kind=_parse_edge_kind(item["type"], notes),
-                label=str(item.get("label", "")),
-                description=str(item.get("description", "")),
+                label=_optional_text(item.get("label")),
+                description=_optional_text(item.get("description")),
             )
         )
     graph = SemanticGraph(nodes=tuple(nodes), edges=tuple(edges), source_caption=caption)

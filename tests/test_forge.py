@@ -331,6 +331,27 @@ class TestBuildDataset:
         assert all(line["status"] == "MaxIterReached" for line in adversarial)
         assert all(line["caption"] == "perturbed caption v2" for line in adversarial)
 
+    def test_blank_perturbation_omitted_with_a_note(self, images, tmp_path):
+        def respond(request):
+            if request.prompt.startswith("You are constructing hard negative captions"):
+                return "  \n"
+            if request.prompt.startswith("Does the image match"):
+                return json.dumps({"Answer": "Yes"})
+            return forge_responder()(request)
+
+        config, _ = forge_config(respond)
+        out = tmp_path / "data.jsonl"
+        summary = build_dataset(images[:1], config, out)
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [line["label"] for line in lines] == [0, 0, 0, 0]
+        assert summary.skipped_undetected == 4
+        assert summary.errors == tuple(
+            f"{images[0]} g{level}: perturbation is blank; omitted" for level in (1, 2, 3, 4)
+        )
+        from hmgie.pipeline import load_dataset_jsonl
+
+        assert len(load_dataset_jsonl(out)) == 4
+
     @pytest.mark.parametrize("names", [("cat.png", "cat.jpg"), ("cat.png", "cat.png")])
     def test_images_sharing_a_stem_refused_before_any_call(self, tmp_path, names):
         paths = []

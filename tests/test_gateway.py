@@ -45,7 +45,6 @@ from hmgie.gateway import (
     ImageRef,
     ModelRequest,
     RequestKind,
-    RetryPolicy,
     ScriptedBackend,
     cache_key,
     call_parsed,
@@ -599,7 +598,7 @@ class TestInflightGates:
             return f"reply to {request.prompt}"
 
         backend = DynamicBackend(responder)
-        gateway = Gateway(backend, retry=RetryPolicy(attempts=1))
+        gateway = Gateway(backend, attempts=1)
         replies, errors = [], []
 
         def worker(offset):
@@ -673,7 +672,7 @@ class TestInflightGates:
             raise TransientBackendError("always down")
 
         backend = DynamicBackend(always_fails)
-        gateway = Gateway(backend, retry=RetryPolicy(attempts=3), sleeper=lambda s: None)
+        gateway = Gateway(backend, attempts=3, sleeper=lambda s: None)
         errors = []
 
         def worker():
@@ -711,23 +710,15 @@ class TestRetry:
             return "third time lucky"
 
         sleeps = []
-        gateway = Gateway(
-            DynamicBackend(flaky),
-            retry=RetryPolicy(attempts=3, base_delay=0.5),
-            sleeper=sleeps.append,
-        )
+        gateway = Gateway(DynamicBackend(flaky), attempts=3, sleeper=sleeps.append)
         assert gateway.call(text_request()).text == "third time lucky"
-        assert sleeps == [0.5, 1.0]
+        assert sleeps == [1.0, 2.0]
 
     def test_exhausted_after_attempts(self):
         def always_fails(request):
             raise TransientBackendError("nope")
 
-        gateway = Gateway(
-            DynamicBackend(always_fails),
-            retry=RetryPolicy(attempts=3, base_delay=0.1),
-            sleeper=lambda s: None,
-        )
+        gateway = Gateway(DynamicBackend(always_fails), attempts=3, sleeper=lambda s: None)
         with pytest.raises(ExhaustedError, match="after 3 attempts"):
             gateway.call(text_request())
 
@@ -736,14 +727,11 @@ class TestRetry:
             raise TransientBackendError("nope")
 
         sleeps = []
-        gateway = Gateway(
-            DynamicBackend(always_fails),
-            retry=RetryPolicy(attempts=10, base_delay=1.0, max_total_delay=5.0),
-            sleeper=sleeps.append,
-        )
-        with pytest.raises(ExhaustedError):
+        gateway = Gateway(DynamicBackend(always_fails), attempts=10, sleeper=sleeps.append)
+        with pytest.raises(ExhaustedError, match="after 10 attempts"):
             gateway.call(text_request())
-        assert sum(sleeps) <= 5.0
+        assert sleeps == [1.0, 2.0, 4.0, 8.0, 15.0]
+        assert sum(sleeps) == gateway_module.MAX_TOTAL_DELAY
 
     def test_auth_error_not_retried(self):
         calls = {"n": 0}
@@ -765,12 +753,11 @@ class TestRetry:
             gateway.call(ModelRequest.vision("p", TINY_PNG))
 
 
-def _vision_body(prompt, payload, media, system_prompt=None) -> bytes:
+def _vision_body(prompt, payload, media) -> bytes:
     """The chat-completions body of a vision request, as the wire shape
     defines it, serialized the standard way."""
     encoded = base64.b64encode(payload).decode("ascii")
-    messages = [{"role": "system", "content": system_prompt}] if system_prompt else []
-    messages.append(
+    messages = [
         {
             "role": "user",
             "content": [
@@ -778,7 +765,7 @@ def _vision_body(prompt, payload, media, system_prompt=None) -> bytes:
                 {"type": "image_url", "image_url": {"url": f"data:{media};base64,{encoded}"}},
             ],
         }
-    )
+    ]
     body = {"model": "vm", "temperature": 0.1, "max_tokens": 64, "messages": messages}
     return json.dumps(body).encode()
 
@@ -896,15 +883,13 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         text that spells the splice slot."""
         slot = gateway_module._IMAGE_SLOT
         cases = [
-            (TINY_PNG, "image/png", "look", "be terse"),
-            (TINY_PNG, "image/png", "look", None),
-            (b"unknown bytes", "image/jpeg", "look", "be terse"),
-            (TINY_PNG, "image/png", slot, None),
-            (TINY_PNG, "image/png", slot, slot),
+            (TINY_PNG, "image/png", "look"),
+            (b"unknown bytes", "image/jpeg", "look"),
+            (TINY_PNG, "image/png", slot),
         ]
-        for payload, media, prompt, system_prompt in cases:
+        for payload, media, prompt in cases:
             with FakeChatServer() as server, closing(
-                HttpBackend(endpoint=server.endpoint, api_key="k", system_prompt=system_prompt)
+                HttpBackend(endpoint=server.endpoint, api_key="k")
             ) as backend:
                 request = ModelRequest.vision(
                     prompt, ImageRef(payload), model_id="vm", temperature=0.1,
@@ -912,7 +897,7 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
                 )
                 backend.complete(request)
                 backend.complete(request)
-            expected = _vision_body(prompt, payload, media, system_prompt)
+            expected = _vision_body(prompt, payload, media)
             assert server.raw == [expected, expected]
 
     def test_vision_body_sent_in_chunks_with_a_length(self):
@@ -972,14 +957,10 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         with FakeChatServer(lambda body: (429, "later", {"Retry-After": "3600"})) as server, closing(
             HttpBackend(endpoint=server.endpoint, api_key="k")
         ) as backend:
-            gateway = Gateway(
-                backend,
-                retry=RetryPolicy(attempts=3, base_delay=1.0, max_total_delay=5.0),
-                sleeper=sleeps.append,
-            )
+            gateway = Gateway(backend, attempts=3, sleeper=sleeps.append)
             with pytest.raises(ExhaustedError):
                 gateway.call(text_request())
-        assert sleeps == [5.0]
+        assert sleeps == [30.0]
 
     def test_auth_failure(self):
         with FakeChatServer(lambda body: (401, "who are you")) as server, closing(
@@ -992,9 +973,7 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         with FakeChatServer(lambda body: (500, "boom")) as server, closing(
             HttpBackend(endpoint=server.endpoint, api_key="k")
         ) as backend:
-            gateway = Gateway(
-                backend, retry=RetryPolicy(attempts=2, base_delay=0.01), sleeper=lambda s: None
-            )
+            gateway = Gateway(backend, attempts=2, sleeper=lambda s: None)
             with pytest.raises(ExhaustedError):
                 gateway.call(text_request())
 
@@ -1007,7 +986,7 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         with FakeChatServer(lambda body: fault) as server, closing(
             HttpBackend(endpoint=server.endpoint, api_key="k")
         ) as backend:
-            gateway = Gateway(backend, retry=RetryPolicy(attempts=3), sleeper=lambda s: None)
+            gateway = Gateway(backend, attempts=3, sleeper=lambda s: None)
             with pytest.raises(ExhaustedError) as exc_info:
                 gateway.call(text_request())
             transient = exc_info.value.__cause__

@@ -8,7 +8,6 @@ from hmgie.errors import (
     DuplicateQuestionError,
     EmptyHiegError,
     LevelGapError,
-    PendingNodeError,
     SchemaViolationError,
     UnknownParentError,
 )
@@ -124,13 +123,6 @@ class TestDecision:
         with pytest.raises(EmptyHiegError):
             overall_decision(Hieg.empty(5))
 
-    def test_pending(self):
-        h = expand(Hieg.empty(5), batch(1, "q1"), [(None, 1.0)], [None])
-        with pytest.raises(PendingNodeError):
-            overall_decision(h)
-        with pytest.raises(PendingNodeError):
-            level_stats(h)
-
 
 class TestLevelStats:
     def test_mixed_verdicts(self):
@@ -177,6 +169,16 @@ class TestInvariants:
         )
         with pytest.raises(SchemaViolationError):
             Hieg(levels=((), (node,)), max_level=5)
+
+    def test_repeated_question_rejected_in_constructor(self):
+        def node(node_id: str, level: int) -> EvalNode:
+            return EvalNode(
+                id=node_id, level=level, question="q", verify_fact="", expected_answer="",
+                actual_answer="a", confidence=1.0, correct=True,
+            )
+
+        with pytest.raises(DuplicateQuestionError, match="question text already present: 'q'"):
+            Hieg(levels=((node("Q1.1", 1),), (node("Q2.1", 2),)), max_level=5)
 
     def test_prompt_payload_field_names(self):
         payload = hieg_to_prompt_payload(two_level_hieg())

@@ -904,6 +904,18 @@ class TestDatasetLoading:
         with pytest.raises(ValueError, match=re.escape(f"{path}:2: {field} must be a string")):
             load_dataset_jsonl(path)
 
+    @pytest.mark.parametrize("value", [None, ["x"], True, "", 1.0])
+    def test_id_must_be_a_nonempty_string_or_an_integer(self, tmp_path, value):
+        path = tmp_path / "data.jsonl"
+        rows = [{"id": 7, "image_path": "a", "caption": "c"}, {"image_path": "a", "caption": "c"}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        assert [item.id for item in load_dataset_jsonl(path)] == ["7", "line-2"]
+        rows[1]["id"] = value
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n", encoding="utf-8")
+        message = f"{path}:2: id must be a nonempty string or an integer"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset_jsonl(path)
+
     def test_missing_caption_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"
         path.write_text('{"image_path": "a", "label": 1}\n', encoding="utf-8")

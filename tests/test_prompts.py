@@ -172,7 +172,6 @@ class TestConsistencyReply:
     def test_yes(self):
         reply = parse_consistency_reply('{"Answer": "Yes", "Explanation": "match"}')
         assert reply.consistent is True
-        assert reply.explanation == "match"
 
     def test_no_with_elaboration(self):
         assert parse_consistency_reply('{"Answer": "No, the color differs"}').consistent is False

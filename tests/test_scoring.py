@@ -15,7 +15,6 @@ from hmgie.errors import (
 from hmgie.hieg import LevelStats
 from hmgie.scoring import (
     ScoringConfig,
-    WeightDirection,
     compute_h_acc,
     compute_h_comp,
     detection_metrics,
@@ -180,19 +179,11 @@ class TestWeights:
     @given(
         st.integers(min_value=1, max_value=12),
         st.floats(min_value=0.05, max_value=20.0),
-        st.sampled_from(list(WeightDirection)),
     )
-    def test_normalization(self, count, ratio, direction):
-        weights = geometric_weights(count, ratio, direction)
+    def test_normalization(self, count, ratio):
+        weights = geometric_weights(count, ratio)
         assert abs(sum(weights) - 1.0) < 1e-12
         assert all(w > 0 for w in weights)
-
-    def test_direction(self):
-        increasing = geometric_weights(3, 1.2, WeightDirection.INCREASING_WITH_DEPTH)
-        decreasing = geometric_weights(3, 1.2, WeightDirection.DECREASING_WITH_DEPTH)
-        assert increasing[0] < increasing[-1]
-        assert decreasing[0] > decreasing[-1]
-        assert increasing == pytest.approx(tuple(reversed(decreasing)), abs=1e-15)
 
     @settings(max_examples=200)
     @given(st.data())

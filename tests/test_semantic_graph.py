@@ -141,6 +141,22 @@ class TestParse:
         with pytest.raises(SchemaViolationError, match="missing fields"):
             parse_semantic_graph(payload, "c", [])
 
+    @pytest.mark.parametrize("label", [None, True, ["dog"], {"text": "dog"}])
+    def test_node_label_must_be_text_or_number(self, label):
+        payload = json.dumps({"nodes": [{"id": "N1", "type": "Entity", "label": label}]})
+        with pytest.raises(SchemaViolationError, match="node label must be a string or a number"):
+            parse_semantic_graph(payload, "c", [])
+
+    def test_null_edge_texts_read_as_absent(self):
+        payload = json.loads(MINIMAL_PAYLOAD)
+        payload["nodes"][1]["label"] = 2
+        payload["edges"][0].update(label=None, description=None)
+        notes: list[str] = []
+        graph = parse_semantic_graph(json.dumps(payload), "c", notes)
+        assert graph.nodes[1].label == "2"
+        assert (graph.edges[0].label, graph.edges[0].description) == ("", "")
+        assert notes == []
+
     def test_self_loop_warns_but_parses(self):
         payload = json.dumps(
             {
