@@ -26,7 +26,6 @@ from .gateway import (
     ImageRef,
     ModelRequest,
     ModelResponse,
-    RequestKind,
     ScriptedBackend,
     cache_key,
 )
@@ -53,7 +52,6 @@ from .pipeline import (
 )
 from .prompts import (
     CoverageReply,
-    EvalReply,
     PromptTemplate,
     TemplateName,
     VqaReply,

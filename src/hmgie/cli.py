@@ -185,8 +185,10 @@ class _GatewayFactory:
         rc = self.rc
         if rc.mode == "replay":
             if self._scripted is None:
-                backend = ScriptedBackend(fixture_dir=rc.replay_dir)
-                self._scripted = Gateway(backend)
+                # Replies come from the log's index; a miss reaches the
+                # empty backend, which names the key it lacks.
+                backend = ScriptedBackend(fixtures={})
+                self._scripted = Gateway(backend, cache_dir=rc.replay_dir)
             return self._scripted
         endpoint = _env(f"HMGIE_{role}_ENDPOINT") or rc.endpoint
         api_key = _env(f"HMGIE_{role}_API_KEY") or rc.api_key

@@ -298,14 +298,17 @@ def generate_ground_truth(
 
 
 def _parse_perturbed_caption(raw: str) -> str:
+    """The reply's caption field, or the whole reply when it has none. A
+    field that is present but holds no text reads as blank."""
     try:
         payload = extract_json_value(raw)
-        if isinstance(payload, dict):
-            caption = payload.get("Perturbed-Caption") or payload.get("perturbed-caption")
-            if isinstance(caption, str) and caption.strip():
-                return caption
     except MalformedOutputError:
-        pass
+        return raw.strip()
+    if isinstance(payload, dict):
+        for name in ("Perturbed-Caption", "perturbed-caption"):
+            if name in payload:
+                caption = payload[name]
+                return caption if isinstance(caption, str) and caption.strip() else ""
     return raw.strip()
 
 
@@ -335,7 +338,7 @@ def perturb_iteratively(
             detect_prompt = render(detector_template, {"caption": perturbed})
             detect_reply = bindings.detector.call(_request(config, detect_prompt, image))
             try:
-                consistent = parse_consistency_reply(detect_reply.text).consistent
+                consistent = parse_consistency_reply(detect_reply.text)
             except MalformedOutputError:
                 # Unreadable verdict counts as detection: the sample is not
                 # known to evade the detector.

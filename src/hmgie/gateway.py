@@ -24,7 +24,6 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, TypeVar
@@ -57,11 +56,6 @@ def sniff_media_type(data: bytes) -> Optional[str]:
     if len(data) >= 12 and data[:4] == b"RIFF" and data[8:12] == b"WEBP":
         return "image/webp"
     return None
-
-
-class RequestKind(Enum):
-    TEXT = "text"
-    VISION = "vision"
 
 
 @dataclass(frozen=True)
@@ -124,21 +118,12 @@ class ModelRequest:
         object.__setattr__(self, "key", cache_key(self))
 
     @property
-    def kind(self) -> RequestKind:
-        return RequestKind.TEXT if self.image is None else RequestKind.VISION
-
-    @property
     def image_digest(self) -> Optional[str]:
         return None if self.image is None else self.image.digest
 
     @property
     def image_payload(self) -> Optional[bytes]:
         return None if self.image is None else self.image.payload
-
-    @classmethod
-    def text(cls, prompt: str, **kwargs) -> "ModelRequest":
-        """A text-only request."""
-        return cls(prompt=prompt, **kwargs)
 
     @classmethod
     def vision(cls, prompt: str, image: ImageRef | bytes, **kwargs) -> "ModelRequest":
@@ -155,13 +140,15 @@ class ModelResponse:
 def cache_key(request: ModelRequest) -> str:
     """Deterministic request digest.
 
-    Depends on (model_id, temperature, kind, prompt, image_digest) and, from
-    the second attempt on, the attempt number; max_output_tokens and wall
-    clock never influence the key. A first attempt leaves the attempt out,
-    so its key matches the one recorded fixtures are stored under.
+    Depends on (model_id, temperature, prompt, image_digest) and, from the
+    second attempt on, the attempt number; max_output_tokens and wall clock
+    never influence the key. A first attempt leaves the attempt out, so its
+    key matches the one recorded fixtures are stored under. The "kind"
+    field only restates whether there is an image; it stays so that keys
+    recorded by earlier versions still match.
     """
     fields = {
-        "kind": request.kind.value,
+        "kind": "text" if request.image is None else "vision",
         "model_id": request.model_id,
         "temperature": request.temperature,
         "prompt": request.prompt,
@@ -384,7 +371,6 @@ def _excerpt(data: bytes) -> str:
 class CallRecord:
     """What a backend was asked, without the image bytes."""
 
-    kind: RequestKind
     prompt: str
     model_id: str
     image_digest: Optional[str]
@@ -402,15 +388,13 @@ class ReplyLog:
     starts one first.
 
     ``replies`` indexes the log. A lookup that misses it reads only the
-    lines appended since the last read, by this process or another, then
-    the key's ``<key>.txt`` file, which is how earlier versions recorded
-    each reply. When a key appears twice, its first line wins.
+    lines appended since the last read, by this process or another. When a
+    key appears twice, its first line wins.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.path = self.directory / "replies.jsonl"
-        self._key_file_prefix = os.path.join(directory, "")  # + key + ".txt"
         self.replies: dict[str, str] = {}
         self._indexed = 0  # bytes of the log read into ``replies``
         self._fd: Optional[int] = None
@@ -419,18 +403,10 @@ class ReplyLog:
 
     def get(self, key: str) -> Optional[str]:
         reply = self.replies.get(key)
-        if reply is not None:
-            return reply
-        with self._lock:
-            self._read_new_lines()
+        if reply is None:
+            with self._lock:
+                self._read_new_lines()
             reply = self.replies.get(key)
-            if reply is None:
-                try:
-                    with open(f"{self._key_file_prefix}{key}.txt", "rb") as handle:
-                        data = handle.read()
-                except FileNotFoundError:
-                    return None
-                reply = self.replies.setdefault(key, data.decode("utf-8", "surrogatepass"))
         return reply
 
     def append(self, key: str, reply: str) -> None:
@@ -512,9 +488,7 @@ class ScriptedBackend:
 
     def complete(self, request: ModelRequest) -> str:
         key = request.key
-        record = CallRecord(
-            request.kind, request.prompt, request.model_id, request.image_digest
-        )
+        record = CallRecord(request.prompt, request.model_id, request.image_digest)
         with self._lock:
             self.calls.append(record)
         reply = self.fixtures.get(key)
@@ -546,7 +520,8 @@ class Gateway:
     With cache_dir set, replies are read through that directory's ReplyLog,
     whose index is then the gateway's in-memory cache; record=True
     additionally appends live replies to the log, so a real run can later
-    be replayed with a ScriptedBackend over the same directory.
+    be replayed by a gateway over the same directory whose backend has no
+    replies of its own.
     """
 
     def __init__(
@@ -615,7 +590,7 @@ class Gateway:
             AuthError: credentials rejected (never retried).
             ExhaustedError: retries exceeded, or scripted fixture missing.
         """
-        if request.kind is RequestKind.VISION and not self.backend.supports_vision:
+        if request.image is not None and not self.backend.supports_vision:
             raise UnsupportedRequestError(
                 f"backend {self.backend.name} cannot serve vision requests"
             )

@@ -191,7 +191,7 @@ def build_graph_request(caption: str, config: PipelineConfig) -> ModelRequest:
         config.templates[TemplateName.SEMANTIC_GRAPH_GEN],
         {"example": DEFAULT_GRAPH_EXAMPLE, "caption": caption},
     )
-    return ModelRequest.text(prompt, **_sampling(config))
+    return ModelRequest(prompt, **_sampling(config))
 
 
 def build_question_request(
@@ -217,7 +217,7 @@ def build_question_request(
             "current-level": str(level),
         },
     )
-    return ModelRequest.text(prompt, **_sampling(config))
+    return ModelRequest(prompt, **_sampling(config))
 
 
 def build_vqa_request(
@@ -238,7 +238,7 @@ def build_eval_request(
             "actual-answer": actual_answer,
         },
     )
-    return ModelRequest.text(prompt, **_sampling(config))
+    return ModelRequest(prompt, **_sampling(config))
 
 
 def build_coverage_request(
@@ -248,7 +248,7 @@ def build_coverage_request(
         config.templates[TemplateName.COVERAGE_CHECK],
         {"semantic-graph": graph_json, "hieg": hieg_json},
     )
-    return ModelRequest.text(prompt, **_sampling(config))
+    return ModelRequest(prompt, **_sampling(config))
 
 
 def build_explain_request(
@@ -262,7 +262,7 @@ def build_explain_request(
             "consistency-decision": "Consistent" if decision else "Inconsistent",
         },
     )
-    return ModelRequest.text(prompt, **_sampling(config))
+    return ModelRequest(prompt, **_sampling(config))
 
 
 @dataclass(frozen=True)
@@ -418,7 +418,7 @@ def _answer_and_judge(
     verdict = call_parsed(
         config.backends.answer_eval,
         build_eval_request(question, expected_answer, answer, config),
-        lambda text: parse_eval_reply(text).correct,
+        parse_eval_reply,
         config.retry_limit,
         lambda attempt, exc: notes.append(
             f"answer-eval attempt {attempt} unparseable for {question!r}: {exc}"

@@ -147,18 +147,6 @@ class VqaReply:
 
 
 @dataclass(frozen=True)
-class EvalReply:
-    correct: bool
-
-
-@dataclass(frozen=True)
-class ConsistencyReply:
-    """Parsed yes/no verdict from the direct or step-by-step detector."""
-
-    consistent: bool
-
-
-@dataclass(frozen=True)
 class CoverageReply:
     """Coverage verdict; a suggestion may only accompany incompleteness."""
 
@@ -236,19 +224,19 @@ def parse_vqa_reply(raw: str, notes: list[str]) -> VqaReply:
     return VqaReply(answer=_coerce_answer(answer), confidence=confidence)
 
 
-def parse_eval_reply(raw: str) -> EvalReply:
-    """Parse the answer-evaluation reply ({"Correct": bool})."""
+def parse_eval_reply(raw: str) -> bool:
+    """Whether the answer-evaluation reply ({"Correct": bool}) says correct."""
     payload = extract_json_value(raw)
     if not isinstance(payload, dict):
         raise MalformedOutputError("evaluation reply is not a JSON object")
     value = _get_field(payload, "Correct", "correct")
     if value is None:
         raise MalformedOutputError("evaluation reply has no 'Correct' field")
-    return EvalReply(correct=_coerce_bool(value, "Correct"))
+    return _coerce_bool(value, "Correct")
 
 
-def parse_consistency_reply(raw: str) -> ConsistencyReply:
-    """Parse the detector reply's verdict ({"Answer": "Yes"/"No", ...})."""
+def parse_consistency_reply(raw: str) -> bool:
+    """Whether the detector reply ({"Answer": "Yes"/"No", ...}) says consistent."""
     payload = extract_json_value(raw)
     if not isinstance(payload, dict):
         raise MalformedOutputError("detector reply is not a JSON object")
@@ -257,12 +245,10 @@ def parse_consistency_reply(raw: str) -> ConsistencyReply:
         raise MalformedOutputError("detector reply has no textual 'Answer' field")
     lowered = answer.strip().lower()
     if lowered.startswith("yes"):
-        consistent = True
-    elif lowered.startswith("no"):
-        consistent = False
-    else:
-        raise MalformedOutputError(f"detector answer is not Yes/No: {answer!r}")
-    return ConsistencyReply(consistent=consistent)
+        return True
+    if lowered.startswith("no"):
+        return False
+    raise MalformedOutputError(f"detector answer is not Yes/No: {answer!r}")
 
 
 def _coerce_id_list(value: Any, field: str) -> frozenset[str]:

@@ -133,12 +133,6 @@ class SemanticGraph:
     def node_ids(self) -> tuple[str, ...]:
         return tuple(node.id for node in self.nodes)
 
-    def node(self, node_id: str) -> SemanticNode:
-        for candidate in self.nodes:
-            if candidate.id == node_id:
-                return candidate
-        raise KeyError(node_id)
-
 
 @dataclass(frozen=True)
 class CoverageMask:
@@ -290,6 +284,7 @@ def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) 
 
 def graph_to_payload(graph: SemanticGraph) -> dict:
     """Serialize a graph back into the extraction prompt's JSON shape."""
+    labels = {n.id: n.label for n in graph.nodes}
     return {
         "nodes": [
             {"id": n.id, "type": _NODE_KIND_SURFACE[n.kind], "label": n.label}
@@ -297,8 +292,8 @@ def graph_to_payload(graph: SemanticGraph) -> dict:
         ],
         "edges": [
             {
-                "from": [e.from_id, graph.node(e.from_id).label],
-                "to": [e.to_id, graph.node(e.to_id).label],
+                "from": [e.from_id, labels[e.from_id]],
+                "to": [e.to_id, labels[e.to_id]],
                 "type": _EDGE_KIND_SURFACE[e.kind],
                 "label": e.label,
                 "description": e.description,

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from hmgie import gateway as gateway_module
 from hmgie.errors import FixtureMissingError
-from hmgie.gateway import Gateway, ModelRequest, ScriptedBackend, cache_key
+from hmgie.gateway import Gateway, ModelRequest, ReplyLog, ScriptedBackend, cache_key
 from hmgie.hieg import Hieg, expand, hieg_to_prompt_json, overall_decision
 from hmgie.pipeline import (
     PipelineConfig,
@@ -195,7 +195,7 @@ class ScenarioScript:
                 eval_reply,
             )
             answers.append((parsed.answer, parsed.confidence))
-            verdicts.append(parse_eval_reply(eval_reply).correct)
+            verdicts.append(parse_eval_reply(eval_reply))
         self.hieg = expand(self.hieg, batch, answers, verdicts)
 
         declared_nodes = frozenset().union(*(i.covered_nodes for i in batch.items))
@@ -373,13 +373,10 @@ def fuzz_responder(seed: int):
 
 
 def write_fixture_dir(fixtures: dict, directory) -> None:
-    """Dump an in-memory fixture mapping as one file per cache key."""
-    from pathlib import Path
-
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
+    """Append an in-memory fixture mapping to a directory's reply log."""
+    log = ReplyLog(directory)
     for key, text in fixtures.items():
-        (root / f"{key}.txt").write_text(text, encoding="utf-8")
+        log.append(key, text)
 
 
 class Fault(Enum):

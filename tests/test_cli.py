@@ -14,7 +14,7 @@ from helpers import (
     scripted_config,
     write_fixture_dir,
 )
-from hmgie import pipeline
+from hmgie import cli, pipeline
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from hmgie.gateway import Gateway, HttpBackend
 from hmgie.pipeline import RoleBindings, evaluate_pair
@@ -116,13 +116,11 @@ class TestEvaluateSingle:
     def test_missing_fixture_exits_2_with_key(self, replay_setup, capsys):
         fixture_dir, image = replay_setup
         # remove a load-bearing fixture (the level-2 VQA reply)
-        victim = next(
-            path
-            for path in sorted(fixture_dir.iterdir())
-            if "0.8" in path.read_text(encoding="utf-8")
-        )
-        key = victim.stem
-        victim.unlink()
+        log = fixture_dir / "replies.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        victim = next(line for line in lines if "0.8" in json.loads(line)[1])
+        key = json.loads(victim)[0]
+        log.write_bytes(b"".join(line for line in lines if line != victim))
         code = main(
             [
                 "evaluate",
@@ -338,6 +336,25 @@ class TestRecordReplay:
         assert main(argv) == EXIT_OK
         assert pools == []
         assert (out / "pair.report.json").read_text(encoding="utf-8") == fanned_out
+
+    def test_replay_gateway_keeps_no_record_of_its_calls(
+        self, replay_setup, tmp_path, monkeypatch
+    ):
+        # Replies come from the gateway's reply log; the backend sees misses only.
+        fixture_dir, image = replay_setup
+        built = []
+
+        class KeptGateway(cli.Gateway):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "Gateway", KeptGateway)
+        argv = ["replay", "--image", str(image), "--caption", CAPTION,
+                "--out", str(tmp_path / "out"), "--cache-dir", str(fixture_dir)]
+        assert main(argv) == EXIT_OK
+        assert len(built) == 1
+        assert built[0].backend.calls == []
 
     def test_commands_close_the_backends_they_built(self, tmp_path, monkeypatch):
         closed = []

@@ -352,6 +352,36 @@ class TestBuildDataset:
 
         assert len(load_dataset_jsonl(out)) == 4
 
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            '{"Perturbed-Caption": "  "}',
+            '{"Perturbed-Caption": null}',
+            '{"perturbed-caption": ""}',
+            '```json\n{"Perturbed-Caption": "\\n"}\n```',
+        ],
+    )
+    def test_blank_caption_field_is_a_blank_perturbation(self, images, tmp_path, reply):
+        # The reply's JSON text must never stand in for the caption it lacks.
+        detected = []
+
+        def respond(request):
+            if request.prompt.startswith("You are constructing hard negative captions"):
+                return reply
+            if request.prompt.startswith("Does the image match"):
+                detected.append(request.prompt)
+                return json.dumps({"Answer": "Yes"})
+            return forge_responder()(request)
+
+        config, _ = forge_config(respond)
+        out = tmp_path / "data.jsonl"
+        summary = build_dataset(images[:1], config, out)
+        assert summary.errors == tuple(
+            f"{images[0]} g{level}: perturbation is blank; omitted" for level in (1, 2, 3, 4)
+        )
+        assert not any("perturbed-caption" in prompt.lower() for prompt in detected)
+        assert [json.loads(line)["label"] for line in out.read_text().splitlines()] == [0] * 4
+
     @pytest.mark.parametrize("names", [("cat.png", "cat.jpg"), ("cat.png", "cat.png")])
     def test_images_sharing_a_stem_refused_before_any_call(self, tmp_path, names):
         paths = []

@@ -3,6 +3,7 @@ import hashlib
 import http.client
 import json
 import os
+import shlex
 import ssl
 import stat
 import subprocess
@@ -44,7 +45,6 @@ from hmgie.gateway import (
     HttpBackend,
     ImageRef,
     ModelRequest,
-    RequestKind,
     ScriptedBackend,
     cache_key,
     call_parsed,
@@ -60,12 +60,8 @@ def text_request(prompt: str = "hello", **kwargs) -> ModelRequest:
 class TestRequestValidation:
     def test_vision_helper(self):
         request = ModelRequest.vision("p", TINY_PNG)
-        assert request.kind is RequestKind.VISION
+        assert request.image is not None
         assert request.image_digest is not None
-
-    def test_text_helper(self):
-        request = ModelRequest.text("p", model_id="m", temperature=0.0)
-        assert request == ModelRequest(prompt="p", model_id="m", temperature=0.0)
 
     @pytest.mark.parametrize("attempt", [0, -1])
     def test_attempt_below_one_rejected(self, attempt):
@@ -155,6 +151,12 @@ class TestCacheKey:
         assert cache_key(request) == expected
         assert cache_key(replace(request, attempt=1)) == expected
 
+    def test_first_vision_attempt_keeps_its_key(self):
+        # Pinned digest: a vision key must not move when the request changes shape.
+        request = ModelRequest.vision("Is the dog brown?", TINY_PNG)
+        expected = "78b2c999c5924215c1f421caef5b5209dc1ef0b34e870577a20f656e850b41de"
+        assert request.key == expected
+
     def test_retry_attempts_have_their_own_keys(self):
         request = text_request("Is the dog brown?")
         keys = {cache_key(replace(request, attempt=n)) for n in (1, 2, 3)}
@@ -209,7 +211,7 @@ class TestScriptedBackend:
 
     def test_fixture_dir(self, tmp_path):
         request = text_request("on disk")
-        (tmp_path / f"{cache_key(request)}.txt").write_text("from disk", encoding="utf-8")
+        write_fixture_dir({cache_key(request): "from disk"}, tmp_path)
         gateway = Gateway(ScriptedBackend(fixture_dir=tmp_path))
         assert gateway.call(request).text == "from disk"
 
@@ -227,9 +229,7 @@ class TestScriptedBackend:
         request = ModelRequest.vision("look", TINY_PNG, model_id="m")
         backend = ScriptedBackend(fixtures={cache_key(request): "ok"})
         Gateway(backend).call(request)
-        assert backend.calls == [
-            CallRecord(RequestKind.VISION, "look", "m", request.image_digest)
-        ]
+        assert backend.calls == [CallRecord("look", "m", request.image_digest)]
         assert not hasattr(backend.calls[0], "image_payload")
 
 
@@ -258,7 +258,7 @@ class TestCaching:
 
     def test_disk_cache_read_through(self, tmp_path):
         request = text_request("disk hit")
-        (tmp_path / f"{cache_key(request)}.txt").write_text("stored", encoding="utf-8")
+        write_fixture_dir({cache_key(request): "stored"}, tmp_path)
         live = DynamicBackend(lambda r: "should not be called")
         gateway = Gateway(live, cache_dir=tmp_path)
         response = gateway.call(request)
@@ -297,8 +297,8 @@ class TestCaching:
         assert results == ["slow"] * 4
         assert len(backend.calls) == 1
 
-    def test_recorded_miss_looks_for_a_key_file_once(self, tmp_path, monkeypatch):
-        # The re-check under the gate reads the in-memory index only.
+    def test_recorded_miss_opens_no_key_file(self, tmp_path, monkeypatch):
+        # Replies live in the log alone; a miss looks for no file per key.
         opened = []
 
         def counting_open(path, *args, **kwargs):
@@ -311,8 +311,7 @@ class TestCaching:
         for prompt in ("first", "second"):
             request = text_request(prompt)
             assert gateway.call(request).text == "live"
-            assert opened == [f"{tmp_path}{os.sep}{request.key}.txt"]
-            opened.clear()
+            assert opened == []
 
 
 def _log_entries(directory: Path) -> list:
@@ -469,14 +468,6 @@ class TestReplyLog:
         assert (cached.text, cached.cached) == (reply, 1)
         assert (tmp_path / "replies.jsonl").read_bytes().isascii()
 
-    def test_legacy_key_file_replays_carriage_returns(self, tmp_path):
-        request = text_request("legacy")
-        reply = "line one\r\nline two\rend \ud800"
-        (tmp_path / f"{request.key}.txt").write_bytes(reply.encode("utf-8", "surrogatepass"))
-        assert Gateway(ScriptedBackend(fixture_dir=tmp_path)).call(request).text == reply
-        cached = Gateway(DynamicBackend(lambda r: None), cache_dir=tmp_path).call(request)
-        assert (cached.text, cached.cached) == (reply, 1)
-
     def test_legacy_fixture_dir_replays_the_two_level_scenario(self, tmp_path):
         config = scripted_config()
         build_two_level_scenario(config)
@@ -488,6 +479,36 @@ class TestReplyLog:
         replay = replace(config, backends=RoleBindings.uniform(gateway))
         assert evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", replay).to_json() == expected
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_readme_command_converts_key_files_to_a_log(self, tmp_path):
+        # Earlier versions recorded one <key>.txt file per reply, in UTF-8
+        # with lone surrogates passed through.
+        config = scripted_config()
+        build_two_level_scenario(config)
+        expected = evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", config).to_json()
+        fixtures = dict(scripted_backend_of(config).fixtures)
+        exact = text_request("exact")
+        fixtures[exact.key] = "line one\r\nline two\rend \ud800"
+        for key, reply in fixtures.items():
+            (tmp_path / f"{key}.txt").write_bytes(reply.encode("utf-8", "surrogatepass"))
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        command = next(
+            line for line in readme.splitlines() if line.startswith("python3 -c 'import pathlib")
+        )
+        argv = shlex.split(command)
+        assert argv[0] == "python3" and argv[-1] == "DIR"
+        subprocess.run(
+            [sys.executable, *argv[1:-1], str(tmp_path)],
+            env=_package_env(), check=True, timeout=60,
+        )
+
+        assert dict(_log_entries(tmp_path)) == fixtures
+        gateway = Gateway(ScriptedBackend(fixtures={}), cache_dir=tmp_path)
+        replay = replace(config, backends=RoleBindings.uniform(gateway))
+        assert evaluate_pair(TINY_PNG, "A brown dog lies on a sofa.", replay).to_json() == expected
+        assert gateway.call(exact).text == fixtures[exact.key]
+        assert gateway.backend.calls == []
 
 
 def _parse_int(text: str) -> int:
@@ -798,7 +819,7 @@ from contextlib import closing
 from helpers import TINY_PNG, FakeChatServer
 from hmgie.gateway import HttpBackend, ModelRequest
 with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as backend:
-    print(backend.complete(ModelRequest.text("ping")))
+    print(backend.complete(ModelRequest("ping")))
     print(backend.complete(ModelRequest.vision("look", TINY_PNG)))
 """
         result = subprocess.run(

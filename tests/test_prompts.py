@@ -155,26 +155,26 @@ class TestVqaReply:
 
 class TestEvalReply:
     def test_true(self):
-        assert parse_eval_reply('{"Correct": true}').correct is True
+        assert parse_eval_reply('{"Correct": true}') is True
 
     def test_false(self):
-        assert parse_eval_reply('{"Correct": false}').correct is False
+        assert parse_eval_reply('{"Correct": false}') is False
 
     def test_prose_is_malformed(self):
         with pytest.raises(MalformedOutputError):
             parse_eval_reply("The answer looks right to me.")
 
     def test_string_bool_tolerated(self):
-        assert parse_eval_reply('{"Correct": "True"}').correct is True
+        assert parse_eval_reply('{"Correct": "True"}') is True
 
 
 class TestConsistencyReply:
     def test_yes(self):
         reply = parse_consistency_reply('{"Answer": "Yes", "Explanation": "match"}')
-        assert reply.consistent is True
+        assert reply is True
 
     def test_no_with_elaboration(self):
-        assert parse_consistency_reply('{"Answer": "No, the color differs"}').consistent is False
+        assert parse_consistency_reply('{"Answer": "No, the color differs"}') is False
 
     def test_unparseable_answer(self):
         with pytest.raises(MalformedOutputError):
