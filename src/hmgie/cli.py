@@ -1,21 +1,23 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 runtime failure (any per-item error), 64 usage or
-configuration error. Values resolve as flags > environment > config file >
-defaults; backend credentials can be overridden per role through
+configuration error. Values resolve as flags > environment > config file; a
+setting given nowhere keeps the library's default, which --help shows.
+Backend credentials can be overridden per role through
 HMGIE_<ROLE>_ENDPOINT / HMGIE_<ROLE>_API_KEY.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
-from contextlib import closing
-from dataclasses import dataclass
+from contextlib import ExitStack, closing
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import HmgieError
 from .forge import (
@@ -41,6 +43,8 @@ EXIT_USAGE = 64
 
 IMAGE_EXTENSIONS = {".png", ".jpg", ".jpeg", ".gif", ".webp", ".bmp"}
 
+DETECTORS = {"dp": TemplateName.DIRECT_PROMPT, "cot": TemplateName.COT_PROMPT}
+
 
 class UsageError(Exception):
     """Invalid flags or configuration; maps to exit code 64."""
@@ -53,12 +57,54 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _resolve(*candidates):
-    """First non-None candidate (flag > env > file > default)."""
-    for candidate in candidates:
-        if candidate is not None:
-            return candidate
-    return None
+class _Setting(NamedTuple):
+    """How the CLI reads one setting, and the library parameter it sets."""
+
+    parameter: str = ""  # when it is not named like the setting
+    kind: type = str  # str, int or float
+    low: float = 1  # the least number allowed
+    above: bool = False  # the number must exceed ``low``
+    env: bool = False  # HMGIE_<KEY> backs it
+
+    def check(self, value, name: str):
+        """``value`` as this setting's type within its bound, else UsageError
+        naming ``name``. A JSON bool is not a number, nor a float an integer."""
+        if self.kind is str:
+            if not isinstance(value, str):
+                raise UsageError(f"{name}: expected text, got {value!r}")
+            return value
+        try:
+            if isinstance(value, bool) or (self.kind is int and isinstance(value, float)):
+                raise TypeError(value)
+            number = self.kind(value)
+            if not math.isfinite(number):
+                raise ValueError(value)
+        except (TypeError, ValueError):
+            expected = "an integer" if self.kind is int else "a number"
+            raise UsageError(f"{name}: expected {expected}, got {value!r}") from None
+        if number < self.low or (self.above and number == self.low):
+            raise UsageError(
+                f"{name}: must be {'>' if self.above else '>='} {self.low}, got {number}"
+            )
+        return number
+
+
+# Every setting the CLI reads, by its config-file key, which its flag and
+# HMGIE_<KEY> spell too; max_output_tokens has no flag.
+SETTINGS = {
+    "endpoint": _Setting(env=True),
+    "api_key": _Setting(env=True),
+    "cache_dir": _Setting(env=True),
+    "templates_dir": _Setting(env=True),
+    "model": _Setting("model_id", env=True),
+    "temperature": _Setting(kind=float, low=0, env=True),
+    "retry_limit": _Setting(kind=int),
+    "max_level": _Setting(kind=int),
+    "max_per_level": _Setting("max_questions_per_level", kind=int),
+    "weight_ratio": _Setting(kind=float, low=0, above=True),
+    "parallelism": _Setting(kind=int),
+    "max_output_tokens": _Setting(kind=int),
+}
 
 
 def _env(name: str) -> Optional[str]:
@@ -66,24 +112,12 @@ def _env(name: str) -> Optional[str]:
     return value if value else None
 
 
-@dataclass
-class RunConfig:
-    """Resolved, validated settings shared by the subcommands."""
+def _default(function, parameter: str):
+    return inspect.signature(function).parameters[parameter].default
 
-    mode: str  # live | record | replay
-    endpoint: Optional[str]
-    api_key: Optional[str]
-    model: str
-    temperature: float
-    cache_dir: Optional[str]
-    replay_dir: Optional[str]
-    templates_dir: Optional[str]
-    retry_limit: int
-    max_level: int
-    max_per_level: int
-    weight_ratio: float
-    parallelism: int
-    max_output_tokens: int
+
+# Gateway's retry default, read once for --help.
+_GATEWAY_ATTEMPTS = _default(Gateway, "attempts")
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -96,38 +130,48 @@ def _load_config_file(path: Optional[str]) -> dict:
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: top level must be an object")
+    unknown = sorted(set(data) - set(SETTINGS))
+    if unknown:
+        raise UsageError(f"config file {path}: unknown key {unknown[0]!r}")
     return data
 
 
-def _number(value, name: str, kind=int, low=1, strict=False):
-    """value as ``kind``, required to be >= low (> low when ``strict``)."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
-        raise UsageError(f"{name}: expected {expected}, got {value!r}")
-    if number < low or (strict and number == low):
-        raise UsageError(f"{name}: must be {'>' if strict else '>='} {low}, got {number}")
-    return number
+def _given_settings(args) -> dict:
+    """Each setting the user gave, checked: its flag, else HMGIE_<KEY>, else
+    the config file. One given nowhere is left out, so the library's default
+    holds. A message names a flag's value by the flag, any other by its key."""
+    from_file = _load_config_file(args.config)
+    given = {}
+    for key, setting in SETTINGS.items():
+        flag = getattr(args, key, None)
+        if flag is not None:
+            given[key] = setting.check(flag, key.replace("_", "-"))
+            continue
+        value = _env(f"HMGIE_{key.upper()}") if setting.env else None
+        value = from_file.get(key) if value is None else value
+        if value is not None:
+            given[key] = setting.check(value, key)
+    return given
 
 
-def _build_run_config(args, mode: str) -> RunConfig:
-    file_cfg = _load_config_file(getattr(args, "config", None))
+def _passed(given: dict, target) -> dict:
+    """The given settings that ``target`` takes, by its parameter names; the
+    rest keep ``target``'s defaults."""
+    names = inspect.signature(target).parameters
+    passed = {SETTINGS[key].parameter or key: value for key, value in given.items()}
+    return {name: value for name, value in passed.items() if name in names}
 
-    def setting(key: str, default=None, env: bool = False):
-        """Flag > HMGIE_<KEY> (for env-backed keys) > config file > default."""
-        from_env = _env(f"HMGIE_{key.upper()}") if env else None
-        return _resolve(getattr(args, key, None), from_env, file_cfg.get(key), default)
 
-    endpoint = setting("endpoint", env=True)
-    api_key = setting("api_key", env=True)
-    cache_dir = setting("cache_dir", env=True)
-    # The subcommand's mode, then the flags: --replay (or the replay
-    # subcommand's cache-dir fallback) wins, --record turns live into record.
+def _run_mode(args, given: dict) -> tuple[str, Optional[str]]:
+    """The run mode and replay directory: the subcommand's mode, then the
+    flags. --replay (or the replay subcommand's cache-dir fallback) wins,
+    --record turns live into record."""
+    mode = args.mode
+    cache_dir = given.get("cache_dir")
     record = getattr(args, "record", False)
-    replay_dir = _resolve(
-        getattr(args, "replay", None), cache_dir if mode == "replay" else None
-    )
+    replay_dir = getattr(args, "replay", None)
+    if replay_dir is None and mode == "replay":
+        replay_dir = cache_dir
     if mode == "replay" and replay_dir is None:
         raise UsageError("replay needs --replay DIR or a cache dir (HMGIE_CACHE_DIR)")
     elif replay_dir is not None and not Path(replay_dir).is_dir():
@@ -138,35 +182,13 @@ def _build_run_config(args, mode: str) -> RunConfig:
         mode = "replay"
     elif (record or mode == "record") and cache_dir is None:
         raise UsageError("record mode needs --cache-dir or HMGIE_CACHE_DIR")
-    elif not api_key:
+    elif not given.get("api_key"):
         raise UsageError("no API key configured (--api-key or HMGIE_API_KEY)")
-    elif not endpoint:
+    elif not given.get("endpoint"):
         raise UsageError("no endpoint configured (--endpoint or HMGIE_ENDPOINT)")
     elif record:
         mode = "record"
-
-    return RunConfig(
-        mode=mode,
-        endpoint=endpoint,
-        api_key=api_key,
-        model=str(setting("model", "gpt-4o", env=True)),
-        temperature=_number(
-            setting("temperature", 0.3, env=True), "temperature", float, 0
-        ),
-        cache_dir=cache_dir,
-        replay_dir=replay_dir,
-        templates_dir=setting("templates_dir", env=True),
-        retry_limit=_number(setting("retry_limit", 3), "retry-limit"),
-        max_level=_number(setting("max_level", 5), "max-level"),
-        max_per_level=_number(setting("max_per_level", 10), "max-per-level"),
-        weight_ratio=_number(
-            setting("weight_ratio", 1.2), "weight-ratio", float, 0, strict=True
-        ),
-        parallelism=_number(setting("parallelism", 1), "parallelism"),
-        max_output_tokens=_number(
-            setting("max_output_tokens", 2048), "max_output_tokens"
-        ),
-    )
+    return mode, replay_dir
 
 
 class _GatewayFactory:
@@ -176,30 +198,32 @@ class _GatewayFactory:
     in ``contextlib.closing`` so that happens when they end.
     """
 
-    def __init__(self, rc: RunConfig):
-        self.rc = rc
+    def __init__(self, given: dict, mode: str, replay_dir: Optional[str]):
+        self.given = given
+        self.mode = mode
+        self.replay_dir = replay_dir
         self._gateways: dict[tuple[Optional[str], Optional[str]], Gateway] = {}
         self._scripted: Optional[Gateway] = None
 
     def for_role(self, role: str) -> Gateway:
-        rc = self.rc
-        if rc.mode == "replay":
+        if self.mode == "replay":
             if self._scripted is None:
                 # Replies come from the log's index; a miss reaches the
                 # empty backend, which names the key it lacks.
                 backend = ScriptedBackend(fixtures={})
-                self._scripted = Gateway(backend, cache_dir=rc.replay_dir)
+                self._scripted = Gateway(backend, cache_dir=self.replay_dir)
             return self._scripted
-        endpoint = _env(f"HMGIE_{role}_ENDPOINT") or rc.endpoint
-        api_key = _env(f"HMGIE_{role}_API_KEY") or rc.api_key
+        endpoint = _env(f"HMGIE_{role}_ENDPOINT") or self.given["endpoint"]
+        api_key = _env(f"HMGIE_{role}_API_KEY") or self.given["api_key"]
         key = (endpoint, api_key)
         if key not in self._gateways:
             backend = HttpBackend(endpoint=endpoint, api_key=api_key)
+            attempts = self.given.get("retry_limit")
             self._gateways[key] = Gateway(
                 backend,
-                cache_dir=rc.cache_dir,
-                record=(rc.mode == "record"),
-                attempts=rc.retry_limit,
+                cache_dir=self.given.get("cache_dir"),
+                record=(self.mode == "record"),
+                **({} if attempts is None else {"attempts": attempts}),
             )
         return self._gateways[key]
 
@@ -208,7 +232,7 @@ class _GatewayFactory:
             gateway.backend.close()
 
 
-def _pipeline_config(rc: RunConfig, factory: _GatewayFactory) -> PipelineConfig:
+def _pipeline_config(given: dict, factory: _GatewayFactory) -> PipelineConfig:
     bindings = RoleBindings(
         graph_gen=factory.for_role("GRAPH_GEN"),
         question_gen=factory.for_role("QUESTION_GEN"),
@@ -219,19 +243,47 @@ def _pipeline_config(rc: RunConfig, factory: _GatewayFactory) -> PipelineConfig:
     )
     return PipelineConfig(
         backends=bindings,
-        max_level=rc.max_level,
-        max_questions_per_level=rc.max_per_level,
-        retry_limit=rc.retry_limit,
-        weight_ratio=rc.weight_ratio,
-        model_id=rc.model,
-        temperature=rc.temperature,
-        max_output_tokens=rc.max_output_tokens,
-        templates=load_templates(rc.templates_dir),
+        templates=load_templates(given.get("templates_dir")),
         # Replay waits on no model, so level fan-out threads only add switching.
-        intra_level_parallelism=(
-            1 if rc.mode == "replay" else PipelineConfig.intra_level_parallelism
-        ),
+        **({"intra_level_parallelism": 1} if factory.mode == "replay" else {}),
+        **_passed(given, PipelineConfig),
     )
+
+
+def _forge_config(args, given: dict, factory: _GatewayFactory) -> ForgeConfig:
+    options = _passed(given, ForgeConfig)
+    if args.max_iter is not None:
+        options["max_iterations"] = _Setting(kind=int).check(args.max_iter, "max-iter")
+    if args.granularity:
+        specs = DEFAULT_GRANULARITY_SPECS
+        options["specs"] = tuple(spec for spec in specs if spec.level in args.granularity)
+    if args.detector is not None:
+        options["detector_template"] = DETECTORS[args.detector]
+    captioner_models = tuple(args.captioner_model or ())
+    return ForgeConfig(
+        bindings=ForgeBindings(
+            captioners=tuple(
+                factory.for_role("CAPTION") for _ in range(max(1, len(captioner_models)))
+            ),
+            fusion=factory.for_role("FUSION"),
+            perturb=factory.for_role("PERTURB"),
+            detector=factory.for_role("DETECTOR"),
+        ),
+        include_undetected=args.include_undetected,
+        captioner_model_ids=captioner_models,
+        templates=load_templates(given.get("templates_dir")),
+        **options,
+    )
+
+
+def _configure(args, stack: ExitStack) -> tuple[dict, PipelineConfig | ForgeConfig]:
+    """The settings the user gave and the subcommand's config built from
+    them; ``stack`` closes the backends built on the way."""
+    given = _given_settings(args)
+    factory = stack.enter_context(closing(_GatewayFactory(given, *_run_mode(args, given))))
+    if args.command == "forge":
+        return given, _forge_config(args, given, factory)
+    return given, _pipeline_config(given, factory)
 
 
 def _format_float(value: Optional[float]) -> str:
@@ -308,27 +360,7 @@ def _write_report(out_dir: Optional[str], name: str, report: EvaluationReport) -
         _write_text(Path(out_dir) / f"{_safe_name(name)}.report.json", report.to_json() + "\n")
 
 
-def cmd_evaluate(args, mode: str = "live") -> int:
-    try:
-        if bool(args.dataset) == bool(args.caption):
-            raise UsageError("provide either --caption with --image, or --dataset")
-        if args.caption and not args.image:
-            raise UsageError("--caption requires --image")
-        rc = _build_run_config(args, mode)
-    except (UsageError, HmgieError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    with closing(_GatewayFactory(rc)) as factory:
-        return _evaluate(args, rc, factory)
-
-
-def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
-    try:
-        config = _pipeline_config(rc, factory)
-    except (UsageError, HmgieError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+def _evaluate(args, config: PipelineConfig, **batch_options) -> int:
     if args.caption:
         try:
             payload = Path(args.image).read_bytes()
@@ -347,7 +379,7 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    batch = evaluate_batch(dataset, config, parallelism=rc.parallelism)
+    batch = evaluate_batch(dataset, config, **batch_options)
 
     summary_rows = []
     for result in batch.results:
@@ -390,55 +422,7 @@ def _evaluate(args, rc: RunConfig, factory: _GatewayFactory) -> int:
     return EXIT_RUNTIME if batch.failed else EXIT_OK
 
 
-def cmd_forge(args) -> int:
-    try:
-        rc = _build_run_config(args, "live")
-    except (UsageError, HmgieError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    with closing(_GatewayFactory(rc)) as factory:
-        return _forge(args, rc, factory)
-
-
-def _forge(args, rc: RunConfig, factory: _GatewayFactory) -> int:
-    try:
-        max_iterations = _number(args.max_iter, "max-iter")
-        granularities = args.granularity or [1, 2, 3, 4]
-        specs = tuple(
-            spec for spec in DEFAULT_GRANULARITY_SPECS if spec.level in granularities
-        )
-        if not specs:
-            raise UsageError("no granularity specs selected")
-        captioner_models = tuple(args.captioner_model or ())
-        captioners = tuple(
-            factory.for_role("CAPTION") for _ in range(max(1, len(captioner_models)))
-        )
-        config = ForgeConfig(
-            bindings=ForgeBindings(
-                captioners=captioners,
-                fusion=factory.for_role("FUSION"),
-                perturb=factory.for_role("PERTURB"),
-                detector=factory.for_role("DETECTOR"),
-            ),
-            specs=specs,
-            max_iterations=max_iterations,
-            detector_template=(
-                TemplateName.COT_PROMPT
-                if args.detector == "cot"
-                else TemplateName.DIRECT_PROMPT
-            ),
-            include_undetected=args.include_undetected,
-            model_id=rc.model,
-            captioner_model_ids=captioner_models,
-            temperature=rc.temperature,
-            max_output_tokens=rc.max_output_tokens,
-            templates=load_templates(rc.templates_dir),
-            parallelism=rc.parallelism,
-        )
-    except (UsageError, HmgieError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
+def _forge(args, config: ForgeConfig) -> int:
     images_dir = Path(args.images)
     if not images_dir.is_dir():
         print(f"error: images directory not readable: {args.images}", file=sys.stderr)
@@ -456,7 +440,7 @@ def _forge(args, rc: RunConfig, factory: _GatewayFactory) -> int:
     for granularity in sorted(summary.per_granularity):
         print(f"G{granularity}: {summary.per_granularity[granularity]} records")
     if summary.skipped_undetected:
-        print(f"skipped (detector never fooled): {summary.skipped_undetected}")
+        print(f"skipped (no adversarial record): {summary.skipped_undetected}")
     for error in summary.errors:
         print(f"note: {error}", file=sys.stderr)
     if image_paths and summary.records_written == 0 and summary.errors:
@@ -464,20 +448,22 @@ def _forge(args, rc: RunConfig, factory: _GatewayFactory) -> int:
     return EXIT_OK
 
 
-def _add_common_args(parser) -> None:
+def _add_common_args(parser, config, parallelism: int) -> None:
+    """The flags every subcommand takes; help shows the defaults of the
+    library ``config`` the subcommand builds and the ``parallelism`` it runs at."""
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--endpoint", help="chat-completions endpoint URL")
-    parser.add_argument("--api-key", dest="api_key", help="backend API key")
-    parser.add_argument("--model", help="model identifier")
-    parser.add_argument("--temperature", help="sampling temperature (default 0.3)")
-    parser.add_argument("--cache-dir", dest="cache_dir", help="response cache directory")
+    parser.add_argument("--api-key", help="backend API key")
+    parser.add_argument("--model", help=f"model identifier (default {config.model_id})")
     parser.add_argument(
-        "--templates-dir", dest="templates_dir", help="prompt template overrides"
+        "--temperature", help=f"sampling temperature (default {config.temperature})"
     )
+    parser.add_argument("--cache-dir", help="response cache directory")
+    parser.add_argument("--templates-dir", help="prompt template overrides")
     parser.add_argument(
-        "--retry-limit", dest="retry_limit", help="attempts per model call (default 3)"
+        "--retry-limit", help=f"attempts per model call (default {_GATEWAY_ATTEMPTS})"
     )
-    parser.add_argument("--parallelism", help="concurrent items (default 1)")
+    parser.add_argument("--parallelism", help=f"concurrent items (default {parallelism})")
 
 
 def _add_eval_args(parser, include_modes: bool = True) -> None:
@@ -486,20 +472,17 @@ def _add_eval_args(parser, include_modes: bool = True) -> None:
     parser.add_argument("--dataset", help="JSONL dataset for batch evaluation")
     parser.add_argument("--out", help="directory for report files")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--max-level", dest="max_level", help="maximum depth (default 5)")
-    parser.add_argument(
-        "--max-per-level", dest="max_per_level", help="question budget per level (default 10)"
-    )
-    parser.add_argument(
-        "--weight-ratio", dest="weight_ratio", help="geometric weight ratio (default 1.2)"
-    )
+    parser.add_argument("--max-level", help=f"maximum depth (default {PipelineConfig.max_level})")
+    budget = PipelineConfig.max_questions_per_level
+    parser.add_argument("--max-per-level", help=f"question budget per level (default {budget})")
+    ratio = PipelineConfig.weight_ratio
+    parser.add_argument("--weight-ratio", help=f"geometric weight ratio (default {ratio})")
     parser.add_argument(
         "--per-granularity",
-        dest="per_granularity",
         action="store_true",
         help="break metrics down by dataset granularity",
     )
-    _add_common_args(parser)
+    _add_common_args(parser, PipelineConfig, _default(evaluate_batch, "parallelism"))
     if include_modes:
         parser.add_argument(
             "--record", action="store_true", help="capture live replies into the cache dir"
@@ -527,32 +510,35 @@ def build_parser() -> _Parser:
     forge = sub.add_parser("forge", help="construct an adversarial dataset")
     forge.add_argument("--images", required=True, help="directory of input images")
     forge.add_argument("--out", required=True, help="output JSONL path")
-    forge.add_argument("--max-iter", dest="max_iter", default=5, help="perturbation budget")
+    budget = ForgeConfig.max_iterations
+    forge.add_argument("--max-iter", help=f"perturbation budget (default {budget})")
     forge.add_argument(
         "--granularity",
         action="append",
         type=int,
-        choices=(1, 2, 3, 4),
+        choices=tuple(spec.level for spec in DEFAULT_GRANULARITY_SPECS),
         help="restrict to these granularity tiers (repeatable)",
     )
+    style = {template: name for name, template in DETECTORS.items()}
     forge.add_argument(
-        "--detector", choices=("dp", "cot"), default="dp", help="detector prompt style"
+        "--detector",
+        choices=tuple(DETECTORS),
+        help=f"detector prompt style (default {style[ForgeConfig.detector_template]})",
     )
     forge.add_argument(
         "--include-undetected",
-        dest="include_undetected",
         action="store_true",
         help="emit records whose perturbations never fooled the detector",
     )
     forge.add_argument(
         "--captioner-model",
-        dest="captioner_model",
         action="append",
         help="ensemble captioner model id (repeatable)",
     )
     forge.add_argument("--record", action="store_true", help=argparse.SUPPRESS)
     forge.add_argument("--replay", help="serve replies from this fixture directory")
-    _add_common_args(forge)
+    _add_common_args(forge, ForgeConfig, ForgeConfig.parallelism)
+    forge.set_defaults(mode="live")
     return parser
 
 
@@ -566,12 +552,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "forge":
-        return cmd_forge(args)
-    if args.command is not None:
-        return cmd_evaluate(args, args.mode)
-    parser.print_usage(sys.stderr)
-    return EXIT_USAGE
+    if args.command is None:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    forge = args.command == "forge"
+    # A config problem ends here, after the factory closes what it built.
+    with ExitStack() as stack:
+        try:
+            if not forge and bool(args.dataset) == bool(args.caption):
+                raise UsageError("provide either --caption with --image, or --dataset")
+            if not forge and args.caption and not args.image:
+                raise UsageError("--caption requires --image")
+            given, config = _configure(args, stack)
+        except (UsageError, HmgieError) as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if forge:
+            return _forge(args, config)
+        return _evaluate(args, config, **_passed(given, evaluate_batch))
 
 
 if __name__ == "__main__":

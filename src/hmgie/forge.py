@@ -36,15 +36,6 @@ from .prompts import (
 from .structured import extract_json_value
 
 
-def _granularity_prompt(requirements: str, low: int, high: int) -> str:
-    return (
-        "Describe the image for a captioning dataset.\n"
-        f"Requirements: {requirements}\n"
-        f"The caption should be between {low} and {high} words long.\n"
-        "Reply with the caption only, no preamble."
-    )
-
-
 @dataclass(frozen=True)
 class GranularitySpec:
     """One caption-detail tier: the generation prompt and its word budget."""
@@ -61,45 +52,44 @@ class GranularitySpec:
             raise SchemaViolationError("target word range must satisfy 0 < min < max")
 
 
+def _tier(level: int, requirements: str, low: int, high: int) -> GranularitySpec:
+    """A tier whose prompt asks for its own word range."""
+    prompt = (
+        "Describe the image for a captioning dataset.\n"
+        f"Requirements: {requirements}\n"
+        f"The caption should be between {low} and {high} words long.\n"
+        "Reply with the caption only, no preamble."
+    )
+    return GranularitySpec(level=level, prompt=prompt, target_word_range=(low, high))
+
+
 DEFAULT_GRANULARITY_SPECS = (
-    GranularitySpec(
-        level=1,
-        prompt=_granularity_prompt(
-            "identify the main objects and the basic scene type in one simple sentence.",
-            6,
-            16,
-        ),
-        target_word_range=(6, 16),
+    _tier(
+        1,
+        "identify the main objects and the basic scene type in one simple sentence.",
+        6,
+        16,
     ),
-    GranularitySpec(
-        level=2,
-        prompt=_granularity_prompt(
-            "cover the main objects, their basic visual attributes, their locations, "
-            "and the primary spatial relationships between them.",
-            15,
-            34,
-        ),
-        target_word_range=(15, 34),
+    _tier(
+        2,
+        "cover the main objects, their basic visual attributes, their locations, "
+        "and the primary spatial relationships between them.",
+        15,
+        34,
     ),
-    GranularitySpec(
-        level=3,
-        prompt=_granularity_prompt(
-            "include secondary objects, specific visual features, and the more "
-            "complex relationships between scene elements.",
-            26,
-            56,
-        ),
-        target_word_range=(26, 56),
+    _tier(
+        3,
+        "include secondary objects, specific visual features, and the more "
+        "complex relationships between scene elements.",
+        26,
+        56,
     ),
-    GranularitySpec(
-        level=4,
-        prompt=_granularity_prompt(
-            "describe all visual elements with full attribute descriptions and "
-            "comprehensive scene details.",
-            45,
-            85,
-        ),
-        target_word_range=(45, 85),
+    _tier(
+        4,
+        "describe all visual elements with full attribute descriptions and "
+        "comprehensive scene details.",
+        45,
+        85,
     ),
 )
 
@@ -334,6 +324,11 @@ def perturb_iteratively(
             )
             perturbed = _parse_perturbed_caption(reply.text)
             history.append(perturbed)
+            if not perturbed:
+                # A blank attempt plants nothing, so it counts as detected
+                # without asking the detector.
+                verdicts.append(0)
+                continue
 
             detect_prompt = render(detector_template, {"caption": perturbed})
             detect_reply = bindings.detector.call(_request(config, detect_prompt, image))

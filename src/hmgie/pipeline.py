@@ -124,27 +124,23 @@ class PipelineConfig:
     max_output_tokens: int = 2048
     templates: Mapping[TemplateName, PromptTemplate] = field(default_factory=load_templates)
     intra_level_parallelism: int = 4
+    # The depth, budget and weight ratio as the scores read them, built (and
+    # so checked) once when the config is.
+    scoring: ScoringConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.max_level < 1:
-            raise SchemaViolationError("max_level must be >= 1")
-        if self.max_questions_per_level < 1:
-            raise SchemaViolationError("max_questions_per_level must be >= 1")
-        if self.retry_limit < 1:
-            raise SchemaViolationError("retry_limit must be >= 1")
-        if self.weight_ratio <= 0:
-            raise SchemaViolationError("weight_ratio must be > 0")
-        if self.temperature < 0:
-            raise SchemaViolationError("temperature must be >= 0")
-        if self.intra_level_parallelism < 1:
-            raise SchemaViolationError("intra_level_parallelism must be >= 1")
-
-    def scoring_config(self) -> ScoringConfig:
-        return ScoringConfig(
+        scoring = ScoringConfig(
             weight_ratio=self.weight_ratio,
             max_level=self.max_level,
             max_per_level=self.max_questions_per_level,
         )
+        object.__setattr__(self, "scoring", scoring)
+        if self.retry_limit < 1:
+            raise SchemaViolationError("retry_limit must be >= 1")
+        if self.temperature < 0:
+            raise SchemaViolationError("temperature must be >= 0")
+        if self.intra_level_parallelism < 1:
+            raise SchemaViolationError("intra_level_parallelism must be >= 1")
 
 
 def _sampling(config: PipelineConfig) -> dict:
@@ -558,9 +554,8 @@ def evaluate_pair(
             raise EmptyHiegError("evaluation produced no questions")
 
         stats = level_stats(hieg)
-        scoring = config.scoring_config()
-        h_acc = compute_h_acc(stats, scoring)
-        h_comp = compute_h_comp([s.count for s in stats], scoring)
+        h_acc = compute_h_acc(stats, config.scoring)
+        h_comp = compute_h_comp([s.count for s in stats], config.scoring)
         decision = overall_decision(hieg)
 
         explanation = ""

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 from dataclasses import replace
@@ -16,8 +17,9 @@ from helpers import (
 )
 from hmgie import cli, pipeline
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from hmgie.forge import ForgeConfig
 from hmgie.gateway import Gateway, HttpBackend
-from hmgie.pipeline import RoleBindings, evaluate_pair
+from hmgie.pipeline import PipelineConfig, RoleBindings, evaluate_batch, evaluate_pair
 
 CAPTION = "A brown dog lies on a sofa."
 
@@ -392,6 +394,28 @@ class TestRecordReplay:
         assert code == EXIT_RUNTIME
         assert len(closed) == 2
 
+    @pytest.mark.parametrize(
+        "command, template",
+        [(["evaluate", "--image", "i", "--caption", "c"], "vqa.txt"),
+         (["forge", "--images", "imgs", "--out", "x.jsonl"], "direct_prompt.txt")],
+    )
+    def test_config_error_closes_the_backends_built_before_it(
+        self, tmp_path, capsys, monkeypatch, command, template
+    ):
+        # The templates load after every role's gateway is built.
+        closed = []
+        close = HttpBackend.close
+        monkeypatch.setattr(HttpBackend, "close", lambda b: (closed.append(b), close(b)))
+        (tmp_path / template).write_text("{bogus}", encoding="utf-8")
+        argv = command + [
+            "--endpoint", "http://example.invalid",
+            "--api-key", "k",
+            "--templates-dir", str(tmp_path),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert "undeclared placeholders ['bogus']" in capsys.readouterr().err
+        assert len(closed) == 1
+
     def test_record_without_api_key_is_usage_error(self, tmp_path, capsys):
         image = tmp_path / "img.png"
         image.write_bytes(TINY_PNG)
@@ -605,6 +629,46 @@ class TestForgeCli:
         assert code == EXIT_USAGE
         assert "max-iter" in capsys.readouterr().err
 
+    def test_skipped_count_names_every_omission(self, tmp_path, capsys):
+        # The detector is never fooled, but --include-undetected keeps the
+        # attempt; the cell is skipped because it equals the ground truth.
+        images = tmp_path / "imgs"
+        images.mkdir()
+        (images / "one.png").write_bytes(TINY_PNG)
+
+        def router(body):
+            content = body["messages"][-1]["content"]
+            prompt = content if isinstance(content, str) else content[0]["text"]
+            if prompt.startswith("Describe the image"):
+                return 200, "ground truth caption"
+            if prompt.startswith("You are constructing hard negative captions"):
+                return 200, json.dumps({"Perturbed-Caption": "ground truth caption"})
+            return 200, json.dumps({"Answer": "No"})
+
+        with FakeChatServer(router) as server:
+            code = main(
+                [
+                    "forge",
+                    "--images", str(images),
+                    "--out", str(tmp_path / "x.jsonl"),
+                    "--endpoint", server.endpoint,
+                    "--api-key", "k",
+                    "--granularity", "1",
+                    "--max-iter", "1",
+                    "--include-undetected",
+                ]
+            )
+        captured = capsys.readouterr()
+        assert code == EXIT_OK
+        assert captured.out == (
+            "records: 1 (1 clean, 0 adversarial)\n"
+            "G1: 1 records\n"
+            "skipped (no adversarial record): 1\n"
+        )
+        assert captured.err == (
+            f"note: {images / 'one.png'} g1: perturbation equals ground truth; omitted\n"
+        )
+
     def test_images_sharing_a_stem_exit_2_before_any_call(self, tmp_path, capsys):
         images = tmp_path / "imgs"
         images.mkdir()
@@ -625,7 +689,9 @@ class TestForgeCli:
 
 class TestConfigResolution:
     def _rc(self, tmp_path, monkeypatch, flag=None, env=None, file_value=None):
-        from hmgie.cli import _build_run_config, build_parser
+        from contextlib import ExitStack
+
+        from hmgie.cli import _configure, build_parser
 
         fixture_dir = tmp_path / "fx"
         fixture_dir.mkdir(exist_ok=True)
@@ -639,7 +705,8 @@ class TestConfigResolution:
             config_path.write_text(json.dumps({"model": file_value}), encoding="utf-8")
             argv += ["--config", str(config_path)]
         args = build_parser().parse_args(argv)
-        return _build_run_config(args, "live")
+        with ExitStack() as stack:
+            return _configure(args, stack)[1]
 
     @pytest.mark.parametrize("flag", [None, "from-flag"])
     @pytest.mark.parametrize("env", [None, "from-env"])
@@ -647,8 +714,8 @@ class TestConfigResolution:
     def test_precedence_exhaustive(self, tmp_path, monkeypatch, flag, env, file_value):
         # flags > env > file > default, over every presence combination
         expected = flag or env or file_value or "gpt-4o"
-        rc = self._rc(tmp_path, monkeypatch, flag, env, file_value)
-        assert rc.model == expected
+        config = self._rc(tmp_path, monkeypatch, flag, env, file_value)
+        assert config.model_id == expected
 
     def test_invalid_max_level(self, tmp_path, capsys):
         fixture_dir = tmp_path / "fx"
@@ -730,6 +797,31 @@ class TestRunConfigErrors:
         )
 
 
+# Config-file values that name no setting or have the wrong type, with the
+# exact stderr line, which names a file value by its key; all but the
+# endpoint case run in replay mode.
+CONFIG_FILE_ERRORS = [
+    ({"max_levle": 2}, "config file {path}: unknown key 'max_levle'"),
+    ({"max_level": True}, "max_level: expected an integer, got True"),
+    ({"max_level": 2.5}, "max_level: expected an integer, got 2.5"),
+    ({"temperature": False}, "temperature: expected a number, got False"),
+    ({"weight_ratio": "nan"}, "weight_ratio: expected a number, got 'nan'"),
+    ({"endpoint": 123, "api_key": "k"}, "endpoint: expected text, got 123"),
+    ({"templates_dir": 7}, "templates_dir: expected text, got 7"),
+]
+
+
+@pytest.mark.parametrize("settings, message", CONFIG_FILE_ERRORS)
+def test_config_file_value_refused_with_exit_64(tmp_path, capsys, settings, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(settings), encoding="utf-8")
+    argv = EVAL + ["--config", str(path)]
+    if "endpoint" not in settings:
+        argv += ["--replay", str(tmp_path)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
+
+
 COMMON_FLAGS = {
     "--api-key", "--cache-dir", "--config", "--endpoint", "--help", "--model",
     "--parallelism", "--retry-limit", "--temperature", "--templates-dir",
@@ -755,3 +847,35 @@ def test_help_lists_each_subcommands_flags(capsys, command):
     assert main([command, "--help"]) == EXIT_OK
     listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
     assert listed == HELP_FLAGS[command]
+
+
+def _library_defaults(command: str) -> dict:
+    """Each default --help shows, as the library defines it."""
+    parallelism = inspect.signature(evaluate_batch).parameters["parallelism"].default
+    if command == "evaluate":
+        config = PipelineConfig
+        shown = {
+            "--max-level": config.max_level,
+            "--max-per-level": config.max_questions_per_level,
+            "--weight-ratio": config.weight_ratio,
+        }
+    else:
+        config, parallelism = ForgeConfig, ForgeConfig.parallelism
+        detector = {v: k for k, v in cli.DETECTORS.items()}[config.detector_template]
+        shown = {"--max-iter": config.max_iterations, "--detector": detector}
+    return {
+        **shown,
+        "--model": config.model_id,
+        "--temperature": config.temperature,
+        "--retry-limit": Gateway(None).attempts,
+        "--parallelism": parallelism,
+    }
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forge"])
+def test_help_shows_the_library_defaults(capsys, command):
+    assert main([command, "--help"]) == EXIT_OK
+    options = " ".join(capsys.readouterr().out.split()).split(" options: ", 1)[1]
+    shown = re.findall(r"(--[a-z-]+) \S+ (?:(?! --).)*?\(default ([^)]+)\)", options)
+    expected = {flag: str(value) for flag, value in _library_defaults(command).items()}
+    assert dict(shown) == expected

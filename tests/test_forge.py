@@ -332,6 +332,7 @@ class TestBuildDataset:
         assert all(line["caption"] == "perturbed caption v2" for line in adversarial)
 
     def test_blank_perturbation_omitted_with_a_note(self, images, tmp_path):
+        # Only a kept undetected attempt can still be blank when written.
         def respond(request):
             if request.prompt.startswith("You are constructing hard negative captions"):
                 return "  \n"
@@ -339,7 +340,7 @@ class TestBuildDataset:
                 return json.dumps({"Answer": "Yes"})
             return forge_responder()(request)
 
-        config, _ = forge_config(respond)
+        config, _ = forge_config(respond, include_undetected=True)
         out = tmp_path / "data.jsonl"
         summary = build_dataset(images[:1], config, out)
         lines = [json.loads(line) for line in out.read_text().splitlines()]
@@ -376,10 +377,13 @@ class TestBuildDataset:
         config, _ = forge_config(respond)
         out = tmp_path / "data.jsonl"
         summary = build_dataset(images[:1], config, out)
+        # A blank attempt counts as detected without asking the detector.
+        assert detected == []
         assert summary.errors == tuple(
-            f"{images[0]} g{level}: perturbation is blank; omitted" for level in (1, 2, 3, 4)
+            f"{images[0]} g{level}: no detector-evading perturbation within 3 "
+            "iterations; adversarial record omitted"
+            for level in (1, 2, 3, 4)
         )
-        assert not any("perturbed-caption" in prompt.lower() for prompt in detected)
         assert [json.loads(line)["label"] for line in out.read_text().splitlines()] == [0] * 4
 
     @pytest.mark.parametrize("names", [("cat.png", "cat.jpg"), ("cat.png", "cat.png")])

@@ -22,7 +22,12 @@ from helpers import (
 )
 from hmgie import gateway as gateway_module
 from hmgie import pipeline as pipeline_module
-from hmgie.errors import EmptyHiegError, ExhaustedError, GraphGenFailedError
+from hmgie.errors import (
+    EmptyHiegError,
+    ExhaustedError,
+    GraphGenFailedError,
+    SchemaViolationError,
+)
 from hmgie.gateway import Gateway, ScriptedBackend, cache_key
 from hmgie.pipeline import (
     DatasetItem,
@@ -330,6 +335,22 @@ def _dynamic_config(responder, **overrides) -> PipelineConfig:
     return PipelineConfig(
         backends=RoleBindings.uniform(gateway), templates=TEMPLATES, **overrides
     )
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"max_level": 0},
+        {"max_questions_per_level": 0},
+        {"retry_limit": 0},
+        {"weight_ratio": 0},
+        {"temperature": -0.1},
+        {"intra_level_parallelism": 0},
+    ],
+)
+def test_pipeline_config_refuses_a_setting_out_of_range(setting):
+    with pytest.raises(SchemaViolationError):
+        _dynamic_config(lambda request: "", **setting)
 
 
 incomplete_coverage = json.dumps(
