@@ -36,6 +36,7 @@ from .pipeline import (
     load_dataset_jsonl,
 )
 from .prompts import TemplateName, load_templates
+from .scoring import ScoringConfig
 
 EXIT_OK = 0
 EXIT_RUNTIME = 2
@@ -58,17 +59,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 class _Setting(NamedTuple):
-    """How the CLI reads one setting, and the library parameter it sets."""
+    """How the CLI reads one setting, and the library parameter it sets;
+    that parameter's owner checks its range."""
 
     parameter: str = ""  # when it is not named like the setting
     kind: type = str  # str, int or float
-    low: float = 1  # the least number allowed
-    above: bool = False  # the number must exceed ``low``
     env: bool = False  # HMGIE_<KEY> backs it
 
     def check(self, value, name: str):
-        """``value`` as this setting's type within its bound, else UsageError
-        naming ``name``. A JSON bool is not a number, nor a float an integer."""
+        """``value`` as this setting's type, else UsageError naming ``name``.
+        A JSON bool is not a number, nor a float an integer, nor is a number
+        that is not finite."""
         if self.kind is str:
             if not isinstance(value, str):
                 raise UsageError(f"{name}: expected text, got {value!r}")
@@ -82,26 +83,24 @@ class _Setting(NamedTuple):
         except (TypeError, ValueError):
             expected = "an integer" if self.kind is int else "a number"
             raise UsageError(f"{name}: expected {expected}, got {value!r}") from None
-        if number < self.low or (self.above and number == self.low):
-            raise UsageError(
-                f"{name}: must be {'>' if self.above else '>='} {self.low}, got {number}"
-            )
         return number
 
 
 # Every setting the CLI reads, by its config-file key, which its flag and
-# HMGIE_<KEY> spell too; max_output_tokens has no flag.
+# HMGIE_<KEY> spell too; max_output_tokens has no flag. Each names a parameter
+# of PipelineConfig, ForgeConfig or Gateway, except the deployment settings
+# endpoint, api_key and templates_dir, which the CLI uses itself.
 SETTINGS = {
     "endpoint": _Setting(env=True),
     "api_key": _Setting(env=True),
     "cache_dir": _Setting(env=True),
     "templates_dir": _Setting(env=True),
     "model": _Setting("model_id", env=True),
-    "temperature": _Setting(kind=float, low=0, env=True),
-    "retry_limit": _Setting(kind=int),
+    "temperature": _Setting(kind=float, env=True),
+    "retry_limit": _Setting("attempts", kind=int),
     "max_level": _Setting(kind=int),
     "max_per_level": _Setting("max_questions_per_level", kind=int),
-    "weight_ratio": _Setting(kind=float, low=0, above=True),
+    "weight_ratio": _Setting(kind=float),
     "parallelism": _Setting(kind=int),
     "max_output_tokens": _Setting(kind=int),
 }
@@ -112,12 +111,8 @@ def _env(name: str) -> Optional[str]:
     return value if value else None
 
 
-def _default(function, parameter: str):
-    return inspect.signature(function).parameters[parameter].default
-
-
 # Gateway's retry default, read once for --help.
-_GATEWAY_ATTEMPTS = _default(Gateway, "attempts")
+_GATEWAY_ATTEMPTS = inspect.signature(Gateway).parameters["attempts"].default
 
 
 def _load_config_file(path: Optional[str]) -> dict:
@@ -201,7 +196,11 @@ class _GatewayFactory:
     def __init__(self, given: dict, mode: str, replay_dir: Optional[str]):
         self.given = given
         self.mode = mode
-        self.replay_dir = replay_dir
+        # Every gateway's settings as given (the attempts and the cache dir);
+        # replay reads the replay dir.
+        self.options = _passed(given, Gateway)
+        if mode == "replay":
+            self.options["cache_dir"] = replay_dir
         self._gateways: dict[tuple[Optional[str], Optional[str]], Gateway] = {}
         self._scripted: Optional[Gateway] = None
 
@@ -210,21 +209,14 @@ class _GatewayFactory:
             if self._scripted is None:
                 # Replies come from the log's index; a miss reaches the
                 # empty backend, which names the key it lacks.
-                backend = ScriptedBackend(fixtures={})
-                self._scripted = Gateway(backend, cache_dir=self.replay_dir)
+                self._scripted = Gateway(ScriptedBackend(fixtures={}), **self.options)
             return self._scripted
         endpoint = _env(f"HMGIE_{role}_ENDPOINT") or self.given["endpoint"]
         api_key = _env(f"HMGIE_{role}_API_KEY") or self.given["api_key"]
         key = (endpoint, api_key)
         if key not in self._gateways:
             backend = HttpBackend(endpoint=endpoint, api_key=api_key)
-            attempts = self.given.get("retry_limit")
-            self._gateways[key] = Gateway(
-                backend,
-                cache_dir=self.given.get("cache_dir"),
-                record=(self.mode == "record"),
-                **({} if attempts is None else {"attempts": attempts}),
-            )
+            self._gateways[key] = Gateway(backend, record=(self.mode == "record"), **self.options)
         return self._gateways[key]
 
     def close(self) -> None:
@@ -251,6 +243,10 @@ def _pipeline_config(given: dict, factory: _GatewayFactory) -> PipelineConfig:
 
 
 def _forge_config(args, given: dict, factory: _GatewayFactory) -> ForgeConfig:
+    # Forge scores nothing, yet it refuses a scoring setting out of range as
+    # evaluate does, so one config file serves both commands.
+    scoring = inspect.signature(ScoringConfig).parameters
+    ScoringConfig(**{key: value for key, value in given.items() if key in scoring})
     options = _passed(given, ForgeConfig)
     if args.max_iter is not None:
         options["max_iterations"] = _Setting(kind=int).check(args.max_iter, "max-iter")
@@ -276,14 +272,14 @@ def _forge_config(args, given: dict, factory: _GatewayFactory) -> ForgeConfig:
     )
 
 
-def _configure(args, stack: ExitStack) -> tuple[dict, PipelineConfig | ForgeConfig]:
-    """The settings the user gave and the subcommand's config built from
-    them; ``stack`` closes the backends built on the way."""
+def _configure(args, stack: ExitStack) -> PipelineConfig | ForgeConfig:
+    """The subcommand's config, built from the settings the user gave;
+    ``stack`` closes the backends built on the way."""
     given = _given_settings(args)
     factory = stack.enter_context(closing(_GatewayFactory(given, *_run_mode(args, given))))
     if args.command == "forge":
-        return given, _forge_config(args, given, factory)
-    return given, _pipeline_config(given, factory)
+        return _forge_config(args, given, factory)
+    return _pipeline_config(given, factory)
 
 
 def _format_float(value: Optional[float]) -> str:
@@ -360,7 +356,7 @@ def _write_report(out_dir: Optional[str], name: str, report: EvaluationReport) -
         _write_text(Path(out_dir) / f"{_safe_name(name)}.report.json", report.to_json() + "\n")
 
 
-def _evaluate(args, config: PipelineConfig, **batch_options) -> int:
+def _evaluate(args, config: PipelineConfig) -> int:
     if args.caption:
         try:
             payload = Path(args.image).read_bytes()
@@ -379,7 +375,7 @@ def _evaluate(args, config: PipelineConfig, **batch_options) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    batch = evaluate_batch(dataset, config, **batch_options)
+    batch = evaluate_batch(dataset, config)
 
     summary_rows = []
     for result in batch.results:
@@ -448,9 +444,9 @@ def _forge(args, config: ForgeConfig) -> int:
     return EXIT_OK
 
 
-def _add_common_args(parser, config, parallelism: int) -> None:
+def _add_common_args(parser, config) -> None:
     """The flags every subcommand takes; help shows the defaults of the
-    library ``config`` the subcommand builds and the ``parallelism`` it runs at."""
+    library ``config`` the subcommand builds."""
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--endpoint", help="chat-completions endpoint URL")
     parser.add_argument("--api-key", help="backend API key")
@@ -463,7 +459,7 @@ def _add_common_args(parser, config, parallelism: int) -> None:
     parser.add_argument(
         "--retry-limit", help=f"attempts per model call (default {_GATEWAY_ATTEMPTS})"
     )
-    parser.add_argument("--parallelism", help=f"concurrent items (default {parallelism})")
+    parser.add_argument("--parallelism", help=f"concurrent items (default {config.parallelism})")
 
 
 def _add_eval_args(parser, include_modes: bool = True) -> None:
@@ -482,7 +478,7 @@ def _add_eval_args(parser, include_modes: bool = True) -> None:
         action="store_true",
         help="break metrics down by dataset granularity",
     )
-    _add_common_args(parser, PipelineConfig, _default(evaluate_batch, "parallelism"))
+    _add_common_args(parser, PipelineConfig)
     if include_modes:
         parser.add_argument(
             "--record", action="store_true", help="capture live replies into the cache dir"
@@ -537,7 +533,7 @@ def build_parser() -> _Parser:
     )
     forge.add_argument("--record", action="store_true", help=argparse.SUPPRESS)
     forge.add_argument("--replay", help="serve replies from this fixture directory")
-    _add_common_args(forge, ForgeConfig, ForgeConfig.parallelism)
+    _add_common_args(forge, ForgeConfig)
     forge.set_defaults(mode="live")
     return parser
 
@@ -563,13 +559,13 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise UsageError("provide either --caption with --image, or --dataset")
             if not forge and args.caption and not args.image:
                 raise UsageError("--caption requires --image")
-            given, config = _configure(args, stack)
+            config = _configure(args, stack)
         except (UsageError, HmgieError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if forge:
             return _forge(args, config)
-        return _evaluate(args, config, **_passed(given, evaluate_batch))
+        return _evaluate(args, config)
 
 
 if __name__ == "__main__":

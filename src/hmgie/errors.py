@@ -19,6 +19,13 @@ class SchemaViolationError(HmgieError):
     """A structured payload was extracted but violates the expected schema."""
 
 
+def require_positive(**values: int) -> None:
+    """SchemaViolationError naming the first of ``values`` below 1."""
+    for name, value in values.items():
+        if value < 1:
+            raise SchemaViolationError(f"{name} must be >= 1, got {value}")
+
+
 class DuplicateNodeIdError(SchemaViolationError):
     """Two semantic-graph nodes share the same id."""
 

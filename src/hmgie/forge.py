@@ -24,8 +24,9 @@ from .errors import (
     HmgieError,
     MalformedOutputError,
     SchemaViolationError,
+    require_positive,
 )
-from .gateway import Gateway, ImageRef, ModelRequest
+from .gateway import Gateway, ImageRef, ModelRequest, check_sampling
 from .pipeline import ordered_map
 from .prompts import (
     TemplateName,
@@ -159,15 +160,13 @@ class ForgeConfig:
     parallelism: int = 1
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise SchemaViolationError("max_iterations must be >= 1")
+        require_positive(max_iterations=self.max_iterations, parallelism=self.parallelism)
+        check_sampling(self.temperature, self.max_output_tokens)
         if self.detector_template not in (
             TemplateName.DIRECT_PROMPT,
             TemplateName.COT_PROMPT,
         ):
             raise SchemaViolationError("detector template must be DirectPrompt or CoTPrompt")
-        if self.parallelism < 1:
-            raise SchemaViolationError("parallelism must be >= 1")
         if not self.bindings.captioners:
             raise SchemaViolationError("at least one captioner is required")
         if self.captioner_model_ids and len(self.captioner_model_ids) != len(

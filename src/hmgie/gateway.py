@@ -8,9 +8,9 @@ duplicate requests, so an entire run over the scripted backend is a pure
 function of its inputs and fixtures.
 
 ``call_parsed`` is the one place that retries a reply the caller could not
-parse. Each retry is a distinct request (its ``attempt`` is part of the cache
-key), so it reaches the model instead of the cache, and a recorded run
-replays every attempt it made.
+parse, within the gateway's ``attempts``. Each retry is a distinct request
+(its ``attempt`` is part of the cache key), so it reaches the model instead
+of the cache, and a recorded run replays every attempt it made.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import math
 import os
 import select
 import threading
@@ -37,6 +38,7 @@ from .errors import (
     SchemaViolationError,
     TransientBackendError,
     UnsupportedRequestError,
+    require_positive,
 )
 
 _MAGIC_SIGNATURES = (
@@ -88,6 +90,14 @@ class ImageRef:
         return base64.b64encode(self.payload)
 
 
+def check_sampling(temperature: float, max_output_tokens: int) -> None:
+    """SchemaViolationError unless the temperature is finite and >= 0 and the
+    token limit >= 1; every request and both run configs check through here."""
+    if not 0 <= temperature < math.inf:
+        raise SchemaViolationError(f"temperature must be finite and >= 0, got {temperature}")
+    require_positive(max_output_tokens=max_output_tokens)
+
+
 @dataclass(frozen=True)
 class ModelRequest:
     """One model call; a vision request carries its image as one ImageRef.
@@ -107,12 +117,8 @@ class ModelRequest:
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise SchemaViolationError("temperature must be >= 0")
-        if self.max_output_tokens < 1:
-            raise SchemaViolationError("max_output_tokens must be positive")
-        if self.attempt < 1:
-            raise SchemaViolationError("attempt must be >= 1")
+        check_sampling(self.temperature, self.max_output_tokens)
+        require_positive(attempt=self.attempt)
         if self.image is not None and not isinstance(self.image, ImageRef):
             raise SchemaViolationError("image must be an ImageRef")
         object.__setattr__(self, "key", cache_key(self))
@@ -516,6 +522,8 @@ class Gateway:
     A call makes up to ``attempts`` tries at the backend, sleeping between
     them with backoff doubling from BASE_DELAY and at least as long as a
     ``Retry-After`` asked, never more than MAX_TOTAL_DELAY in total.
+    ``call_parsed`` sends up to ``attempts`` requests for one prompt whose
+    replies do not parse.
 
     With cache_dir set, replies are read through that directory's ReplyLog,
     whose index is then the gateway's in-memory cache; record=True
@@ -537,8 +545,7 @@ class Gateway:
         if record and self.cache_dir is None:
             raise ValueError("record mode requires a cache_dir")
         self.record = record
-        if attempts < 1:
-            raise SchemaViolationError("retry attempts must be >= 1")
+        require_positive(attempts=attempts)
         self.attempts = attempts
         self._sleeper = sleeper
         self._log = ReplyLog(self.cache_dir) if self.cache_dir is not None else None
@@ -633,7 +640,6 @@ def call_parsed(
     gateway: Gateway,
     request: ModelRequest,
     parse: Callable[[str], T],
-    attempts: int,
     on_reject: Callable[[int, Exception], None],
 ) -> Optional[T]:
     """Call, parse, and retry until a reply parses or attempts run out.
@@ -642,10 +648,10 @@ def call_parsed(
     SchemaViolationError; ``on_reject(attempt, error)`` hears of each one and
     attempt n + 1 is sent as a distinct request (same prompt and image ref,
     ``attempt=n + 1``). Any other error from ``parse`` or the gateway
-    propagates. Returns the parsed value, or None after ``attempts``
+    propagates. Returns the parsed value, or None after ``gateway.attempts``
     rejected replies.
     """
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, gateway.attempts + 1):
         if attempt > 1:
             request = replace(request, attempt=attempt)
         text = gateway.call(request).text

@@ -30,9 +30,9 @@ from .errors import (
     GraphGenFailedError,
     HmgieError,
     MalformedOutputError,
-    SchemaViolationError,
+    require_positive,
 )
-from .gateway import Gateway, ImageRef, ModelRequest, call_parsed
+from .gateway import Gateway, ImageRef, ModelRequest, call_parsed, check_sampling
 from .hieg import (
     Hieg,
     LevelStats,
@@ -117,13 +117,14 @@ class PipelineConfig:
     backends: RoleBindings
     max_level: int = 5
     max_questions_per_level: int = 10
-    retry_limit: int = 3
     weight_ratio: float = 1.2
     model_id: str = "gpt-4o"
     temperature: float = 0.3
     max_output_tokens: int = 2048
     templates: Mapping[TemplateName, PromptTemplate] = field(default_factory=load_templates)
     intra_level_parallelism: int = 4
+    # Items evaluate_batch evaluates at once.
+    parallelism: int = 1
     # The depth, budget and weight ratio as the scores read them, built (and
     # so checked) once when the config is.
     scoring: ScoringConfig = field(init=False, repr=False, compare=False)
@@ -135,12 +136,10 @@ class PipelineConfig:
             max_per_level=self.max_questions_per_level,
         )
         object.__setattr__(self, "scoring", scoring)
-        if self.retry_limit < 1:
-            raise SchemaViolationError("retry_limit must be >= 1")
-        if self.temperature < 0:
-            raise SchemaViolationError("temperature must be >= 0")
-        if self.intra_level_parallelism < 1:
-            raise SchemaViolationError("intra_level_parallelism must be >= 1")
+        check_sampling(self.temperature, self.max_output_tokens)
+        require_positive(
+            intra_level_parallelism=self.intra_level_parallelism, parallelism=self.parallelism
+        )
 
 
 def _sampling(config: PipelineConfig) -> dict:
@@ -318,6 +317,7 @@ class EvaluationReport:
 def _generate_graph(
     caption: str, config: PipelineConfig, diagnostics: list[str]
 ) -> SemanticGraph:
+    gateway = config.backends.graph_gen
     errors: list[Exception] = []
 
     def reject(attempt: int, exc: Exception) -> None:
@@ -325,15 +325,14 @@ def _generate_graph(
         diagnostics.append(f"graph-gen attempt {attempt} unparseable: {exc}")
 
     graph = call_parsed(
-        config.backends.graph_gen,
+        gateway,
         build_graph_request(caption, config),
         lambda text: parse_semantic_graph(text, caption, diagnostics),
-        config.retry_limit,
         reject,
     )
     if graph is None:
         raise GraphGenFailedError(
-            f"semantic graph generation failed after {config.retry_limit} attempts: "
+            f"semantic graph generation failed after {gateway.attempts} attempts: "
             f"{errors[-1]}"
         )
     return graph
@@ -415,7 +414,6 @@ def _answer_and_judge(
         config.backends.answer_eval,
         build_eval_request(question, expected_answer, answer, config),
         parse_eval_reply,
-        config.retry_limit,
         lambda attempt, exc: notes.append(
             f"answer-eval attempt {attempt} unparseable for {question!r}: {exc}"
         ),
@@ -487,7 +485,6 @@ def evaluate_pair(
                     config.backends.question_gen,
                     request,
                     lambda text: parse_question_batch(text, level, diagnostics),
-                    config.retry_limit,
                     lambda attempt, exc: diagnostics.append(
                         f"level {level}: question reply attempt {attempt} unparseable: {exc}"
                     ),
@@ -523,7 +520,6 @@ def evaluate_pair(
                 config.backends.coverage,
                 build_coverage_request(graph_json, hieg_json, config),
                 lambda text: parse_coverage_reply(text, diagnostics),
-                config.retry_limit,
                 lambda attempt, exc: diagnostics.append(
                     f"level {level}: coverage reply attempt {attempt} unparseable: {exc}"
                 ),
@@ -654,19 +650,14 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
     return items
 
 
-def evaluate_batch(
-    dataset: Sequence[DatasetItem],
-    config: PipelineConfig,
-    parallelism: int = 1,
-) -> BatchResult:
-    """Evaluate every dataset item; results keep input order.
+def evaluate_batch(dataset: Sequence[DatasetItem], config: PipelineConfig) -> BatchResult:
+    """Evaluate every dataset item, ``config.parallelism`` at once; results
+    keep input order.
 
     Per-item failures are recorded instead of aborting the batch. Detection
     metrics are attached iff every item carries a ground-truth label; failed
     items are excluded from the confusion counts.
     """
-    if parallelism < 1:
-        raise SchemaViolationError("parallelism must be >= 1")
 
     def _one(item: DatasetItem) -> ItemResult:
         try:
@@ -676,7 +667,7 @@ def evaluate_batch(
         except (HmgieError, OSError, ValueError) as exc:
             return ItemResult(item=item, error=f"{type(exc).__name__}: {exc}")
 
-    results = ordered_map(_one, dataset, parallelism)
+    results = ordered_map(_one, dataset, config.parallelism)
 
     evaluated = sum(1 for r in results if r.report is not None)
     failed = len(results) - evaluated

@@ -40,18 +40,13 @@ class TemplateName(Enum):
     COVERAGE_CHECK = "CoverageCheck"
     EXPLAIN = "Explain"
 
+    @property
+    def filename(self) -> str:
+        """The template's file, in the package and in a templates dir."""
+        return f"{self.name.lower()}.txt"
 
-TEMPLATE_FILES = {
-    TemplateName.DIRECT_PROMPT: "direct_prompt.txt",
-    TemplateName.COT_PROMPT: "cot_prompt.txt",
-    TemplateName.SEMANTIC_GRAPH_GEN: "semantic_graph_gen.txt",
-    TemplateName.QUESTION_GEN: "question_gen.txt",
-    TemplateName.VQA: "vqa.txt",
-    TemplateName.ANSWER_EVAL: "answer_eval.txt",
-    TemplateName.COVERAGE_CHECK: "coverage_check.txt",
-    TemplateName.EXPLAIN: "explain.txt",
-}
 
+# Every template, with the placeholders its body may hold.
 TEMPLATE_PLACEHOLDERS = {
     TemplateName.DIRECT_PROMPT: frozenset({"caption"}),
     TemplateName.COT_PROMPT: frozenset({"caption"}),
@@ -99,15 +94,13 @@ def load_templates(
     override = Path(templates_dir) if templates_dir is not None else None
     loaded = {}
     package_root = resources.files("hmgie") / "templates"
-    for name, filename in TEMPLATE_FILES.items():
-        body = (package_root / filename).read_text(encoding="utf-8")
+    for name, placeholders in TEMPLATE_PLACEHOLDERS.items():
+        body = (package_root / name.filename).read_text(encoding="utf-8")
         if override is not None:
-            candidate = override / filename
+            candidate = override / name.filename
             if candidate.exists():
                 body = candidate.read_text(encoding="utf-8")
-        loaded[name] = PromptTemplate(
-            name=name, body=body, placeholders=TEMPLATE_PLACEHOLDERS[name]
-        )
+        loaded[name] = PromptTemplate(name=name, body=body, placeholders=placeholders)
     return loaded
 
 

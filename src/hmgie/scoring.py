@@ -23,8 +23,14 @@ from .errors import (
     LengthMismatchError,
     NoLevelsError,
     SchemaViolationError,
+    require_positive,
 )
 from .hieg import LevelStats
+
+
+def _check_ratio(ratio: float) -> None:
+    if not 0 < ratio < math.inf:
+        raise SchemaViolationError(f"weight_ratio must be finite and > 0, got {ratio}")
 
 
 @dataclass(frozen=True)
@@ -36,10 +42,8 @@ class ScoringConfig:
     max_per_level: int | tuple[int, ...] = 10
 
     def __post_init__(self):
-        if self.weight_ratio <= 0:
-            raise SchemaViolationError("weight_ratio must be > 0")
-        if self.max_level < 1:
-            raise SchemaViolationError("max_level must be >= 1")
+        _check_ratio(self.weight_ratio)
+        require_positive(max_level=self.max_level)
         per_level = self.max_per_level
         if isinstance(per_level, int):
             per_level = (per_level,) * self.max_level
@@ -50,7 +54,7 @@ class ScoringConfig:
                 f"max_per_level needs {self.max_level} entries, got {len(per_level)}"
             )
         if any(n < 1 for n in per_level):
-            raise SchemaViolationError("per-level budgets must be >= 1")
+            raise SchemaViolationError(f"max_per_level must be >= 1, got {self.max_per_level}")
         object.__setattr__(self, "max_per_level", per_level)
 
 
@@ -58,8 +62,7 @@ def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
     """Normalized geometric weights ratio**i, shallowest level first."""
     if count < 1:
         raise NoLevelsError("weight sequence needs at least one level")
-    if ratio <= 0:
-        raise SchemaViolationError("weight ratio must be > 0")
+    _check_ratio(ratio)
     raw = [ratio**i for i in range(count)]
     total = sum(raw)
     return tuple(w / total for w in raw)

@@ -186,23 +186,15 @@ def is_fully_covered(mask: CoverageMask) -> bool:
     return not any(mask.node_flags.values()) and not any(mask.edge_flags.values())
 
 
-def _parse_node_kind(raw: Any, notes: list[str]) -> NodeKind:
+def _parse_kind(raw: Any, aliases: dict, fallback: Enum, element: str, notes: list[str]):
+    """The kind ``aliases`` maps ``raw`` to; an unknown one is ``fallback``,
+    with a note. ``element`` ("node" or "edge") names the element in both."""
     if not isinstance(raw, str) or not raw.strip():
-        raise SchemaViolationError(f"node 'type' must be a nonempty string, got {raw!r}")
-    kind = _NODE_KIND_ALIASES.get(_normalize_kind(raw))
+        raise SchemaViolationError(f"{element} 'type' must be a nonempty string, got {raw!r}")
+    kind = aliases.get(_normalize_kind(raw))
     if kind is None:
-        notes.append(f"unknown node kind {raw!r}; mapped to Other")
-        return NodeKind.OTHER
-    return kind
-
-
-def _parse_edge_kind(raw: Any, notes: list[str]) -> EdgeKind:
-    if not isinstance(raw, str) or not raw.strip():
-        raise SchemaViolationError(f"edge 'type' must be a nonempty string, got {raw!r}")
-    kind = _EDGE_KIND_ALIASES.get(_normalize_kind(raw))
-    if kind is None:
-        notes.append(f"unknown edge kind {raw!r}; mapped to Other")
-        return EdgeKind.OTHER
+        notes.append(f"unknown {element} kind {raw!r}; mapped to {fallback.value}")
+        return fallback
     return kind
 
 
@@ -256,7 +248,7 @@ def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) 
         label = item["label"]
         if isinstance(label, bool) or not isinstance(label, (str, int, float)):
             raise SchemaViolationError(f"node label must be a string or a number: {item!r}")
-        kind = _parse_node_kind(item["type"], notes)
+        kind = _parse_kind(item["type"], _NODE_KIND_ALIASES, NodeKind.OTHER, "node", notes)
         nodes.append(SemanticNode(id=item["id"], kind=kind, label=str(label)))
 
     edges = []
@@ -270,7 +262,7 @@ def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) 
             SemanticEdge(
                 from_id=_parse_endpoint(item["from"], "from"),
                 to_id=_parse_endpoint(item["to"], "to"),
-                kind=_parse_edge_kind(item["type"], notes),
+                kind=_parse_kind(item["type"], _EDGE_KIND_ALIASES, EdgeKind.OTHER, "edge", notes),
                 label=_optional_text(item.get("label")),
                 description=_optional_text(item.get("description")),
             )

@@ -313,9 +313,9 @@ def build_two_level_scenario(
     return script
 
 
-def dynamic_config(responder, **overrides) -> PipelineConfig:
+def dynamic_config(responder, attempts=3, **overrides) -> PipelineConfig:
     """Pipeline config over an on-the-fly DynamicBackend."""
-    gateway = Gateway(DynamicBackend(responder))
+    gateway = Gateway(DynamicBackend(responder), attempts=attempts)
     return PipelineConfig(backends=RoleBindings.uniform(gateway), **overrides)
 
 

@@ -136,7 +136,7 @@ def test_04_termination_and_depth_bound():
     for seed in range(10_000):
         config = dynamic_config(
             fuzz_responder(seed),
-            retry_limit=1,
+            attempts=1,
             intra_level_parallelism=1,
             templates=TEMPLATES,
         )

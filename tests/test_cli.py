@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hmgie import cli, pipeline
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from hmgie.forge import ForgeConfig
 from hmgie.gateway import Gateway, HttpBackend
-from hmgie.pipeline import PipelineConfig, RoleBindings, evaluate_batch, evaluate_pair
+from hmgie.pipeline import PipelineConfig, RoleBindings, evaluate_pair
 
 CAPTION = "A brown dog lies on a sofa."
 
@@ -416,6 +417,31 @@ class TestRecordReplay:
         assert "undeclared placeholders ['bogus']" in capsys.readouterr().err
         assert len(closed) == 1
 
+    def test_replay_keeps_the_retry_limit_it_was_recorded_under(self, tmp_path, capsys):
+        def unjudged(body):
+            content = body["messages"][-1]["content"]
+            if isinstance(content, str) and content.startswith("You are a question answer"):
+                return 200, "no verdict"
+            return http_responder(body)
+
+        image = tmp_path / "img.png"
+        image.write_bytes(TINY_PNG)
+        cache_dir = tmp_path / "cache"
+        pair = ["--image", str(image), "--caption", "a dog", "--cache-dir", str(cache_dir)]
+        with FakeChatServer(unjudged) as server:
+            live = ["--endpoint", server.endpoint, "--api-key", "k"]
+            argv = ["record", *pair, *live, "--retry-limit", "1", "--out", str(tmp_path / "a")]
+            assert main(argv) == EXIT_OK
+        argv = ["replay", *pair, "--retry-limit", "1", "--out", str(tmp_path / "b")]
+        assert main(argv) == EXIT_OK
+        recorded = (tmp_path / "a" / "pair.report.json").read_bytes()
+        assert (tmp_path / "b" / "pair.report.json").read_bytes() == recorded
+        assert b"answer-eval attempt 1 unparseable" in recorded
+        # At the default budget, replay asks for a second attempt never recorded.
+        capsys.readouterr()
+        assert main(["replay", *pair]) == EXIT_RUNTIME
+        assert "no fixture recorded for request key" in capsys.readouterr().err
+
     def test_record_without_api_key_is_usage_error(self, tmp_path, capsys):
         image = tmp_path / "img.png"
         image.write_bytes(TINY_PNG)
@@ -627,7 +653,7 @@ class TestForgeCli:
             ]
         )
         assert code == EXIT_USAGE
-        assert "max-iter" in capsys.readouterr().err
+        assert "max_iterations" in capsys.readouterr().err
 
     def test_skipped_count_names_every_omission(self, tmp_path, capsys):
         # The detector is never fooled, but --include-undetected keeps the
@@ -706,7 +732,7 @@ class TestConfigResolution:
             argv += ["--config", str(config_path)]
         args = build_parser().parse_args(argv)
         with ExitStack() as stack:
-            return _configure(args, stack)[1]
+            return _configure(args, stack)
 
     @pytest.mark.parametrize("flag", [None, "from-flag"])
     @pytest.mark.parametrize("env", [None, "from-env"])
@@ -730,7 +756,7 @@ class TestConfigResolution:
             ]
         )
         assert code == EXIT_USAGE
-        assert "max-level" in capsys.readouterr().err
+        assert "max_level" in capsys.readouterr().err
 
     def test_invalid_weight_ratio(self, tmp_path, capsys):
         fixture_dir = tmp_path / "fx"
@@ -745,7 +771,7 @@ class TestConfigResolution:
             ]
         )
         assert code == EXIT_USAGE
-        assert "weight-ratio" in capsys.readouterr().err
+        assert "weight_ratio" in capsys.readouterr().err
 
 
 # Every way the flags can fail to resolve into a run mode or a setting, with
@@ -772,11 +798,11 @@ RUN_CONFIG_ERRORS = [
     (EVAL + KEY, "no endpoint configured (--endpoint or HMGIE_ENDPOINT)"),
     (EVAL + ENDPOINT, "no API key configured (--api-key or HMGIE_API_KEY)"),
     (EVAL + FX + ["--temperature", "hot"], "temperature: expected a number, got 'hot'"),
-    (EVAL + FX + ["--temperature", "-1"], "temperature: must be >= 0, got -1.0"),
+    (EVAL + FX + ["--temperature", "-1"], "temperature must be finite and >= 0, got -1.0"),
     (EVAL + FX + ["--weight-ratio", "x"], "weight-ratio: expected a number, got 'x'"),
-    (EVAL + FX + ["--weight-ratio", "0"], "weight-ratio: must be > 0, got 0.0"),
+    (EVAL + FX + ["--weight-ratio", "0"], "weight_ratio must be finite and > 0, got 0.0"),
     (EVAL + FX + ["--max-level", "2.5"], "max-level: expected an integer, got '2.5'"),
-    (FORGE + ENDPOINT + KEY + ["--max-iter", "0"], "max-iter: must be >= 1, got 0"),
+    (FORGE + ENDPOINT + KEY + ["--max-iter", "0"], "max_iterations must be >= 1, got 0"),
 ]
 
 
@@ -851,7 +877,6 @@ def test_help_lists_each_subcommands_flags(capsys, command):
 
 def _library_defaults(command: str) -> dict:
     """Each default --help shows, as the library defines it."""
-    parallelism = inspect.signature(evaluate_batch).parameters["parallelism"].default
     if command == "evaluate":
         config = PipelineConfig
         shown = {
@@ -860,7 +885,7 @@ def _library_defaults(command: str) -> dict:
             "--weight-ratio": config.weight_ratio,
         }
     else:
-        config, parallelism = ForgeConfig, ForgeConfig.parallelism
+        config = ForgeConfig
         detector = {v: k for k, v in cli.DETECTORS.items()}[config.detector_template]
         shown = {"--max-iter": config.max_iterations, "--detector": detector}
     return {
@@ -868,7 +893,7 @@ def _library_defaults(command: str) -> dict:
         "--model": config.model_id,
         "--temperature": config.temperature,
         "--retry-limit": Gateway(None).attempts,
-        "--parallelism": parallelism,
+        "--parallelism": config.parallelism,
     }
 
 
@@ -879,3 +904,87 @@ def test_help_shows_the_library_defaults(capsys, command):
     shown = re.findall(r"(--[a-z-]+) \S+ (?:(?! --).)*?\(default ([^)]+)\)", options)
     expected = {flag: str(value) for flag, value in _library_defaults(command).items()}
     assert dict(shown) == expected
+
+
+def _numeric_settings(command: str):
+    """The numeric settings ``command`` passes on: those naming a parameter
+    of its config or of its gateways."""
+    config = ForgeConfig if command == "forge" else PipelineConfig
+    names = {*inspect.signature(config).parameters, *inspect.signature(Gateway).parameters}
+    return {
+        key: setting.parameter or key
+        for key, setting in cli.SETTINGS.items()
+        if setting.kind is not str and (setting.parameter or key) in names
+    }
+
+
+def _out_of_range_cases():
+    # Every numeric setting, also for forge where forge does not use it.
+    numeric = [key for key, setting in cli.SETTINGS.items() if setting.kind is not str]
+    for command in ("evaluate", "forge"):
+        for key in numeric:
+            routes = ["file"]
+            if "--" + key.replace("_", "-") in HELP_FLAGS[command]:
+                routes.append("flag")
+            if cli.SETTINGS[key].env:
+                routes.append("env")
+            for route in routes:
+                yield pytest.param(command, key, route, id=f"{command}-{key}-{route}")
+
+
+@pytest.mark.parametrize("command, key, route", list(_out_of_range_cases()))
+def test_setting_out_of_range_exits_64_before_any_model_call(
+    tmp_path, capsys, monkeypatch, command, key, route
+):
+    # -1 is below the bound of every numeric setting.
+    calls = []
+    monkeypatch.setattr(
+        HttpBackend, "complete", lambda backend, request: calls.append(request) or "reply"
+    )
+    (tmp_path / "img.png").write_bytes(TINY_PNG)
+    if command == "forge":
+        argv = ["forge", "--images", str(tmp_path), "--out", str(tmp_path / "x.jsonl")]
+    else:
+        argv = ["evaluate", "--image", str(tmp_path / "img.png"), "--caption", CAPTION]
+    argv += ENDPOINT + KEY
+    if route == "flag":
+        argv += ["--" + key.replace("_", "-"), "-1"]
+    elif route == "env":
+        monkeypatch.setenv(f"HMGIE_{key.upper()}", "-1")
+    else:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: -1}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"config error: \w+ must be [^\n]*, got -1(\.0)?\n", err)
+    assert calls == []
+
+
+# Settings the CLI uses itself rather than passing on to the library.
+DEPLOYMENT_SETTINGS = {"endpoint", "api_key", "cache_dir", "templates_dir"}
+
+
+def test_every_setting_names_a_library_parameter():
+    names = set()
+    for target in (PipelineConfig, ForgeConfig, Gateway):
+        names |= set(inspect.signature(target).parameters)
+    for key, setting in cli.SETTINGS.items():
+        assert key in DEPLOYMENT_SETTINGS or (setting.parameter or key) in names, key
+
+
+@pytest.mark.parametrize("command", ["evaluate", "forge"])
+def test_each_numeric_setting_arrives_where_it_is_named(tmp_path, command):
+    settings = _numeric_settings(command)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict.fromkeys(settings, 2)), encoding="utf-8")
+    if command == "forge":
+        argv = ["forge", "--images", str(tmp_path), "--out", str(tmp_path / "x.jsonl")]
+    else:
+        argv = ["evaluate", "--image", "i", "--caption", "c"]
+    args = cli.build_parser().parse_args(argv + ["--replay", str(tmp_path), "--config", str(path)])
+    with ExitStack() as stack:
+        config = cli._configure(args, stack)
+    gateway = config.bindings.perturb if command == "forge" else config.backends.vqa
+    for key, name in settings.items():
+        assert getattr(config if hasattr(config, name) else gateway, name) == 2, key

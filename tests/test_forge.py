@@ -206,6 +206,15 @@ class TestPerturbation:
         with pytest.raises(SchemaViolationError):
             ForgeConfig(bindings=config.bindings, templates=TEMPLATES, max_iterations=0)
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"temperature": -1.0}, {"temperature": float("nan")}, {"max_output_tokens": 0}],
+    )
+    def test_sampling_setting_out_of_range_invalid(self, setting):
+        config, _ = forge_config(forge_responder())
+        with pytest.raises(SchemaViolationError):
+            ForgeConfig(bindings=config.bindings, templates=TEMPLATES, **setting)
+
     def test_history_embedded_in_each_prompt(self):
         config, backend = forge_config(forge_responder(fool_at_version=None), max_iterations=4)
         perturb_iteratively("ground truth", TINY_PNG, config)

@@ -72,6 +72,11 @@ class TestRequestValidation:
         with pytest.raises(SchemaViolationError):
             ModelRequest(prompt="p", image=TINY_PNG)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(SchemaViolationError):
+            ModelRequest(prompt="p", temperature=temperature)
+
 
 class TestImageRef:
     def test_digest_computed_not_supplied(self):
@@ -532,7 +537,6 @@ class TestCallParsed:
             Gateway(backend),
             text_request("count"),
             _parse_int,
-            3,
             lambda attempt, exc: rejected.append((attempt, type(exc))),
         )
         assert value == 42
@@ -547,7 +551,6 @@ class TestCallParsed:
             Gateway(backend),
             text_request("count"),
             _parse_int,
-            3,
             lambda attempt, exc: rejected.append(attempt),
         )
         assert value is None
@@ -561,7 +564,8 @@ class TestCallParsed:
             return text
 
         backend = _replies("bad", "good")
-        assert call_parsed(Gateway(backend), text_request(), parse, 2, lambda *a: None) == "good"
+        gateway = Gateway(backend, attempts=2)
+        assert call_parsed(gateway, text_request(), parse, lambda *a: None) == "good"
 
     def test_other_errors_propagate_without_retry(self):
         def parse(text):
@@ -569,13 +573,13 @@ class TestCallParsed:
 
         backend = _replies("[]", "[]")
         with pytest.raises(EmptyBatchError):
-            call_parsed(Gateway(backend), text_request(), parse, 3, lambda *a: None)
+            call_parsed(Gateway(backend), text_request(), parse, lambda *a: None)
         assert len(backend.calls) == 1
 
     def test_retry_request_carries_its_own_key(self):
         backend = _replies("garbage", "42")
         value = call_parsed(
-            Gateway(backend), text_request("count"), _parse_int, 2, lambda *a: None
+            Gateway(backend, attempts=2), text_request("count"), _parse_int, lambda *a: None
         )
         assert value == 42
         first, second = backend.calls
@@ -588,7 +592,8 @@ class TestCallParsed:
         image = ImageRef(TINY_PNG)
         backend = _replies("garbage", "7")
         request = ModelRequest.vision("how many?", image)
-        assert call_parsed(Gateway(backend), request, _parse_int, 2, lambda *a: None) == 7
+        gateway = Gateway(backend, attempts=2)
+        assert call_parsed(gateway, request, _parse_int, lambda *a: None) == 7
         assert [r.image for r in backend.calls] == [image, image]
         assert [r.attempt for r in backend.calls] == [1, 2]
         assert len(passes) == 1
@@ -596,11 +601,11 @@ class TestCallParsed:
     def test_record_then_replay_serves_every_attempt(self, tmp_path):
         live = _replies("garbage", "42")
         recorder = Gateway(live, cache_dir=tmp_path, record=True)
-        assert call_parsed(recorder, text_request("count"), _parse_int, 3, lambda *a: None) == 42
+        assert call_parsed(recorder, text_request("count"), _parse_int, lambda *a: None) == 42
 
         scripted = ScriptedBackend(fixture_dir=tmp_path)
         replayed = call_parsed(
-            Gateway(scripted), text_request("count"), _parse_int, 3, lambda *a: None
+            Gateway(scripted), text_request("count"), _parse_int, lambda *a: None
         )
         assert replayed == 42
         assert len(scripted.calls) == 2

@@ -219,7 +219,7 @@ class TestPromptPartsBuiltOnce:
 
 class TestFailureModes:
     def test_graph_gen_failed_after_retries(self):
-        config = scripted_config(templates=TEMPLATES, retry_limit=3)
+        config = scripted_config(templates=TEMPLATES)
         backend = scripted_backend_of(config)
         request = build_graph_request("caption", config)
         for attempt in (1, 2, 3):
@@ -251,7 +251,7 @@ class TestFailureModes:
             return None if "level 2 question 0?" in request.prompt else responder(request)
 
         config = _dynamic_config(
-            missing_level_two_answer, retry_limit=1, intra_level_parallelism=1
+            missing_level_two_answer, attempts=1, intra_level_parallelism=1
         )
         with pytest.raises(ExhaustedError) as exc_info:
             evaluate_pair(TINY_PNG, "caption", config)
@@ -330,8 +330,8 @@ def _question(level: int, index: int, covered=None) -> dict:
     }
 
 
-def _dynamic_config(responder, **overrides) -> PipelineConfig:
-    gateway = Gateway(DynamicBackend(responder))
+def _dynamic_config(responder, attempts=3, **overrides) -> PipelineConfig:
+    gateway = Gateway(DynamicBackend(responder), attempts=attempts)
     return PipelineConfig(
         backends=RoleBindings.uniform(gateway), templates=TEMPLATES, **overrides
     )
@@ -342,10 +342,14 @@ def _dynamic_config(responder, **overrides) -> PipelineConfig:
     [
         {"max_level": 0},
         {"max_questions_per_level": 0},
-        {"retry_limit": 0},
+        {"parallelism": 0},
         {"weight_ratio": 0},
         {"temperature": -0.1},
         {"intra_level_parallelism": 0},
+        {"temperature": float("nan")},
+        {"max_output_tokens": 0},
+        {"weight_ratio": float("inf")},
+        {"weight_ratio": float("nan")},
     ],
 )
 def test_pipeline_config_refuses_a_setting_out_of_range(setting):
@@ -467,7 +471,7 @@ class TestLoopBehavior:
             question_plan={1: [_question(1, 0, covered=["N1"])], 2: []},
             coverage_plan={1: "absolutely not json", 2: "absolutely not json"},
         )
-        config = _dynamic_config(responder, retry_limit=2, intra_level_parallelism=1)
+        config = _dynamic_config(responder, attempts=2, intra_level_parallelism=1)
         report = evaluate_pair(TINY_PNG, "caption", config)
         assert any("coverage check failed" in d for d in report.diagnostics)
 
@@ -526,7 +530,7 @@ class TestLoopBehavior:
             coverage_plan={1: incomplete_coverage},
             eval_reply="hmm, probably fine",
         )
-        config = _dynamic_config(responder, retry_limit=2, intra_level_parallelism=1)
+        config = _dynamic_config(responder, attempts=2, intra_level_parallelism=1)
         report = evaluate_pair(TINY_PNG, "caption", config)
         assert report.decision == 0
         assert report.hieg.levels[0][0].correct is False
@@ -660,6 +664,26 @@ class TestRetriesReachTheModel:
         assert _without_diagnostics(report) == _without_diagnostics(clean)
         assert any(d.startswith(RETRIED_ROLES[role]) for d in report.diagnostics)
 
+    def test_each_role_retries_within_its_own_gateways_attempts(self):
+        plan = _garbage_first(_retry_plan(), {"graph"})
+        backend = DynamicBackend(
+            lambda request: "no verdict" if _role(request.prompt) == "eval" else plan(request)
+        )
+        bindings = replace(
+            RoleBindings.uniform(Gateway(backend, attempts=1)),
+            graph_gen=Gateway(backend, attempts=2),
+            answer_eval=Gateway(backend, attempts=4),
+        )
+        config = PipelineConfig(backends=bindings, templates=TEMPLATES, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        tries: dict[str, list[int]] = {}
+        for request in backend.calls:
+            tries.setdefault(_role(request.prompt), []).append(request.attempt)
+        assert tries["graph"] == [1, 2]
+        assert tries["eval"] == [1, 2, 3, 4]
+        assert tries["question"] == [1, 1]
+        assert report.hieg.levels[0][0].correct is False
+
     def test_record_then_replay_is_byte_identical(self, tmp_path):
         live = DynamicBackend(_garbage_first(_retry_plan(), set(RETRIED_ROLES)))
         recorder = Gateway(live, cache_dir=tmp_path, record=True)
@@ -687,7 +711,7 @@ class TestRetriesReachTheModel:
 def test_fuzzed_scenarios_always_halt():
     for seed in range(300):
         config = _dynamic_config(
-            fuzz_responder(seed), retry_limit=1, intra_level_parallelism=1
+            fuzz_responder(seed), attempts=1, intra_level_parallelism=1
         )
         try:
             report = evaluate_pair(TINY_PNG, "caption", config)
@@ -718,7 +742,7 @@ class TestBatch:
             DatasetItem(id="c", image_path=image_path, caption="clean caption", label=0, granularity=2),
             DatasetItem(id="d", image_path=image_path, caption="noisy caption", label=1, granularity=2),
         ]
-        batch = evaluate_batch(items, config, parallelism=1)
+        batch = evaluate_batch(items, config)
         assert batch.evaluated == 4
         assert batch.metrics.tpr == 1.0
         assert batch.metrics.fpr == 0.0
@@ -732,7 +756,7 @@ class TestBatch:
             DatasetItem(id="broken", image_path=image_path, caption="unknown caption", label=1),
             DatasetItem(id="b", image_path=image_path, caption="noisy caption", label=1),
         ]
-        batch = evaluate_batch(items, config, parallelism=1)
+        batch = evaluate_batch(items, config)
         assert batch.failed == 1
         assert batch.results[1].error is not None
         assert batch.results[1].item.id == "broken"
@@ -744,14 +768,14 @@ class TestBatch:
     def test_deeply_nested_reply_fails_only_its_item(self, batch_setup):
         config, image_path = batch_setup
         hostile = build_graph_request("hostile caption", config)
-        for attempt in range(1, config.retry_limit + 1):
+        for attempt in range(1, config.backends.graph_gen.attempts + 1):
             key = cache_key(replace(hostile, attempt=attempt))
             scripted_backend_of(config).fixtures[key] = "[" * 5000 + "]" * 5000
         items = [
             DatasetItem(id="hostile", image_path=image_path, caption="hostile caption"),
             DatasetItem(id="clean", image_path=image_path, caption="clean caption"),
         ]
-        batch = evaluate_batch(items, config, parallelism=1)
+        batch = evaluate_batch(items, config)
         assert batch.failed == 1
         assert batch.results[0].error.startswith("GraphGenFailedError")
         assert batch.results[1].report is not None
@@ -762,7 +786,7 @@ class TestBatch:
             DatasetItem(id="a", image_path=image_path, caption="clean caption", label=None),
             DatasetItem(id="b", image_path=image_path, caption="noisy caption", label=1),
         ]
-        batch = evaluate_batch(items, config, parallelism=1)
+        batch = evaluate_batch(items, config)
         assert batch.metrics is None
 
     def test_parallelism_does_not_change_reports(self, batch_setup):
@@ -771,8 +795,8 @@ class TestBatch:
             DatasetItem(id=f"i{k}", image_path=image_path, caption="clean caption", label=0)
             for k in range(6)
         ]
-        sequential = evaluate_batch(items, config, parallelism=1)
-        concurrent = evaluate_batch(items, config, parallelism=4)
+        sequential = evaluate_batch(items, config)
+        concurrent = evaluate_batch(items, replace(config, parallelism=4))
         left = [r.report.to_json() for r in sequential.results]
         right = [r.report.to_json() for r in concurrent.results]
         assert left == right
@@ -783,7 +807,7 @@ class TestBatch:
             DatasetItem(id=f"item-{k}", image_path=image_path, caption="clean caption", label=0)
             for k in range(5)
         ]
-        batch = evaluate_batch(items, config, parallelism=3)
+        batch = evaluate_batch(items, replace(config, parallelism=3))
         assert [r.item.id for r in batch.results] == [f"item-{k}" for k in range(5)]
 
 

@@ -174,6 +174,14 @@ class TestHComp:
             )
 
 
+@pytest.mark.parametrize("ratio", [math.inf, math.nan])
+def test_weight_ratio_must_be_finite(ratio):
+    with pytest.raises(SchemaViolationError):
+        ScoringConfig(weight_ratio=ratio)
+    with pytest.raises(SchemaViolationError):
+        geometric_weights(3, ratio)
+
+
 class TestWeights:
     @settings(max_examples=300)
     @given(
