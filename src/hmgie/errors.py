@@ -1,4 +1,10 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package.
+
+A class lives here only when a caller catches it by type or an artifact
+names it (``summary.json`` rows, forge ``errors``); other package guards
+raise SchemaViolationError with a message of their own (argument-shape
+checks may raise ValueError).
+"""
 
 from __future__ import annotations
 
@@ -9,14 +15,16 @@ class HmgieError(Exception):
     """Base class for all package errors."""
 
 
-# --- structured-output parsing ---
+# --- model replies and caller values ---
 
 class MalformedOutputError(HmgieError):
     """No well-formed structured payload could be extracted from a model reply."""
 
 
 class SchemaViolationError(HmgieError):
-    """A structured payload was extracted but violates the expected schema."""
+    """A value from a model reply or a caller breaks a shape or bound the
+    package requires: a reply's schema, a graph or HIEG invariant, a
+    template's placeholders, a score's inputs or a setting's range."""
 
 
 def require_positive(**values: int) -> None:
@@ -26,46 +34,8 @@ def require_positive(**values: int) -> None:
             raise SchemaViolationError(f"{name} must be >= 1, got {value}")
 
 
-class DuplicateNodeIdError(SchemaViolationError):
-    """Two semantic-graph nodes share the same id."""
-
-
-class DanglingEdgeError(SchemaViolationError):
-    """A semantic-graph edge references a node id that does not exist."""
-
-
-class UnknownElementError(HmgieError):
-    """A coverage update names a node id or edge index absent from the mask."""
-
-
 class EmptyBatchError(HmgieError):
     """A question-generation reply contained no usable question items."""
-
-
-class MissingPlaceholderError(HmgieError):
-    """A template substitution map does not cover every declared placeholder."""
-
-
-class UnknownPlaceholderError(HmgieError):
-    """A template substitution map contains keys the template does not declare."""
-
-
-# --- evaluation graph ---
-
-class LevelGapError(HmgieError):
-    """An expansion batch does not target the next contiguous level."""
-
-
-class UnknownParentError(HmgieError):
-    """A question declares a parent id that is not an existing lower-level node."""
-
-
-class DuplicateQuestionError(HmgieError):
-    """A question's exact text already appears in the evaluation graph or batch."""
-
-
-class EmptyHiegError(HmgieError):
-    """Evaluation produced no questions at all; the decision is undefined."""
 
 
 # --- model gateway ---
@@ -105,25 +75,11 @@ class TransientBackendError(GatewayError):
         self.retry_after = retry_after
 
 
-# --- scoring ---
-
-class NoLevelsError(HmgieError):
-    """Accuracy scoring requires at least one populated level."""
-
-
-class EmptyInputError(HmgieError):
-    """Detection metrics require at least one prediction/label pair."""
-
-
-class LengthMismatchError(HmgieError):
-    """Paired sequences must have equal lengths."""
-
-
-class DegenerateInputError(HmgieError):
-    """Rank correlation is undefined (too few points or all values tied)."""
-
-
 # --- pipeline / forge ---
+
+class EmptyHiegError(HmgieError):
+    """Evaluation produced no questions at all; the decision is undefined."""
+
 
 class GraphGenFailedError(HmgieError):
     """Semantic graph generation failed on every configured attempt."""

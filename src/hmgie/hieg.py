@@ -11,13 +11,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import (
-    DuplicateQuestionError,
-    EmptyHiegError,
-    LevelGapError,
-    SchemaViolationError,
-    UnknownParentError,
-)
+from .errors import EmptyHiegError, SchemaViolationError
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class QuestionBatch:
             raise SchemaViolationError("batch level must be positive")
         texts = [item.question for item in self.items]
         if len(set(texts)) != len(texts):
-            raise DuplicateQuestionError("batch contains repeated question text")
+            raise SchemaViolationError("batch contains repeated question text")
 
 
 @dataclass(frozen=True)
@@ -138,13 +132,13 @@ class Hieg:
                     raise SchemaViolationError(f"duplicate node id {node.id}")
                 seen.add(node.id)
                 if node.question in questions:
-                    raise DuplicateQuestionError(
+                    raise SchemaViolationError(
                         f"question text already present: {node.question!r}"
                     )
                 questions.add(node.question)
                 unknown = node.parent_ids - lower_ids
                 if unknown:
-                    raise UnknownParentError(
+                    raise SchemaViolationError(
                         f"node {node.id} references parents {sorted(unknown)} "
                         "not found at any lower level"
                     )
@@ -188,12 +182,12 @@ def expand(
     if not batch.items:
         raise ValueError("cannot expand with an empty batch")
     if batch.level != hieg.deepest_level + 1:
-        raise LevelGapError(
+        raise SchemaViolationError(
             f"batch targets level {batch.level} but the next level is "
             f"{hieg.deepest_level + 1}"
         )
     if batch.level > hieg.max_level:
-        raise LevelGapError(
+        raise SchemaViolationError(
             f"batch level {batch.level} exceeds max_level {hieg.max_level}"
         )
     if not (len(answers) == len(verdicts) == len(batch.items)):

@@ -19,13 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .errors import (
-    EmptyBatchError,
-    MalformedOutputError,
-    MissingPlaceholderError,
-    SchemaViolationError,
-    UnknownPlaceholderError,
-)
+from .errors import EmptyBatchError, MalformedOutputError, SchemaViolationError
 from .hieg import QuestionBatch, QuestionItem
 from .structured import extract_json_value
 
@@ -108,17 +102,17 @@ def render(template: PromptTemplate, substitutions: Mapping[str, str]) -> str:
     """Replace every declared placeholder; the body is otherwise untouched.
 
     Raises:
-        MissingPlaceholderError: substitutions lack a declared placeholder.
-        UnknownPlaceholderError: substitutions carry undeclared keys.
+        SchemaViolationError: substitutions lack a declared placeholder or
+            carry undeclared keys.
     """
     missing = template.placeholders - set(substitutions)
     if missing:
-        raise MissingPlaceholderError(
+        raise SchemaViolationError(
             f"{template.name.value}: no substitution for {sorted(missing)}"
         )
     extraneous = set(substitutions) - template.placeholders
     if extraneous:
-        raise UnknownPlaceholderError(
+        raise SchemaViolationError(
             f"{template.name.value}: unexpected substitution keys {sorted(extraneous)}"
         )
 

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .errors import (
-    DegenerateInputError,
-    EmptyInputError,
-    LengthMismatchError,
-    NoLevelsError,
-    SchemaViolationError,
-    require_positive,
-)
+from .errors import SchemaViolationError, require_positive
 from .hieg import LevelStats
 
 
@@ -61,7 +54,7 @@ class ScoringConfig:
 def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
     """Normalized geometric weights ratio**i, shallowest level first."""
     if count < 1:
-        raise NoLevelsError("weight sequence needs at least one level")
+        raise SchemaViolationError("weight sequence needs at least one level")
     _check_ratio(ratio)
     raw = [ratio**i for i in range(count)]
     total = sum(raw)
@@ -75,7 +68,7 @@ def compute_h_acc(stats: Sequence[LevelStats], config: ScoringConfig) -> float:
     geometric weights normalized over the populated levels only.
     """
     if not stats:
-        raise NoLevelsError("accuracy score needs at least one populated level")
+        raise SchemaViolationError("accuracy score needs at least one populated level")
     for entry in stats:
         if entry.count < 1:
             raise SchemaViolationError(f"level {entry.level} has no questions")
@@ -174,9 +167,9 @@ def detection_metrics(
     sequence is supplied, a per-granularity breakdown is attached.
     """
     if not pairs:
-        raise EmptyInputError("detection metrics need at least one pair")
+        raise SchemaViolationError("detection metrics need at least one pair")
     if granularities is not None and len(granularities) != len(pairs):
-        raise LengthMismatchError("granularities must align with pairs")
+        raise SchemaViolationError("granularities must align with pairs")
 
     def _count(selected: Sequence[tuple[int, int]]) -> Confusion:
         tp = fp = tn = fn = 0
@@ -217,18 +210,17 @@ def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Tie-corrected (tau-b) Kendall rank correlation.
 
     Raises:
-        LengthMismatchError: sequences differ in length.
-        DegenerateInputError: fewer than two points, or all values tied in
-            either sequence (tau-b undefined).
+        SchemaViolationError: sequences differ in length, fewer than two
+            points, or all values tied in either sequence (tau-b undefined).
     """
     if len(x) != len(y):
-        raise LengthMismatchError(f"length {len(x)} vs {len(y)}")
+        raise SchemaViolationError(f"length {len(x)} vs {len(y)}")
     if len(x) < 2:
-        raise DegenerateInputError("rank correlation needs at least two points")
+        raise SchemaViolationError("rank correlation needs at least two points")
     if len(set(x)) < 2 or len(set(y)) < 2:
-        raise DegenerateInputError("all values tied; tau-b undefined")
+        raise SchemaViolationError("all values tied; tau-b undefined")
     if any(value != value for value in (*x, *y)):
-        raise DegenerateInputError("tau-b undefined for this input")
+        raise SchemaViolationError("tau-b undefined for this input")
     # Knight's O(n log n) method: sort by (x, y), then count the swaps a
     # stable sort of the y column needs; each swap is one discordant pair.
     pairs = sorted(zip(x, y))

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
-from .errors import (
-    DanglingEdgeError,
-    DuplicateNodeIdError,
-    MalformedOutputError,
-    SchemaViolationError,
-    UnknownElementError,
-)
+from .errors import MalformedOutputError, SchemaViolationError
 from .structured import extract_json_value
 
 _NODE_ID_RE = re.compile(r"^N[1-9][0-9]*$")
@@ -121,12 +115,12 @@ class SemanticGraph:
         seen: set[str] = set()
         for node in self.nodes:
             if node.id in seen:
-                raise DuplicateNodeIdError(f"duplicate node id {node.id}")
+                raise SchemaViolationError(f"duplicate node id {node.id}")
             seen.add(node.id)
         for index, edge in enumerate(self.edges):
             for endpoint in (edge.from_id, edge.to_id):
                 if endpoint not in seen:
-                    raise DanglingEdgeError(
+                    raise SchemaViolationError(
                         f"edge {index} references unknown node {endpoint}"
                     )
 
@@ -166,17 +160,17 @@ def apply_coverage(
     """Return a new mask with the listed elements marked examined (flag 0).
 
     Flags already 0 stay 0; marking is monotone non-increasing. Unknown
-    identifiers raise UnknownElementError.
+    identifiers raise SchemaViolationError.
     """
     node_flags = dict(mask.node_flags)
     edge_flags = dict(mask.edge_flags)
     for node_id in examined_nodes:
         if node_id not in node_flags:
-            raise UnknownElementError(f"node {node_id!r} is not in the mask")
+            raise SchemaViolationError(f"node {node_id!r} is not in the mask")
         node_flags[node_id] = 0
     for index in examined_edges:
         if index not in edge_flags:
-            raise UnknownElementError(f"edge index {index!r} is not in the mask")
+            raise SchemaViolationError(f"edge index {index!r} is not in the mask")
         edge_flags[index] = 0
     return CoverageMask(node_flags=node_flags, edge_flags=edge_flags)
 
@@ -223,8 +217,8 @@ def parse_semantic_graph(raw_model_output: str, caption: str, notes: list[str]) 
 
     Raises:
         MalformedOutputError: no extractable structured object.
-        SchemaViolationError: missing fields or wrong shapes.
-        DuplicateNodeIdError / DanglingEdgeError: graph invariant violations.
+        SchemaViolationError: missing fields or wrong shapes, a repeated
+            node id, or an edge to an unknown node.
     """
     payload = extract_json_value(raw_model_output)
     if not isinstance(payload, dict):

@@ -21,7 +21,7 @@ from hmgie.forge import (
     perturb_iteratively,
 )
 from hmgie.gateway import Gateway
-from hmgie.prompts import TemplateName, load_templates
+from hmgie.prompts import PromptTemplate, TemplateName, load_templates
 
 TEMPLATES = load_templates()
 
@@ -442,6 +442,38 @@ class TestBuildDataset:
         assert summary.errors
         assert any("AllCaptionersFailedError" in e for e in summary.errors)
         assert summary.records_written == 6  # granularities 2-4 only
+
+    def test_a_template_missing_a_substitution_fails_only_its_cell(self, images, tmp_path):
+        # The detector template declares a placeholder no caller fills; the
+        # tier-1 cell's perturbations are blank, so it never renders it.
+        detector = TEMPLATES[TemplateName.DIRECT_PROMPT]
+        templates = {
+            **TEMPLATES,
+            TemplateName.DIRECT_PROMPT: PromptTemplate(
+                detector.name, detector.body, detector.placeholders | {"image-notes"}
+            ),
+        }
+
+        def respond(request):
+            if request.prompt.startswith("Describe the image"):
+                tier_one = "one simple sentence" in request.prompt
+                return "tier one caption" if tier_one else "a caption"
+            if "tier one caption" in request.prompt:
+                return json.dumps({"Perturbed-Caption": ""})
+            return forge_responder(fool_at_version=1)(request)
+
+        config, _ = forge_config(respond, templates=templates)
+        summary = build_dataset(images[:1], config, tmp_path / "data.jsonl")
+        assert summary.records_written == 1
+        assert summary.errors == (
+            f"{images[0]} g1: no detector-evading perturbation within 3 iterations; "
+            "adversarial record omitted",
+            *(
+                f"{images[0]} g{level}: SchemaViolationError: "
+                "DirectPrompt: no substitution for ['image-notes']"
+                for level in (2, 3, 4)
+            ),
+        )
 
     def test_captioner_failure_noted_in_summary(self, images, tmp_path):
         def flaky(request):

@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgie.errors import (
-    DuplicateQuestionError,
-    EmptyHiegError,
-    LevelGapError,
-    SchemaViolationError,
-    UnknownParentError,
-)
+from hmgie.errors import EmptyHiegError, SchemaViolationError
 from hmgie.hieg import (
     EvalNode,
     Hieg,
@@ -63,7 +57,9 @@ class TestExpand:
 
     def test_level_gap(self):
         h = expand(Hieg.empty(5), batch(1, "q1"), answered(1), [True])
-        with pytest.raises(LevelGapError):
+        with pytest.raises(
+            SchemaViolationError, match="^batch targets level 3 but the next level is 2$"
+        ):
             expand(h, batch(3, "q9"), answered(1), [True])
 
     def test_same_level_parent_rejected(self):
@@ -78,21 +74,24 @@ class TestExpand:
                 ),
             ),
         )
-        with pytest.raises(UnknownParentError):
+        with pytest.raises(
+            SchemaViolationError,
+            match=r"^node Q2.2 references parents \['Q2.1'\] not found at any lower level$",
+        ):
             expand(h, bad, answered(2), [True, True])
 
     def test_duplicate_question_across_levels(self):
         h = expand(Hieg.empty(5), batch(1, "q1"), answered(1), [True])
-        with pytest.raises(DuplicateQuestionError):
+        with pytest.raises(SchemaViolationError, match="^question text already present: 'q1'$"):
             expand(h, batch(2, "q1"), answered(1), [True])
 
     def test_duplicate_question_within_batch(self):
-        with pytest.raises(DuplicateQuestionError):
+        with pytest.raises(SchemaViolationError, match="^batch contains repeated question text$"):
             batch(1, "same", "same")
 
     def test_exceeding_max_level(self):
         h = expand(Hieg.empty(1), batch(1, "q1"), answered(1), [True])
-        with pytest.raises(LevelGapError):
+        with pytest.raises(SchemaViolationError, match="^batch level 2 exceeds max_level 1$"):
             expand(h, batch(2, "q2"), answered(1), [True])
 
     def test_alignment_required(self):
@@ -177,7 +176,7 @@ class TestInvariants:
                 actual_answer="a", confidence=1.0, correct=True,
             )
 
-        with pytest.raises(DuplicateQuestionError, match="question text already present: 'q'"):
+        with pytest.raises(SchemaViolationError, match="^question text already present: 'q'$"):
             Hieg(levels=((node("Q1.1", 1),), (node("Q2.1", 2),)), max_level=5)
 
     def test_prompt_payload_field_names(self):

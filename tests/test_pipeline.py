@@ -17,6 +17,7 @@ from helpers import (
     build_two_level_scenario,
     count_payload_hashes,
     fuzz_responder,
+    graph_reply_for,
     scripted_backend_of,
     scripted_config,
 )
@@ -39,7 +40,7 @@ from hmgie.pipeline import (
     load_dataset_jsonl,
     ordered_map,
 )
-from hmgie.prompts import load_templates
+from hmgie.prompts import PromptTemplate, TemplateName, load_templates
 
 TEMPLATES = load_templates()
 
@@ -219,17 +220,33 @@ class TestPromptPartsBuiltOnce:
 
 class TestFailureModes:
     def test_graph_gen_failed_after_retries(self):
-        config = scripted_config(templates=TEMPLATES)
-        backend = scripted_backend_of(config)
-        request = build_graph_request("caption", config)
-        for attempt in (1, 2, 3):
-            key = cache_key(replace(request, attempt=attempt))
-            backend.fixtures[key] = "no graph here, sorry"
-        with pytest.raises(GraphGenFailedError) as exc_info:
-            evaluate_pair(TINY_PNG, "caption", config)
-        assert len(exc_info.value.diagnostics) == 3
-        assert exc_info.value.partial_hieg.node_count == 0
-        assert len(backend.calls) == 3
+        # A graph that breaks an invariant is retried like one with no JSON.
+        node = {"id": "N1", "type": "Entity", "label": "a"}
+        duplicate = json.dumps({"nodes": [node, node], "edges": []})
+        dangling = json.dumps(
+            {"nodes": [node], "edges": [{"from": "N1", "to": "N9", "type": "Spatial"}]}
+        )
+        for reply, reason in (
+            ("no graph here, sorry", "no balanced JSON object or array found in model reply"),
+            (duplicate, "duplicate node id N1"),
+            (dangling, "edge 0 references unknown node N9"),
+        ):
+            config = scripted_config(templates=TEMPLATES)
+            backend = scripted_backend_of(config)
+            request = build_graph_request("caption", config)
+            for attempt in (1, 2, 3):
+                key = cache_key(replace(request, attempt=attempt))
+                backend.fixtures[key] = reply
+            with pytest.raises(GraphGenFailedError) as exc_info:
+                evaluate_pair(TINY_PNG, "caption", config)
+            assert exc_info.value.diagnostics == tuple(
+                f"graph-gen attempt {n} unparseable: {reason}" for n in (1, 2, 3)
+            )
+            assert str(exc_info.value) == (
+                f"semantic graph generation failed after 3 attempts: {reason}"
+            )
+            assert exc_info.value.partial_hieg.node_count == 0
+            assert len(backend.calls) == 3  # a repeated key would be served from the cache
 
     def test_every_error_carries_partial_hieg_and_diagnostics(self):
         responder = _routing_responder(
@@ -779,6 +796,43 @@ class TestBatch:
         assert batch.failed == 1
         assert batch.results[0].error.startswith("GraphGenFailedError")
         assert batch.results[1].report is not None
+
+    def test_a_template_missing_a_substitution_fails_only_its_item(self, tmp_path):
+        # The coverage template declares a placeholder no caller fills, so
+        # only a pair whose questions leave an element unexamined renders it.
+        image_path = tmp_path / "img.png"
+        image_path.write_bytes(TINY_PNG)
+        coverage = TEMPLATES[TemplateName.COVERAGE_CHECK]
+        templates = {
+            **TEMPLATES,
+            TemplateName.COVERAGE_CHECK: PromptTemplate(
+                coverage.name, coverage.body, coverage.placeholders | {"image-notes"}
+            ),
+        }
+
+        def respond(request):
+            prompt = request.prompt
+            if prompt.startswith("Your task is to parse"):
+                return graph_reply_for("full" if "[full caption]" in prompt else "partial")
+            if prompt.startswith("You are a specialized question generator"):
+                question = _question(1, 0, covered=["N1", "N2", "N3"])
+                if "dog (full)" in prompt:
+                    question["Covered-Edges"] = [0, 1]
+                return json.dumps({"Questions": [question]})
+            return _routing_responder({}, {})(request)
+
+        gateway = Gateway(DynamicBackend(respond))
+        config = PipelineConfig(backends=RoleBindings.uniform(gateway), templates=templates)
+        items = [
+            DatasetItem(id="partial", image_path=str(image_path), caption="partial caption"),
+            DatasetItem(id="full", image_path=str(image_path), caption="full caption"),
+        ]
+        batch = evaluate_batch(items, config)
+        assert batch.results[0].error == (
+            "SchemaViolationError: CoverageCheck: no substitution for ['image-notes']"
+        )
+        assert batch.results[1].report is not None
+        assert batch.failed == 1
 
     def test_unlabeled_batch_has_no_metrics(self, batch_setup):
         config, image_path = batch_setup

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgie.errors import (
-    EmptyBatchError,
-    MalformedOutputError,
-    MissingPlaceholderError,
-    SchemaViolationError,
-    UnknownPlaceholderError,
-)
+from hmgie.errors import EmptyBatchError, MalformedOutputError, SchemaViolationError
 from hmgie.prompts import (
     TEMPLATE_PLACEHOLDERS,
     PromptTemplate,
@@ -80,7 +74,9 @@ class TestTemplates:
 
     def test_missing_placeholder(self):
         templates = load_templates()
-        with pytest.raises(MissingPlaceholderError):
+        with pytest.raises(
+            SchemaViolationError, match=r"^QuestionGen: no substitution for \['current-level'\]$"
+        ):
             render(
                 templates[TemplateName.QUESTION_GEN],
                 {
@@ -93,7 +89,9 @@ class TestTemplates:
 
     def test_unknown_placeholder(self):
         templates = load_templates()
-        with pytest.raises(UnknownPlaceholderError):
+        with pytest.raises(
+            SchemaViolationError, match=r"^Vqa: unexpected substitution keys \['foo'\]$"
+        ):
             render(templates[TemplateName.VQA], {"question": "x", "foo": "bar"})
 
     def test_no_placeholder_left_after_render(self):
@@ -201,6 +199,15 @@ class TestQuestionBatch:
         assert notes == ["dropping duplicate question 'same'"]
         assert len(batch.items) == 1
         assert batch.items[0].expected_answer == "a"  # first wins
+
+        # Non-adjacent repeats are dropped too, so QuestionBatch's own
+        # repeated-question guard never fires inside a parse, where
+        # call_parsed would retry it.
+        items = [{"Question": q, "Expected-Answer": "x"} for q in ["a?", "b?", "a?"]]
+        notes = []
+        batch = parse_question_batch(json.dumps({"Questions": items}), 1, notes)
+        assert notes == ["dropping duplicate question 'a?'"]
+        assert [item.question for item in batch.items] == ["a?", "b?"]
 
     def test_empty_list(self):
         with pytest.raises(EmptyBatchError):

@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgie.errors import (
-    DanglingEdgeError,
-    DuplicateNodeIdError,
-    MalformedOutputError,
-    SchemaViolationError,
-    UnknownElementError,
-)
+from hmgie.errors import MalformedOutputError, SchemaViolationError
 from hmgie.semantic_graph import (
     CoverageMask,
     EdgeKind,
@@ -68,7 +62,7 @@ class TestParse:
                 "edges": [],
             }
         )
-        with pytest.raises(DuplicateNodeIdError):
+        with pytest.raises(SchemaViolationError, match="^duplicate node id N1$"):
             parse_semantic_graph(payload, "c", [])
 
     def test_dangling_edge(self):
@@ -78,7 +72,7 @@ class TestParse:
                 "edges": [{"from": "N1", "to": "N9", "type": "Spatial", "label": "x"}],
             }
         )
-        with pytest.raises(DanglingEdgeError):
+        with pytest.raises(SchemaViolationError, match="^edge 0 references unknown node N9$"):
             parse_semantic_graph(payload, "c", [])
 
     def test_code_fence_and_prose(self):
@@ -215,7 +209,7 @@ class TestMask:
 
     def test_apply_unknown_element(self):
         mask = CoverageMask(node_flags={"N1": 1, "N2": 1}, edge_flags={})
-        with pytest.raises(UnknownElementError):
+        with pytest.raises(SchemaViolationError, match="^node 'N7' is not in the mask$"):
             apply_coverage(mask, examined_nodes={"N7"})
 
     def test_fully_covered(self):
