@@ -5,7 +5,10 @@ chat-completions wire shape, and a scripted replay backend that serves
 recorded replies keyed by request digest. The Gateway wraps either one with
 caching, retry with exponential backoff, and coalescing of concurrent
 duplicate requests, so an entire run over the scripted backend is a pure
-function of its inputs and fixtures.
+function of its inputs and fixtures. Its one reply table holds, per key,
+either the reply or the gate of the one call in flight for that key, which
+concurrent duplicates wait on; a reply log on disk, when there is one, is
+read through without copying into the table.
 
 ``call_parsed`` is the one place that retries a reply the caller could not
 parse, within the gateway's ``attempts``. Each retry is a distinct request
@@ -224,12 +227,21 @@ class HttpBackend:
         import urllib.parse
         import urllib.request
 
+        def split(text: str, what: str):
+            # The port is parsed lazily, so it is read here to check it too.
+            try:
+                parts = urllib.parse.urlsplit(text)
+                parts.port
+            except ValueError as exc:
+                raise GatewayError(f"{what} is not a valid URL: {exc}") from None
+            return parts
+
         self.name = f"http:{endpoint}"
         self.endpoint = endpoint.rstrip("/")
         self.api_key = api_key
         self.supports_vision = supports_vision
         self.timeout = timeout
-        url = urllib.parse.urlsplit(self.endpoint)
+        url = split(self.endpoint, f"endpoint {endpoint!r}")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
         self._host, self._port, self._tunnel = url.hostname, url.port, None
@@ -240,7 +252,10 @@ class HttpBackend:
         }
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.netloc):
-            proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            # The proxy may carry credentials, so an error names its variable.
+            proxy_url = split(proxy if "://" in proxy else f"http://{proxy}", f"{url.scheme}_proxy")
+            if not proxy_url.hostname:
+                raise GatewayError(f"{url.scheme}_proxy names no host")
             proxy_headers = {}
             if proxy_url.username is not None:
                 unquote = urllib.parse.unquote
@@ -293,8 +308,12 @@ class HttpBackend:
             # A server that closed an idle connection leaves its socket
             # readable (at end of file); reusing it would cost a retry.
             sock = connection.sock
-            if sock is not None and not select.select([sock], [], [], 0)[0]:
-                return connection
+            if sock is not None:
+                # poll, unlike select, takes descriptors past FD_SETSIZE.
+                readable = select.poll()
+                readable.register(sock, select.POLLIN)
+                if not readable.poll(0):
+                    return connection
             connection.close()
 
     def _give_back(self, connection) -> None:
@@ -393,26 +412,27 @@ class ReplyLog:
     not parse, and an append to a file that does not end in a newline
     starts one first.
 
-    ``replies`` indexes the log. A lookup that misses it reads only the
-    lines appended since the last read, by this process or another. When a
-    key appears twice, its first line wins.
+    The log indexes the lines it has read or appended in a private table,
+    so the index holds only the log's lines. A lookup that misses it reads
+    only the lines appended since the last read, by this process or
+    another. When a key appears twice, its first line wins.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.path = self.directory / "replies.jsonl"
-        self.replies: dict[str, str] = {}
-        self._indexed = 0  # bytes of the log read into ``replies``
+        self._index: dict[str, str] = {}
+        self._indexed = 0  # bytes of the log read into ``_index``
         self._fd: Optional[int] = None
         self._release = None
         self._lock = threading.Lock()
 
     def get(self, key: str) -> Optional[str]:
-        reply = self.replies.get(key)
+        reply = self._index.get(key)
         if reply is None:
             with self._lock:
                 self._read_new_lines()
-            reply = self.replies.get(key)
+            reply = self._index.get(key)
         return reply
 
     def append(self, key: str, reply: str) -> None:
@@ -434,7 +454,7 @@ class ReplyLog:
             if end - written == self._indexed:
                 # No line came between the indexed part and this one.
                 self._indexed = end
-            self.replies.setdefault(key, reply)
+            self._index.setdefault(key, reply)
 
     def _open(self) -> None:
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -465,7 +485,7 @@ class ReplyLog:
                 except ValueError:
                     continue  # a line torn by a crash
                 if type(entry) is list and [type(part) for part in entry] == [str, str]:
-                    self.replies.setdefault(*entry)
+                    self._index.setdefault(*entry)
 
 
 class ScriptedBackend:
@@ -506,14 +526,16 @@ class ScriptedBackend:
 
 
 class _Gate:
-    """One call in flight: duplicates of it wait on ``lock``, and ``error``
-    holds what the call raised, for those waiters only."""
+    """One call in flight: its maker holds ``lock`` from birth until the
+    call ends, duplicates wait on it, and ``error`` holds what the call
+    raised, for those waiters only."""
 
     __slots__ = ("lock", "error")
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.error: Optional[Exception] = None
+        self.lock.acquire()
+        self.error: Optional[BaseException] = None
 
 
 class Gateway:
@@ -525,8 +547,10 @@ class Gateway:
     ``call_parsed`` sends up to ``attempts`` requests for one prompt whose
     replies do not parse.
 
-    With cache_dir set, replies are read through that directory's ReplyLog,
-    whose index is then the gateway's in-memory cache; record=True
+    One table, ``_replies``, maps each key this gateway has called to its
+    reply, or to the _Gate of its one call in flight. With cache_dir set, a
+    key with no entry is first looked up in that directory's ReplyLog, and
+    a hit there is served without entering the table; record=True
     additionally appends live replies to the log, so a real run can later
     be replayed by a gateway over the same directory whose backend has no
     replies of its own.
@@ -549,20 +573,7 @@ class Gateway:
         self.attempts = attempts
         self._sleeper = sleeper
         self._log = ReplyLog(self.cache_dir) if self.cache_dir is not None else None
-        self._memory: dict[str, str] = self._log.replies if self._log is not None else {}
-        self._lock = threading.Lock()
-        self._inflight: dict[str, _Gate] = {}
-
-    def _cached_text(self, key: str) -> Optional[str]:
-        if self._log is not None:
-            return self._log.get(key)
-        return self._memory.get(key)
-
-    def _store(self, key: str, text: str) -> None:
-        if self.record:
-            self._log.append(key, text)
-        else:
-            self._memory[key] = text
+        self._replies: dict[str, str | _Gate] = {}
 
     def _complete_with_retries(self, request: ModelRequest) -> str:
         delay = BASE_DELAY
@@ -590,7 +601,8 @@ class Gateway:
         """Resolve a request through cache, coalescing, and retry.
 
         Concurrent duplicates of a request wait for one call and share its
-        outcome: its reply, or the error it raised.
+        outcome: its reply, or the error it raised. A failure is not kept,
+        so a later call starts afresh.
 
         Raises:
             UnsupportedRequestError: vision request to a text-only backend.
@@ -602,35 +614,34 @@ class Gateway:
                 f"backend {self.backend.name} cannot serve vision requests"
             )
         key = request.key
-        cached = self._cached_text(key)
-        if cached is not None:
-            return ModelResponse(text=cached, cached=1)
-        with self._lock:
-            gate = self._inflight.setdefault(key, _Gate())
-        with gate.lock:
-            try:
-                if gate.error is not None:
-                    # A concurrent duplicate failed first; share its failure.
-                    raise gate.error
-                cached = self._memory.get(key)
-                if cached is not None:
-                    # A concurrent duplicate finished first; serve its reply.
-                    return ModelResponse(text=cached, cached=1)
+        entry = self._replies.get(key)
+        if entry is None:
+            if self._log is not None:
+                logged = self._log.get(key)
+                if logged is not None:
+                    return ModelResponse(text=logged, cached=1)
+            gate = _Gate()
+            entry = self._replies.setdefault(key, gate)
+            if entry is gate:
                 try:
                     text = self._complete_with_retries(request)
-                    self._store(key, text)
-                except Exception as exc:
+                    if self.record:
+                        self._log.append(key, text)
+                    self._replies[key] = text
+                except BaseException as exc:
                     gate.error = exc
+                    del self._replies[key]
                     raise
+                finally:
+                    gate.lock.release()
                 return ModelResponse(text=text, cached=0)
-            finally:
-                # Drop the gate once the call is done so the map holds only
-                # calls in flight; duplicates already waiting on this gate
-                # get its reply from the cache or its error from the gate,
-                # and a later call starts afresh.
-                with self._lock:
-                    if self._inflight.get(key) is gate:
-                        del self._inflight[key]
+        if isinstance(entry, _Gate):
+            with entry.lock:  # held by the maker until its call ends
+                pass
+            if entry.error is not None:
+                raise entry.error
+            entry = self._replies[key]
+        return ModelResponse(text=entry, cached=1)
 
 
 T = TypeVar("T")

@@ -84,8 +84,15 @@ class PromptTemplate:
 def load_templates(
     templates_dir: Optional[str | Path] = None,
 ) -> dict[TemplateName, PromptTemplate]:
-    """Load the embedded templates, overriding from templates_dir if given."""
+    """Load the embedded templates, overriding from templates_dir if given.
+
+    Raises:
+        SchemaViolationError: templates_dir is not a directory, or an
+            override in it cannot be read as UTF-8 text.
+    """
     override = Path(templates_dir) if templates_dir is not None else None
+    if override is not None and not override.is_dir():
+        raise SchemaViolationError(f"templates dir is not a directory: {override}")
     loaded = {}
     package_root = resources.files("hmgie") / "templates"
     for name, placeholders in TEMPLATE_PLACEHOLDERS.items():
@@ -93,7 +100,10 @@ def load_templates(
         if override is not None:
             candidate = override / name.filename
             if candidate.exists():
-                body = candidate.read_text(encoding="utf-8")
+                try:
+                    body = candidate.read_text(encoding="utf-8")
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise SchemaViolationError(f"cannot read template {candidate}: {exc}") from None
         loaded[name] = PromptTemplate(name=name, body=body, placeholders=placeholders)
     return loaded
 

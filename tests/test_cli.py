@@ -776,7 +776,8 @@ class TestConfigResolution:
 
 # Every way the flags can fail to resolve into a run mode or a setting, with
 # the exact stderr line. {fx} is an existing fixture directory, {missing} a
-# directory that does not exist.
+# directory that does not exist, and {latin1} a templates directory whose
+# vqa.txt is not UTF-8.
 EVAL = ["evaluate", "--caption", "c", "--image", "i"]
 FORGE = ["forge", "--images", "{fx}", "--out", "{fx}/x.jsonl"]
 ENDPOINT = ["--endpoint", "http://example.invalid"]
@@ -803,16 +804,60 @@ RUN_CONFIG_ERRORS = [
     (EVAL + FX + ["--weight-ratio", "0"], "weight_ratio must be finite and > 0, got 0.0"),
     (EVAL + FX + ["--max-level", "2.5"], "max-level: expected an integer, got '2.5'"),
     (FORGE + ENDPOINT + KEY + ["--max-iter", "0"], "max_iterations must be >= 1, got 0"),
+    (
+        EVAL + KEY + ["--endpoint", "http://h:abc"],
+        "endpoint 'http://h:abc' is not a valid URL: "
+        "Port could not be cast to integer value as 'abc'",
+    ),
+    (
+        EVAL + KEY + ["--endpoint", "http://h:99999"],
+        "endpoint 'http://h:99999' is not a valid URL: Port out of range 0-65535",
+    ),
+    (
+        EVAL + KEY + ["--endpoint", "http://[::1"],
+        "endpoint 'http://[::1' is not a valid URL: Invalid IPv6 URL",
+    ),
+    (EVAL + FX + ["--templates-dir", "{missing}"], "templates dir is not a directory: {missing}"),
+    (
+        EVAL + FX + ["--templates-dir", "{latin1}/vqa.txt"],
+        "templates dir is not a directory: {latin1}/vqa.txt",
+    ),
+    (
+        FORGE + ENDPOINT + KEY + ["--templates-dir", "{latin1}"],
+        "cannot read template {latin1}/vqa.txt: "
+        "'utf-8' codec can't decode byte 0xe9 in position 3: invalid continuation byte",
+    ),
 ]
 
 
 class TestRunConfigErrors:
     @pytest.mark.parametrize("argv, message", RUN_CONFIG_ERRORS)
     def test_exit_64_with_exact_message(self, tmp_path, capsys, argv, message):
-        paths = {"fx": tmp_path, "missing": tmp_path / "missing"}
+        paths = {"fx": tmp_path, "missing": tmp_path / "missing", "latin1": tmp_path / "latin1"}
+        paths["latin1"].mkdir()
+        (paths["latin1"] / "vqa.txt").write_bytes("Caf\u00e9 {question}".encode("latin-1"))
         code = main([arg.format(**paths) for arg in argv])
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"config error: {message.format(**paths)}\n"
+
+    @pytest.mark.parametrize(
+        "proxy, message",
+        [
+            (
+                "http://user:secret@p:abc",
+                "https_proxy is not a valid URL: Port could not be cast to integer value as 'abc'",
+            ),
+            ("http://:3128", "https_proxy names no host"),
+        ],
+    )
+    def test_malformed_proxy_exits_64(self, capsys, monkeypatch, proxy, message):
+        # The proxy URL may hold a password, so the message names its variable.
+        for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("https_proxy", proxy)
+        code = main(EVAL + KEY + ["--endpoint", "https://example.invalid"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_replay_falls_back_to_the_cache_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("HMGIE_CACHE_DIR", str(tmp_path / "missing"))

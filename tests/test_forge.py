@@ -230,6 +230,37 @@ class TestPerturbation:
                 assert f"perturbed caption v{prior}" in prompt
             assert f"perturbed caption v{iteration}" not in prompt
 
+    def test_unreadable_verdict_counts_as_detected(self):
+        # An unreadable verdict can only withhold an adversarial record.
+        forge = forge_responder()
+
+        def respond(request):
+            if request.prompt.startswith("Does the image match"):
+                return "I cannot tell."
+            return forge(request)
+
+        config, backend = forge_config(respond, max_iterations=2)
+        record = perturb_iteratively("ground truth", TINY_PNG, config)
+        assert record.status is ForgeStatus.MAX_ITER_REACHED
+        assert record.detector_verdicts == (0, 0)
+        assert sum(c.prompt.startswith("Does the image match") for c in backend.calls) == 2
+
+    def test_array_reply_is_taken_as_raw_text(self):
+        reply = '["a cat sits on a mat"]'
+
+        def respond(request):
+            if request.prompt.startswith("You are constructing hard negative captions"):
+                return f"  {reply}\n"
+            if request.prompt.startswith("Does the image match"):
+                assert reply in request.prompt  # the detector is shown the raw text
+                return json.dumps({"Answer": "Yes"})
+            return None
+
+        config, _ = forge_config(respond)
+        record = perturb_iteratively("ground truth", TINY_PNG, config)
+        assert record.status is ForgeStatus.ADVERSARIAL_FOUND
+        assert record.perturbation_history == (reply,)
+
     def test_compose_prompt_lists_full_history(self):
         history = ["first change", "second change", "third change"]
         prompt = compose_perturbation_prompt("the original", history)

@@ -3,6 +3,7 @@ import hashlib
 import http.client
 import json
 import os
+import resource
 import shlex
 import ssl
 import stat
@@ -645,7 +646,7 @@ class TestInflightGates:
         finally:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
-        assert gateway._inflight == {}
+        assert not any(isinstance(e, gateway_module._Gate) for e in gateway._replies.values())
         assert sorted(replies) == sorted((k, f"reply to {k}") for k in keys[:5] for _ in range(12))
         prompts = [r.prompt for r in backend.calls]
         for key in keys[:5]:
@@ -656,8 +657,8 @@ class TestInflightGates:
         assert 1 <= prompts.count("k5") <= 12
 
     def test_recorded_duplicates_coalesced(self, tmp_path):
-        """In record mode the re-check under the gate reads only memory; a
-        duplicate that waited there is served the reply its twin logged."""
+        """In record mode a duplicate that waited on the gate is served the
+        reply its twin logged."""
         keys = [f"k{i}" for i in range(4)]
         backend = DynamicBackend(lambda r: time.sleep(0.002) or f"reply to {r.prompt}")
         gateway = Gateway(backend, cache_dir=tmp_path, record=True)
@@ -718,11 +719,63 @@ class TestInflightGates:
         assert not any(thread.is_alive() for thread in threads)
         assert len(errors) == callers
         assert len(backend.calls) == 3
-        assert gateway._inflight == {}
+        assert not any(isinstance(e, gateway_module._Gate) for e in gateway._replies.values())
         # the failure is not cached beyond its gate
         with pytest.raises(ExhaustedError):
             gateway.call(text_request("down"))
         assert len(backend.calls) == 6
+
+    def test_a_base_exception_goes_to_every_waiter_and_leaves_no_entry(self):
+        """The maker's call ends in a BaseException that is no Exception
+        while duplicates wait: none of them calls the backend again, each
+        raises that exception, and a later call starts afresh."""
+
+        class Abort(BaseException):
+            pass
+
+        duplicates = 4
+        entered, arrived, release = threading.Event(), [], threading.Event()
+        abort = Abort("stop")
+
+        def responder(request):
+            if len(backend.calls) == 1:
+                entered.set()
+                release.wait(timeout=10)
+                raise abort
+            return "second reply"
+
+        backend = DynamicBackend(responder)
+        gateway = Gateway(backend)
+        raised = []
+
+        def worker():
+            arrived.append(1)
+            try:
+                gateway.call(text_request("abort"))
+            except Abort as exc:
+                raised.append(exc)
+
+        maker = threading.Thread(target=worker)
+        maker.start()
+        assert entered.wait(timeout=10)
+        threads = [threading.Thread(target=worker) for _ in range(duplicates)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 10
+        while len(arrived) <= duplicates and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.1)  # let the duplicates reach the gate
+        release.set()
+        for thread in [maker, *threads]:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in [maker, *threads])
+        assert len(backend.calls) == 1
+        assert len(raised) == duplicates + 1
+        assert all(exc is abort for exc in raised)
+        assert gateway._replies == {}
+        response = gateway.call(text_request("abort"))
+        assert (response.text, response.cached) == ("second reply", 0)
+        assert len(backend.calls) == 2
 
 
 class TestRetry:
@@ -1043,6 +1096,28 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
             for prompt in ("a", "b", "c"):
                 backend.complete(text_request(prompt))
             assert server.peak_connections == 1
+
+    def test_idle_connection_past_descriptor_1023_is_reused(self):
+        """The liveness check of a pooled connection takes a descriptor
+        beyond select()'s FD_SETSIZE of 1024."""
+        held_count = 1100
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < held_count + 100:
+            pytest.skip("the soft descriptor limit is below what the test holds")
+        held = [os.open(os.devnull, os.O_RDONLY) for _ in range(held_count)]
+        try:
+            with FakeChatServer() as server, closing(
+                HttpBackend(endpoint=server.endpoint, api_key="k")
+            ) as backend:
+                assert backend.complete(text_request("first")) == "canned reply"
+                (connection,) = backend._idle
+                assert connection.sock.fileno() >= 1024
+                assert backend.complete(text_request("second")) == "canned reply"
+                assert backend._idle == [connection]
+            assert len(server.requests) == 2
+            assert server.peak_connections == 1
+        finally:
+            for fd in held:
+                os.close(fd)
 
     def test_pool_is_bounded_and_close_closes_idle_connections(self):
         """40 short-lived threads share one backend: the pool keeps at most

@@ -26,6 +26,7 @@ from hmgie import pipeline as pipeline_module
 from hmgie.errors import (
     EmptyHiegError,
     ExhaustedError,
+    GatewayError,
     GraphGenFailedError,
     SchemaViolationError,
 )
@@ -527,6 +528,40 @@ class TestLoopBehavior:
         report = evaluate_pair(TINY_PNG, "caption", config)
         assert any("unknown coverage targets" in d for d in report.diagnostics)
         assert report.hieg.levels[0][0].covered_nodes == {"N1"}
+
+    def test_unknown_parents_dropped(self):
+        level_two = {**_question(2, 0), "Parent-IDS": ["Q1.1", "Q9.9"]}
+        responder = _routing_responder(
+            question_plan={1: [_question(1, 0)], 2: [level_two]},
+            coverage_plan={1: incomplete_coverage, 2: incomplete_coverage},
+        )
+        config = _dynamic_config(responder, max_level=2, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        assert (
+            "level 2: dropped unknown parents ['Q9.9'] for question 'level 2 question 0?'"
+        ) in report.diagnostics
+        assert report.hieg.levels[1][0].parent_ids == {"Q1.1"}
+
+    def test_failed_explanation_still_yields_a_report(self):
+        responder = _routing_responder(
+            question_plan={1: [_question(1, 0)], 2: []},
+            coverage_plan={1: incomplete_coverage},
+        )
+
+        def explainer_down(request):
+            reply = responder(request)
+            if reply == "explanation text":
+                raise GatewayError("explainer down")
+            return reply
+
+        config = _dynamic_config(explainer_down, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        assert report.explanation == ""
+        assert report.decision == 1
+        assert report.diagnostics[-2:] == (
+            "explanation generation failed: explainer down",
+            "explanation is empty",
+        )
 
     def test_unparseable_vqa_falls_back_to_raw_text(self):
         responder = _routing_responder(

@@ -5,11 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmgie.errors import EmptyBatchError, MalformedOutputError, SchemaViolationError
+from hmgie.errors import (
+    EmptyBatchError,
+    HmgieError,
+    MalformedOutputError,
+    SchemaViolationError,
+)
+from hmgie.hieg import QuestionBatch, QuestionItem
 from hmgie.prompts import (
     TEMPLATE_PLACEHOLDERS,
+    CoverageReply,
     PromptTemplate,
     TemplateName,
+    VqaReply,
     load_templates,
     parse_consistency_reply,
     parse_coverage_reply,
@@ -115,6 +123,37 @@ class TestTemplates:
         assert templates[TemplateName.VQA].body == "Custom: {question}"
         # untouched templates still come from the package
         assert "question answer evaluator" in templates[TemplateName.ANSWER_EVAL].body
+
+    @pytest.mark.parametrize(
+        "layout, message",
+        [
+            ({}, "templates dir is not a directory: {dir}/templates"),
+            ({"templates": b"a file"}, "templates dir is not a directory: {dir}/templates"),
+            (
+                {"templates/vqa.txt": b"\xff {question}"},
+                "cannot read template {dir}/templates/vqa.txt: 'utf-8' codec can't decode "
+                "byte 0xff in position 0: invalid start byte",
+            ),
+            (
+                {"templates/vqa.txt": None},
+                "cannot read template {dir}/templates/vqa.txt: "
+                "[Errno 21] Is a directory: '{dir}/templates/vqa.txt'",
+            ),
+        ],
+        ids=["missing", "a-file", "not-utf-8", "unreadable"],
+    )
+    def test_templates_dir_refused(self, tmp_path, layout, message):
+        # layout maps a path under tmp_path to its bytes, or to None for a directory
+        for relative, data in layout.items():
+            path = tmp_path / relative
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if data is None:
+                path.mkdir()
+            else:
+                path.write_bytes(data)
+        with pytest.raises(SchemaViolationError) as excinfo:
+            load_templates(tmp_path / "templates")
+        assert str(excinfo.value) == message.format(dir=tmp_path)
 
     def test_substitution_value_containing_placeholder_text(self):
         # single-pass substitution: braces inside values are never re-expanded
@@ -307,6 +346,121 @@ class TestCoverageReply:
             '{"Verified-Complete": true, "Next-Level-Suggestion": "None"}', []
         )
         assert reply.next_level_suggestion is None
+
+
+def _parse(parser: str, raw: str, notes: list[str]):
+    """The named reply parser applied to raw, as the pipeline and forge call it."""
+    return {
+        "vqa": lambda: parse_vqa_reply(raw, notes),
+        "eval": lambda: parse_eval_reply(raw),
+        "detector": lambda: parse_consistency_reply(raw),
+        "questions": lambda: parse_question_batch(raw, 1, notes),
+        "coverage": lambda: parse_coverage_reply(raw, notes),
+    }[parser]()
+
+
+def _questions(*items) -> str:
+    """A question reply holding items; a dict item gets a question and an answer."""
+    return json.dumps(
+        {
+            "Questions": [
+                {"Question": "q?", "Expected-Answer": "a", **item} if type(item) is dict else item
+                for item in items
+            ]
+        }
+    )
+
+
+ONE_QUESTION = QuestionBatch(level=1, items=(QuestionItem("q?", expected_answer="a"),))
+
+# Reply shapes a model can send that a parser refuses: parser, reply, the
+# error's type and its message.
+REFUSED_REPLIES = [
+    ("vqa", '["Answer", "yes"]', MalformedOutputError, "VQA reply is not a JSON object"),
+    ("eval", "[true]", MalformedOutputError, "evaluation reply is not a JSON object"),
+    ("detector", '["Yes"]', MalformedOutputError, "detector reply is not a JSON object"),
+    ("coverage", "[true]", MalformedOutputError, "coverage reply is not a JSON object"),
+    (
+        "detector",
+        '{"Answer": true}',
+        MalformedOutputError,
+        "detector reply has no textual 'Answer' field",
+    ),
+    (
+        "questions",
+        '{"Questions": "q?"}',
+        MalformedOutputError,
+        "question reply has no 'Questions' array",
+    ),
+    (
+        "questions",
+        _questions({"Question": " "}, "q?"),
+        EmptyBatchError,
+        "no usable question items at level 1",
+    ),
+    (
+        "questions",
+        _questions({"Covered-Nodes": "N1"}),
+        MalformedOutputError,
+        "field 'Covered-Nodes' is not an array: 'N1'",
+    ),
+    (
+        "questions",
+        _questions({"Covered-Edges": 0}),
+        MalformedOutputError,
+        "field 'Covered-Edges' is not an array: 0",
+    ),
+]
+
+
+@pytest.mark.parametrize("parser, raw, error, message", REFUSED_REPLIES)
+def test_reply_of_a_wrong_shape_is_refused(parser, raw, error, message):
+    with pytest.raises(HmgieError) as excinfo:
+        _parse(parser, raw, [])
+    assert type(excinfo.value) is error
+    assert str(excinfo.value) == message
+
+
+# Reply shapes a parser reads with a default or a note: parser, reply, the
+# parsed value and the notes.
+TOLERATED_REPLIES = [
+    ("eval", '{"Correct": "no"}', False, []),
+    ("eval", '{"Correct": " false "}', False, []),
+    (
+        "vqa",
+        '{"Answer": "x", "Confidence": NaN}',
+        VqaReply(answer="x", confidence=1.0),
+        ["NaN confidence; defaulting to 1.0"],
+    ),
+    ("questions", _questions("q?", {}), ONE_QUESTION, ["skipping non-object question item 'q?'"]),
+    (
+        "questions",
+        _questions({"Question": None}, {}),
+        ONE_QUESTION,
+        ["skipping question item without question text"],
+    ),
+    (
+        "questions",
+        _questions({"Covered-Edges": [True, 1]}),
+        QuestionBatch(
+            level=1, items=(QuestionItem("q?", expected_answer="a", covered_edges={1}),)
+        ),
+        [],
+    ),
+    (
+        "coverage",
+        '{"Verified-Complete": false, "Next-Level-Suggestion": 3}',
+        CoverageReply(verified_complete=False, next_level_suggestion="3"),
+        [],
+    ),
+]
+
+
+@pytest.mark.parametrize("parser, raw, value, expected_notes", TOLERATED_REPLIES)
+def test_reply_of_an_odd_shape_is_read(parser, raw, value, expected_notes):
+    notes: list[str] = []
+    assert _parse(parser, raw, notes) == value
+    assert notes == expected_notes
 
 
 @settings(max_examples=300)

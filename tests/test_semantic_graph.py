@@ -38,6 +38,41 @@ MINIMAL_PAYLOAD = json.dumps(
     }
 )
 
+DOG = {"id": "N1", "type": "Entity", "label": "dog"}
+
+# Graph replies a model can send that the parser refuses: the reply's JSON,
+# the error's type and its message.
+REFUSED_GRAPHS = [
+    ([DOG], MalformedOutputError, "graph reply is not a JSON object"),
+    ({"nodes": [DOG], "edges": {}}, SchemaViolationError, "'edges' must be an array"),
+    ({"nodes": ["N1"]}, SchemaViolationError, "node entry is not an object: 'N1'"),
+    (
+        {"nodes": [DOG], "edges": ["N1 -> N1"]},
+        SchemaViolationError,
+        "edge entry is not an object: 'N1 -> N1'",
+    ),
+    (
+        {"nodes": [{**DOG, "id": 1}]},
+        SchemaViolationError,
+        "node id must be a string, got 1",
+    ),
+    (
+        {"nodes": [DOG], "edges": [{"from": "N1", "to": "N1"}]},
+        SchemaViolationError,
+        "edge entry missing fields ['type']: {'from': 'N1', 'to': 'N1'}",
+    ),
+    (
+        {"nodes": [{**DOG, "type": " "}]},
+        SchemaViolationError,
+        "node 'type' must be a nonempty string, got ' '",
+    ),
+    (
+        {"nodes": [DOG], "edges": [{"from": 1, "to": "N1", "type": "Spatial"}]},
+        SchemaViolationError,
+        "edge 'from' must be a node id or an [id, label] pair, got 1",
+    ),
+]
+
 
 def small_graph() -> SemanticGraph:
     return parse_semantic_graph(MINIMAL_PAYLOAD, "a brown dog", [])
@@ -140,6 +175,13 @@ class TestParse:
         payload = json.dumps({"nodes": [{"id": "N1", "type": "Entity", "label": label}]})
         with pytest.raises(SchemaViolationError, match="node label must be a string or a number"):
             parse_semantic_graph(payload, "c", [])
+
+    @pytest.mark.parametrize("payload, error, message", REFUSED_GRAPHS)
+    def test_graph_reply_of_a_wrong_shape_is_refused(self, payload, error, message):
+        with pytest.raises((MalformedOutputError, SchemaViolationError)) as excinfo:
+            parse_semantic_graph(json.dumps(payload), "c", [])
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
     def test_null_edge_texts_read_as_absent(self):
         payload = json.loads(MINIMAL_PAYLOAD)
