@@ -184,6 +184,14 @@ class Backend(Protocol):
 # many are idle is closed instead.
 MAX_IDLE_CONNECTIONS = 8
 
+# The most bytes one HTTP reply may take, for its header block and again for
+# its body. A chat reply is kilobytes; a larger one fails its call.
+MAX_REPLY_BYTES = 4 * 1024 * 1024
+
+# The most one socket read asks for: a chat reply's head and body usually
+# fit; a longer body with a Content-Length is read straight into its buffer.
+_RECV_BYTES = 8192
+
 # Retry backoff: the first pause after a transient failure, doubling after
 # each retry, and the most one call sleeps in total across its retries.
 BASE_DELAY = 1.0
@@ -208,13 +216,19 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
 class HttpBackend:
     """Chat-completions HTTP client; images travel as base64 data URLs.
 
-    Speaks HTTP/1.1 through ``http.client`` and keeps one shared pool of at
-    most MAX_IDLE_CONNECTIONS idle keep-alive connections, whichever thread
-    made them; ``close()`` closes the idle ones. https verifies certificates
-    and host names with ``ssl.create_default_context()``. The proxy for the
-    endpoint's scheme (``http_proxy`` / ``https_proxy``, minus ``no_proxy``)
-    is read once, when the backend is built. ``http.client`` and ``ssl`` are
-    imported then too, so importing the package does not pay for them.
+    Speaks HTTP/1.1 and keeps one shared pool of at most
+    MAX_IDLE_CONNECTIONS idle keep-alive connections, whichever thread made
+    them; ``close()`` closes the idle ones. ``http.client`` only opens a
+    connection: https verifies certificates and host names with
+    ``ssl.create_default_context()``, and an https endpoint behind a proxy
+    is reached through a ``CONNECT`` tunnel. A call writes its request and
+    reads the reply on the connection's socket itself (see _ReplyReader).
+
+    ``timeout`` bounds a whole call: connecting, sending and reading share
+    one deadline. The proxy for the endpoint's scheme (``http_proxy`` /
+    ``https_proxy``, minus ``no_proxy``) is read once, when the backend is
+    built. ``http.client`` and ``ssl`` are imported then too, so importing
+    the package does not pay for them.
     """
 
     def __init__(
@@ -244,9 +258,15 @@ class HttpBackend:
         url = split(self.endpoint, f"endpoint {endpoint!r}")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
-        self._host, self._port, self._tunnel = url.hostname, url.port, None
-        self._path = f"{url.path}/chat/completions"
-        self._headers = {
+        default_port = 443 if url.scheme == "https" else 80
+        port = url.port or default_port
+        self._host, self._port, self._tunnel = url.hostname, port, None
+        path = f"{url.path}/chat/completions"
+        # Host names the endpoint, never the proxy; an IPv6 zone stays local.
+        host = url.hostname.partition("%")[0]
+        host = f"[{host}]" if ":" in host else host
+        host = host if port == default_port else f"{host}:{port}"
+        headers = {
             "Content-Type": "application/json",
             "Authorization": f"Bearer {api_key}",
         }
@@ -264,11 +284,12 @@ class HttpBackend:
                 proxy_headers["Proxy-Authorization"] = f"Basic {token}"
             if url.scheme == "http":
                 # A proxy forwarding plain http is sent the absolute URL.
-                self._path = f"{self.endpoint}/chat/completions"
-                self._headers.update(proxy_headers)
+                path, host = f"{self.endpoint}/chat/completions", url.netloc
+                headers.update(proxy_headers)
             else:
-                self._tunnel = (url.hostname, url.port, proxy_headers)
+                self._tunnel = (url.hostname, port, proxy_headers)
             self._host, self._port = proxy_url.hostname, proxy_url.port or 80
+        self._head = _request_head(path, host, headers, endpoint)
         self._context = None
         if url.scheme == "https":
             import ssl
@@ -351,41 +372,255 @@ class HttpBackend:
         tail = body[at + len(_IMAGE_SLOT_JSON) - 1 :]
         return body[: at + 1], prefix, request.image.base64_payload, tail
 
+    def _exchange(self, connection, body: tuple[bytes, ...], deadline: float):
+        """Send one request on the connection and read its reply."""
+        if connection.sock is None:
+            # http.client opens the socket: TLS and the proxy tunnel, if any.
+            connection.timeout = _remaining(deadline)
+            connection.connect()
+        sock = connection.sock
+        head = b"%s%d\r\n\r\n" % (self._head, sum(map(len, body)))
+        # The head rides with the first chunk; the image's base64 goes alone.
+        for chunk in (head + body[0], *body[1:]):
+            sock.settimeout(_remaining(deadline))
+            sock.sendall(chunk)
+        return _ReplyReader(sock, deadline).read()
+
     def complete(self, request: ModelRequest) -> str:
         import http.client
 
+        deadline = time.monotonic() + self.timeout
         body = self._body(request)
-        # An explicit length makes http.client send the chunks as they are.
-        headers = {**self._headers, "Content-Length": str(sum(map(len, body)))}
         connection = self._take()
         try:
-            connection.request("POST", self._path, body=body, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
+            status, headers, data, reusable = self._exchange(connection, body, deadline)
         except (OSError, http.client.HTTPException) as exc:
             connection.close()
             raise TransientBackendError(f"transport failure: {exc!r}") from exc
         except BaseException:
             connection.close()
             raise
-        # The whole response is read, so the connection is free for reuse
-        # (unless the server said it closes it; then it is closed already).
-        self._give_back(connection)
-        status = response.status
+        if reusable:
+            self._give_back(connection)
+        else:
+            connection.close()
         if status in (401, 403):
             raise AuthError(f"backend rejected credentials (HTTP {status})")
         if status == 429 or status >= 500:
             retry_after = None
             if status in (429, 503):
-                retry_after = _retry_after(response.getheader("Retry-After"))
+                retry_after = _retry_after(headers.get(b"retry-after", b"").decode("latin-1"))
             raise TransientBackendError(f"HTTP {status}: {_excerpt(data)}", retry_after)
-        if status >= 400:
-            raise GatewayError(f"HTTP {status}: {_excerpt(data)}")
+        if status >= 300:
+            # Redirects are not followed; the error names where one pointed.
+            location = headers.get(b"location")
+            where = "" if location is None else f" (Location: {location.decode('latin-1')})"
+            raise GatewayError(f"HTTP {status}: {_excerpt(data)}{where}")
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"unexpected response shape: {exc}") from exc
         return content if isinstance(content, str) else ""
+
+
+def _request_head(path: str, host: str, headers: dict[str, str], endpoint: str) -> bytes:
+    """The request line and header lines every call sends, in the order
+    ``http.client`` sends them, up to the value of the closing
+    Content-Length."""
+    if not path.isascii() or any(ch <= " " or ch == "\x7f" for ch in path):
+        raise GatewayError(
+            f"endpoint {endpoint!r} is not a valid URL: its path is not printable ASCII"
+        )
+    try:
+        host = host if host.isascii() else host.encode("idna").decode("ascii")
+    except UnicodeError as exc:
+        raise GatewayError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from None
+    if any("\r" in value or "\n" in value for value in headers.values()):
+        raise GatewayError("the API key cannot go in an HTTP header: it holds a line break")
+    lines = [f"POST {path} HTTP/1.1", f"Host: {host}", "Accept-Encoding: identity"]
+    lines += [f"{name}: {value}" for name, value in headers.items()]
+    lines.append("Content-Length: ")
+    try:
+        return "\r\n".join(lines).encode("latin-1")
+    except UnicodeEncodeError:
+        raise GatewayError(
+            "the API key cannot go in an HTTP header: it holds a character outside Latin-1"
+        ) from None
+
+
+def _remaining(deadline: float) -> float:
+    """Seconds left before the deadline; TimeoutError once it has passed."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise TimeoutError("the call ran out of its timeout")
+    return remaining
+
+
+def _oversize(part: str) -> str:
+    return f"reply {part} passes MAX_REPLY_BYTES = {MAX_REPLY_BYTES} bytes"
+
+
+class _ReplyReader:
+    """Reads one HTTP/1.1 reply off a socket.
+
+    Every read gets only what remains of the call's deadline. The body is
+    framed by Content-Length, by the chunked transfer coding, or by the
+    server closing the connection; 1xx, 204 and 304 replies have none. A
+    reply that breaks the framing raises ConnectionError, so it counts as a
+    transport failure; a header block or body past MAX_REPLY_BYTES raises
+    GatewayError before more of it is read.
+    """
+
+    __slots__ = ("sock", "deadline", "buffer")
+
+    def __init__(self, sock, deadline: float):
+        self.sock = sock
+        self.deadline = deadline
+        self.buffer = b""  # read off the socket and not yet taken
+
+    def read(self) -> tuple[int, dict[bytes, bytes], bytes, bool]:
+        """The status, the headers (names in lower case), the body, and
+        whether the connection may carry another request."""
+        status, version, headers = self._head()
+        while 100 <= status < 200:  # an interim reply; the real one follows
+            status, version, headers = self._head()
+        connection = headers.get(b"connection", b"").lower()
+        if version == b"HTTP/1.1":
+            reusable = b"close" not in connection
+        else:
+            reusable = b"keep-alive" in connection or b"keep-alive" in headers
+        coding = headers.get(b"transfer-encoding", b"").rpartition(b",")[2]
+        length = headers.get(b"content-length")
+        if status in (204, 304):
+            body = b""
+        elif coding.strip().lower() == b"chunked":
+            body = self._chunked()
+        elif length is not None:
+            if not length.isdigit():
+                raise ConnectionError(f"malformed Content-Length {length[:40]!r}")
+            if int(length) > MAX_REPLY_BYTES:
+                raise GatewayError(_oversize(f"of {int(length)} bytes"))
+            body = self._exact(int(length))
+        else:
+            body, reusable = self._until_close(), False
+        # Bytes past the reply would be read as the next one's.
+        return status, headers, body, reusable and not self.buffer
+
+    def _recv(self) -> bytes:
+        self.sock.settimeout(_remaining(self.deadline))
+        return self.sock.recv(_RECV_BYTES)
+
+    def _head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
+        buffer = self.buffer or self._recv()
+        end = buffer.find(b"\r\n\r\n")
+        if end < 0:
+            buffer = bytearray(buffer)  # grows in place
+            while end < 0:
+                if len(buffer) > MAX_REPLY_BYTES:
+                    raise GatewayError(_oversize("header block"))
+                data = self._recv()
+                if not data:  # no reply came at all, as after a reset
+                    raise ConnectionResetError("the server closed the connection before a reply")
+                searched = max(len(buffer) - 3, 0)
+                buffer += data
+                end = buffer.find(b"\r\n\r\n", searched)
+            buffer = bytes(buffer)
+        if end > MAX_REPLY_BYTES:
+            raise GatewayError(_oversize("header block"))
+        lines = buffer[:end].split(b"\r\n")
+        self.buffer = buffer[end + 4 :]
+        version, _, rest = lines[0].partition(b" ")
+        code = rest[:3]
+        if not (
+            version.startswith(b"HTTP/")
+            and code.isdigit()
+            and code >= b"100"
+            and rest[3:4] in (b"", b" ")
+        ):
+            raise ConnectionError(f"malformed status line {lines[0][:80]!r}")
+        headers = {}
+        for line in lines[1:]:
+            name, colon, value = line.partition(b":")
+            if colon:
+                headers[name.strip().lower()] = value.strip()
+        return int(code), version, headers
+
+    def _exact(self, size: int) -> bytes | bytearray:
+        """The next ``size`` bytes; a body read in pieces goes straight into
+        one buffer of its final size."""
+        buffered = self.buffer
+        if len(buffered) >= size:
+            self.buffer = buffered[size:]
+            return buffered[:size]
+        self.buffer = b""
+        data = bytearray(size)
+        view = memoryview(data)
+        got = len(buffered)
+        view[:got] = buffered
+        while got < size:
+            self.sock.settimeout(_remaining(self.deadline))
+            received = self.sock.recv_into(view[got:])
+            if not received:
+                raise ConnectionError(
+                    f"the server closed the connection after {got} of {size} bytes"
+                )
+            got += received
+        return data
+
+    def _line(self) -> bytes:
+        """The next line of a chunked body, without its CRLF."""
+        end = self.buffer.find(b"\r\n")
+        while end < 0:
+            if len(self.buffer) > 65536:
+                raise ConnectionError("malformed chunked body: a line runs past 64 KiB")
+            data = self._recv()
+            if not data:
+                raise ConnectionError("the server closed the connection in a chunked body")
+            searched = max(len(self.buffer) - 1, 0)
+            self.buffer += data
+            end = self.buffer.find(b"\r\n", searched)
+        line, self.buffer = self.buffer[:end], self.buffer[end + 2 :]
+        return line
+
+    def _chunked(self) -> bytes:
+        """A chunked body; the chunk sizes and trailer lines count toward
+        MAX_REPLY_BYTES, each size before its chunk is read."""
+        pieces, total = [], 0
+        while True:
+            size = self._line().partition(b";")[0].strip()
+            try:
+                size = int(size, 16)
+            except ValueError:
+                raise ConnectionError(f"malformed chunk size {size[:40]!r}") from None
+            if size < 0:
+                raise ConnectionError("malformed chunk size")
+            total += size
+            if total > MAX_REPLY_BYTES:
+                raise GatewayError(_oversize("body"))
+            if size == 0:
+                break
+            pieces.append(self._exact(size))
+            if self._exact(2) != b"\r\n":
+                raise ConnectionError("malformed chunked body: a chunk runs past its size")
+        while True:  # trailer lines, up to an empty one
+            line = self._line()
+            total += len(line) + 2
+            if total > MAX_REPLY_BYTES:
+                raise GatewayError(_oversize("body"))
+            if not line:
+                return b"".join(pieces)
+
+    def _until_close(self) -> bytearray:
+        """A body that ends where the server closes the connection."""
+        data = bytearray(self.buffer)
+        self.buffer = b""
+        while True:
+            if len(data) > MAX_REPLY_BYTES:
+                raise GatewayError(_oversize("body"))
+            received = self._recv()
+            if not received:
+                return data
+            data += received
 
 
 def _excerpt(data: bytes) -> str:

@@ -384,6 +384,8 @@ class Fault(Enum):
 
     SHORT_BODY = "short body"  # announce the reply's length, send half of it, close
     RESET = "reset"  # reset the connection without answering
+    TRICKLE = "trickle"  # announce 100 KB, send one byte every 0.1 s for 4 s, close
+    OVERSIZE = "oversize"  # a reply whose content alone is MAX_REPLY_BYTES long
 
 
 class FakeChatServer:
@@ -396,6 +398,12 @@ class FakeChatServer:
     is sent without saying so, as a server that times out idle keep-alive
     connections does.
 
+    framing says how a reply's body is delimited: "length" sends a
+    Content-Length, "chunked" the chunked transfer coding (each piece of
+    the body in two chunks, the first chunk with an extension, and a
+    trailer), "close" neither, ending the body by closing the connection.
+    A 204 or 304 reply has no body.
+
     .requests holds each parsed body, .raw the bytes as received, .headers
     and .paths the rest of each request. .open_connections counts the
     connections open now, .peak_connections the most open at once.
@@ -405,7 +413,10 @@ class FakeChatServer:
         self,
         responder: Optional[Callable[[dict], tuple | Fault]] = None,
         drop_idle: bool = False,
+        framing: str = "length",
     ):
+        if framing not in ("length", "chunked", "close"):
+            raise ValueError(f"unknown framing {framing!r}")
         self.responder = responder or (lambda body: (200, "canned reply"))
         self.requests: list[dict] = []
         self.raw: list[bytes] = []
@@ -437,13 +448,36 @@ class FakeChatServer:
                 outer.requests.append(json.loads(raw))
                 outer.headers.append(dict(self.headers))
                 outer.paths.append(self.path)
-                outcome = outer.responder(outer.requests[-1])
+                try:
+                    self.answer(outer.responder(outer.requests[-1]))
+                except (BrokenPipeError, ConnectionResetError):
+                    self.close_connection = True  # the client hung up first
+
+            def answer(self, outcome) -> None:
                 if outcome is Fault.RESET:
                     # Closing with a zero linger time sends a reset.
                     self.connection.setsockopt(
                         socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
                     )
                     self.close_connection = True
+                    return
+                if outcome is Fault.TRICKLE:
+                    self.send_response(200)
+                    self.send_header("Content-Length", "100000")
+                    self.end_headers()
+                    for _ in range(40):
+                        self.wfile.write(b" ")
+                        time.sleep(0.1)
+                    self.close_connection = True
+                    return
+                if outcome is Fault.OVERSIZE:
+                    # Written from one block, so the server holds little of it.
+                    block = b"x" * 65536
+                    blocks = -(-gateway_module.MAX_REPLY_BYTES // len(block))
+                    head = b'{"choices": [{"message": {"content": "'
+                    tail = b'"}}]}'
+                    pieces = [head, *[block] * blocks, tail]
+                    self.send_body(200, {}, pieces)
                     return
                 if outcome is Fault.SHORT_BODY:
                     status, reply, headers = 200, "a reply cut short", {}
@@ -454,17 +488,43 @@ class FakeChatServer:
                 else:
                     payload = {"error": reply}
                 data = json.dumps(payload).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in headers.items():
-                    self.send_header(name, value)
-                self.end_headers()
                 if outcome is Fault.SHORT_BODY:
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(data)))
+                    self.end_headers()
                     self.wfile.write(data[: len(data) // 2])
                     self.close_connection = True
                     return
-                self.wfile.write(data)
+                self.send_body(status, headers, [data])
+
+            def send_body(self, status: int, headers: dict, pieces: list[bytes]) -> None:
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                if status in (204, 304):
+                    pieces = []
+                elif framing == "length":
+                    self.send_header("Content-Length", str(sum(map(len, pieces))))
+                elif framing == "chunked":
+                    self.send_header("Transfer-Encoding", "chunked")
+                else:
+                    self.close_connection = True
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                if framing == "chunked" and status not in (204, 304):
+                    # Each piece goes out as two chunks.
+                    extension = b";piece=first"
+                    for piece in pieces:
+                        half = len(piece) // 2
+                        for part in (piece[:half], piece[half:]):
+                            if part:
+                                self.wfile.write(b"%x%s\r\n%s\r\n" % (len(part), extension, part))
+                                extension = b""
+                    self.wfile.write(b"0\r\nX-Trailer: done\r\n\r\n")
+                else:
+                    for piece in pieces:
+                        self.wfile.write(piece)
                 if drop_idle:
                     self.close_connection = True
 

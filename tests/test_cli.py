@@ -11,12 +11,14 @@ from helpers import (
     GRAPH_REPLY,
     TINY_PNG,
     FakeChatServer,
+    Fault,
     build_two_level_scenario,
     scripted_backend_of,
     scripted_config,
     write_fixture_dir,
 )
 from hmgie import cli, pipeline
+from hmgie import gateway as gateway_module
 from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from hmgie.forge import ForgeConfig
 from hmgie.gateway import Gateway, HttpBackend
@@ -358,6 +360,50 @@ class TestRecordReplay:
         assert main(argv) == EXIT_OK
         assert len(built) == 1
         assert built[0].backend.calls == []
+
+    def test_oversized_reply_fails_its_item_and_the_batch_completes(self, tmp_path, capsys):
+        cap = gateway_module.MAX_REPLY_BYTES
+
+        def responder(body):
+            content = body["messages"][-1]["content"]
+            if isinstance(content, str) and "a huge caption" in content:
+                return Fault.OVERSIZE
+            return http_responder(body)
+
+        image = tmp_path / "img.png"
+        image.write_bytes(TINY_PNG)
+        dataset = tmp_path / "data.jsonl"
+        rows = [
+            {"id": item, "image_path": str(image), "caption": caption}
+            for item, caption in (("a", "a dog"), ("big", "a huge caption"), ("c", "a cat"))
+        ]
+        dataset.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
+        with FakeChatServer(responder) as server:
+            code = main(
+                [
+                    "record",
+                    "--dataset", str(dataset),
+                    "--endpoint", server.endpoint,
+                    "--api-key", "k",
+                    "--cache-dir", str(cache_dir),
+                    "--out", str(out_dir),
+                    "--parallelism", "2",
+                ]
+            )
+        assert code == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert "items: 2 evaluated, 1 failed" in out
+        (failure,) = [line for line in out.splitlines() if line.startswith("big: error")]
+        assert f"MAX_REPLY_BYTES = {cap}" in failure
+        # The oversized reply was asked for once: no retry, no second attempt.
+        huge = [r for r in server.requests if "a huge caption" in json.dumps(r)]
+        assert len(huge) == 1
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "a.report.json", "c.report.json", "summary.json"
+        ]
+        log = (cache_dir / "replies.jsonl").read_bytes()
+        assert b"a huge caption" not in log and len(log) < cap
 
     def test_commands_close_the_backends_they_built(self, tmp_path, monkeypatch):
         closed = []

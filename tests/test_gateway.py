@@ -1,17 +1,20 @@
 import base64
 import hashlib
-import http.client
 import json
 import os
 import resource
 import shlex
+import socket
 import ssl
 import stat
 import subprocess
 import sys
 import threading
 import time
-from contextlib import closing
+import tracemalloc
+import types
+import urllib.parse
+from contextlib import closing, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -856,6 +859,41 @@ def _package_env() -> dict:
     return dict(os.environ, PYTHONPATH=path)
 
 
+@contextmanager
+def raw_reply_server(reply: bytes):
+    """A server that reads one request on each connection it accepts and
+    answers with ``reply`` byte for byte, then waits for the client to
+    close; yields its endpoint."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        while True:
+            try:
+                connection, _ = listener.accept()
+            except OSError:
+                return  # the listener was closed
+            with connection, connection.makefile("rb") as request:
+                length = 0
+                while (line := request.readline()) not in (b"\r\n", b""):
+                    if line.startswith(b"Content-Length:"):
+                        length = int(line[15:])
+                request.read(length)
+                connection.sendall(reply)
+                while connection.recv(65536):
+                    pass
+
+    threading.Thread(target=serve, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}"
+    finally:
+        listener.close()
+
+
+def _reply(status_line: bytes, headers: bytes, content: str) -> bytes:
+    body = json.dumps({"choices": [{"message": {"content": content}}]}).encode()
+    return b"%s\r\n%sContent-Length: %d\r\n\r\n%s" % (status_line, headers, len(body), body)
+
+
 class TestHttpBackend:
     def test_package_import_leaves_requests_unloaded(self):
         """Importing the package loads no HTTP or TLS module."""
@@ -919,6 +957,10 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
                 assert bypassing._connect().host == "model.example"
         assert proxy.paths == ["http://model.example/v1/chat/completions"]
         assert proxy.headers[0]["Host"] == "model.example"
+
+    def test_ipv6_endpoint_without_a_port_connects_to_the_default_port(self):
+        connection = HttpBackend(endpoint="http://[::1]/v1", api_key="k")._connect()
+        assert (connection.host, connection.port) == ("::1", 80)
 
     def test_endpoint_must_be_http(self):
         with pytest.raises(GatewayError, match="http or https URL"):
@@ -1058,7 +1100,7 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
 
     @pytest.mark.parametrize(
         "fault, cause",
-        [(Fault.SHORT_BODY, http.client.IncompleteRead), (Fault.RESET, ConnectionResetError)],
+        [(Fault.SHORT_BODY, ConnectionError), (Fault.RESET, ConnectionResetError)],
         ids=["short-body", "reset"],
     )
     def test_broken_transport_is_retried(self, fault, cause):
@@ -1151,6 +1193,212 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
             backend.close()
             assert backend._idle == []
             assert server.wait_for_open_connections(0) == 0
+
+
+    def test_request_head_names_and_host(self):
+        with FakeChatServer() as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            backend.complete(text_request())
+        headers = server.headers[0]
+        assert list(headers) == [
+            "Host", "Accept-Encoding", "Content-Type", "Authorization", "Content-Length"
+        ]
+        assert headers["Host"] == server.endpoint.removeprefix("http://")
+        assert headers["Accept-Encoding"] == "identity"
+
+    @pytest.mark.parametrize("framing, pooled", [("length", 1), ("chunked", 1), ("close", 0)])
+    def test_reply_framings_are_read_whole(self, framing, pooled):
+        """A body framed by its length or chunked keeps the connection for
+        reuse; a body that ends when the server closes does not."""
+        long_text = "y" * 200_000
+
+        def responder(body):
+            return 200, f"{long_text} {body['messages'][0]['content']}"
+
+        with FakeChatServer(responder, framing=framing) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            for prompt in ("a", "b"):
+                assert backend.complete(text_request(prompt)) == f"{long_text} {prompt}"
+                assert len(backend._idle) == pooled
+            assert server.wait_for_open_connections(pooled) == pooled
+        assert len(server.requests) == 2
+
+    def test_connection_close_reply_is_not_pooled(self):
+        with FakeChatServer(lambda body: (200, "bye", {"Connection": "close"})) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            assert backend.complete(text_request("first")) == "bye"
+            assert backend._idle == []
+            assert server.wait_for_open_connections(0) == 0
+            assert backend.complete(text_request("second")) == "bye"
+        assert len(server.requests) == 2
+
+    def test_no_content_reply_fails_without_waiting_for_a_body(self):
+        with FakeChatServer(lambda body: (204, "")) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k", timeout=30.0)
+        ) as backend:
+            started = time.monotonic()
+            with pytest.raises(GatewayError, match="unexpected response shape") as exc_info:
+                backend.complete(text_request())
+            assert time.monotonic() - started < 5.0
+            assert not isinstance(exc_info.value, TransientBackendError)
+
+    @pytest.mark.parametrize(
+        "status, location",
+        [(301, "https://elsewhere.example/v1"), (302, "/v2/chat/completions"), (300, None)],
+    )
+    def test_redirect_names_its_status_and_is_not_followed(self, status, location):
+        headers = {} if location is None else {"Location": location}
+        with FakeChatServer(lambda body: (status, "moved", headers)) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(backend, sleeper=lambda s: None)
+            with pytest.raises(GatewayError) as exc_info:
+                gateway.call(text_request())
+        excerpt = 'HTTP %d: {"error": "moved"}' % status
+        suffix = "" if location is None else f" (Location: {location})"
+        assert str(exc_info.value) == excerpt + suffix
+        assert not isinstance(exc_info.value, (TransientBackendError, ExhaustedError))
+        assert len(server.requests) == 1
+
+    def test_trickled_reply_ends_within_the_timeout(self):
+        with FakeChatServer(lambda body: Fault.TRICKLE) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k", timeout=1.0)
+        ) as backend:
+            started = time.monotonic()
+            with pytest.raises(TransientBackendError):
+                backend.complete(text_request())
+            assert time.monotonic() - started < 1.5
+            assert backend._idle == []
+
+    @pytest.mark.parametrize("framing", ["length", "chunked", "close"])
+    def test_oversized_reply_fails_once_and_its_connection_closes(self, framing):
+        cap = gateway_module.MAX_REPLY_BYTES
+
+        def responder(body):
+            return Fault.OVERSIZE if body["messages"][0]["content"] == "big" else (200, "small")
+
+        with FakeChatServer(responder, framing=framing) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(backend, sleeper=lambda s: None)
+            with pytest.raises(GatewayError, match=f"MAX_REPLY_BYTES = {cap}") as exc_info:
+                gateway.call(text_request("big"))
+            assert not isinstance(exc_info.value, (TransientBackendError, ExhaustedError))
+            assert backend._idle == []
+            assert server.wait_for_open_connections(0) == 0
+            assert gateway.call(text_request("after")).text == "small"
+        assert [r["messages"][0]["content"] for r in server.requests] == ["big", "after"]
+
+    def test_oversized_header_block_fails(self):
+        cap = gateway_module.MAX_REPLY_BYTES
+        padding = {"X-Padding": "p" * cap}
+        with FakeChatServer(lambda body: (200, "ok", padding)) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            with pytest.raises(GatewayError, match=f"MAX_REPLY_BYTES = {cap}") as exc_info:
+                backend.complete(text_request())
+            assert not isinstance(exc_info.value, TransientBackendError)
+            assert backend._idle == []
+
+    @pytest.mark.parametrize("framing", ["length", "chunked", "close"])
+    def test_oversized_reply_peak_memory_stays_below_twice_the_cap(self, framing):
+        cap = gateway_module.MAX_REPLY_BYTES
+        with FakeChatServer(lambda body: Fault.OVERSIZE, framing=framing) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            tracemalloc.start()
+            try:
+                with pytest.raises(GatewayError, match="MAX_REPLY_BYTES"):
+                    backend.complete(text_request())
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2 * cap
+
+
+    @pytest.mark.parametrize(
+        "endpoint, proxy",
+        [
+            ("http://api.example.com/v1", None),
+            ("http://api.example.com:80/v1/", None),
+            ("http://api.example.com:8080/v1", None),
+            ("https://api.example.com/v1", None),
+            ("https://api.example.com:8443", None),
+            ("http://[::1]:8080/v1", None),
+            ("http://b\u00fccher.example/v1", None),
+            ("http://api.example.com:8080/v1", "http://user:pw@proxy.example:3128"),
+            ("https://api.example.com/v1", "http://user:pw@proxy.example:3128"),
+        ],
+    )
+    def test_request_head_is_the_one_http_client_sends(self, monkeypatch, endpoint, proxy):
+        """The head the backend writes is, byte for byte, the one
+        http.client writes for the same request on the same connection."""
+        for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY", "HTTPS_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        url = urllib.parse.urlsplit(endpoint.rstrip("/"))
+        headers = {"Content-Type": "application/json", "Authorization": "Bearer k"}
+        path = f"{url.path}/chat/completions"
+        if proxy is not None:
+            monkeypatch.setenv(f"{url.scheme}_proxy", proxy)
+            if url.scheme == "http":
+                path = f"{endpoint.rstrip('/')}/chat/completions"
+                auth = base64.b64encode(b"user:pw").decode("ascii")
+                headers["Proxy-Authorization"] = f"Basic {auth}"
+        backend = HttpBackend(endpoint, "k")
+        connection = backend._connect()
+        sent = []
+        connection.sock = types.SimpleNamespace(sendall=sent.append)  # never opened
+        connection.request("POST", path, body=b"{}", headers={**headers, "Content-Length": "2"})
+        assert sent == [backend._head + b"2\r\n\r\n", b"{}"]
+
+    @pytest.mark.parametrize(
+        "endpoint, api_key, message",
+        [
+            ("http://model.example/v1", "k\r\nX-Injected: 1", "holds a line break"),
+            ("http://model.example/v1", "k\u20ac", "outside Latin-1"),
+            ("http://model.example/a b", "k", "path is not printable ASCII"),
+        ],
+    )
+    def test_a_head_that_would_break_is_refused_when_the_backend_is_built(
+        self, endpoint, api_key, message
+    ):
+        with pytest.raises(GatewayError, match=message):
+            HttpBackend(endpoint, api_key)
+
+    @pytest.mark.parametrize(
+        "reply, pooled",
+        [
+            (b"HTTP/1.1 100 Continue\r\n\r\n" + _reply(b"HTTP/1.1 200 OK", b"", "hi"), 1),
+            (_reply(b"HTTP/1.0 200 OK", b"", "hi"), 0),
+            (_reply(b"HTTP/1.0 200 OK", b"Connection: keep-alive\r\n", "hi"), 1),
+            (_reply(b"HTTP/1.1 200", b"Server: raw\r\nX-Folded:  a b \r\n", "hi"), 1),
+        ],
+        ids=["interim-100", "http-1.0", "http-1.0-keep-alive", "no-reason-phrase"],
+    )
+    def test_raw_replies_are_read(self, reply, pooled):
+        with raw_reply_server(reply) as endpoint, closing(HttpBackend(endpoint, "k")) as backend:
+            assert backend.complete(text_request()) == "hi"
+            assert len(backend._idle) == pooled
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            b"SPDY/3 200 OK\r\n\r\n",
+            b"HTTP/1.1 2000 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabc\r\n0\r\n\r\n",
+        ],
+        ids=["protocol", "status", "content-length", "chunk-size", "chunk-overrun"],
+    )
+    def test_a_malformed_reply_is_a_transport_failure(self, reply):
+        with raw_reply_server(reply) as endpoint, closing(HttpBackend(endpoint, "k")) as backend:
+            with pytest.raises(TransientBackendError, match="ConnectionError"):
+                backend.complete(text_request())
+            assert backend._idle == []
 
 
 def test_sniff_media_type():
