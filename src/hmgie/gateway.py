@@ -6,7 +6,7 @@ recorded replies keyed by request digest. The Gateway wraps either one with
 caching, retry with exponential backoff, and coalescing of concurrent
 duplicate requests, so an entire run over the scripted backend is a pure
 function of its inputs and fixtures. Its one reply table holds, per key,
-either the reply or the gate of the one call in flight for that key, which
+either the reply or the Future of the one call in flight for that key, which
 concurrent duplicates wait on; a reply log on disk, when there is one, is
 read through without copying into the table.
 
@@ -27,6 +27,7 @@ import select
 import threading
 import time
 import weakref
+from concurrent.futures import Future as _Gate
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -203,7 +204,7 @@ _IMAGE_SLOT = "hmgie:image-data-url"
 _IMAGE_SLOT_JSON = json.dumps(_IMAGE_SLOT).encode("ascii")
 
 
-def _retry_after(value: Optional[str]) -> Optional[float]:
+def _retry_after(value: Optional[str | bytes]) -> Optional[float]:
     """Seconds of a Retry-After header; None when absent or not a delay in
     seconds (the HTTP-date form is not read)."""
     try:
@@ -216,19 +217,20 @@ def _retry_after(value: Optional[str]) -> Optional[float]:
 class HttpBackend:
     """Chat-completions HTTP client; images travel as base64 data URLs.
 
-    Speaks HTTP/1.1 and keeps one shared pool of at most
-    MAX_IDLE_CONNECTIONS idle keep-alive connections, whichever thread made
-    them; ``close()`` closes the idle ones. ``http.client`` only opens a
-    connection: https verifies certificates and host names with
-    ``ssl.create_default_context()``, and an https endpoint behind a proxy
-    is reached through a ``CONNECT`` tunnel. A call writes its request and
-    reads the reply on the connection's socket itself (see _ReplyReader).
+    Speaks HTTP/1.1 on sockets it opens itself and keeps one shared pool of
+    at most MAX_IDLE_CONNECTIONS idle keep-alive sockets; ``close()``
+    closes them. https verifies certificates and host names with
+    ``ssl.create_default_context()``. Behind a proxy, an https endpoint is
+    reached through a ``CONNECT`` tunnel that carries the proxy URL's
+    credentials; its reply maps to an error as any reply does (see
+    _check_status), so a proxy's 407 is an AuthError.
 
-    ``timeout`` bounds a whole call: connecting, sending and reading share
-    one deadline. The proxy for the endpoint's scheme (``http_proxy`` /
-    ``https_proxy``, minus ``no_proxy``) is read once, when the backend is
-    built. ``http.client`` and ``ssl`` are imported then too, so importing
-    the package does not pay for them.
+    ``timeout`` bounds a whole call: connecting, the tunnel, TLS, sending
+    and reading share one deadline. The proxy for the endpoint's scheme
+    (``http_proxy`` / ``https_proxy``, minus ``no_proxy``) is read and both
+    heads are built once, when the backend is built. ``ssl`` and ``socket``
+    are imported only once a backend needs them, so importing the package
+    does not pay for them.
     """
 
     def __init__(
@@ -242,10 +244,12 @@ class HttpBackend:
         import urllib.request
 
         def split(text: str, what: str):
-            # The port is parsed lazily, so it is read here to check it too.
+            # The port is parsed lazily, so it is read here to check it too;
+            # a host idna cannot encode would fail only when connecting.
             try:
                 parts = urllib.parse.urlsplit(text)
                 parts.port
+                (parts.hostname or "").encode("idna")
             except ValueError as exc:
                 raise GatewayError(f"{what} is not a valid URL: {exc}") from None
             return parts
@@ -260,13 +264,12 @@ class HttpBackend:
             raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
         default_port = 443 if url.scheme == "https" else 80
         port = url.port or default_port
-        self._host, self._port, self._tunnel = url.hostname, port, None
+        self._address, self._tunnel = (url.hostname, port), None
         path = f"{url.path}/chat/completions"
-        # Host names the endpoint, never the proxy; an IPv6 zone stays local.
-        host = url.hostname.partition("%")[0]
-        host = f"[{host}]" if ":" in host else host
-        host = host if port == default_port else f"{host}:{port}"
+        # Host names the endpoint, never the proxy, and leaves out a default port.
+        host_port = None if port == default_port else port
         headers = {
+            "Accept-Encoding": "identity",
             "Content-Type": "application/json",
             "Authorization": f"Bearer {api_key}",
         }
@@ -284,65 +287,68 @@ class HttpBackend:
                 proxy_headers["Proxy-Authorization"] = f"Basic {token}"
             if url.scheme == "http":
                 # A proxy forwarding plain http is sent the absolute URL.
-                path, host = f"{self.endpoint}/chat/completions", url.netloc
+                path, host_port = f"{self.endpoint}/chat/completions", url.port
                 headers.update(proxy_headers)
             else:
-                self._tunnel = (url.hostname, port, proxy_headers)
-            self._host, self._port = proxy_url.hostname, proxy_url.port or 80
-        self._head = _request_head(path, host, headers, endpoint)
-        self._context = None
+                tunnel = _head("CONNECT", None, url.hostname, port, proxy_headers, endpoint)
+                self._tunnel = tunnel + b"\r\n\r\n"
+            self._address = (proxy_url.hostname, proxy_url.port or 80)
+        headers["Content-Length"] = ""  # its value is each call's
+        self._head = _head("POST", path, url.hostname, host_port, headers, endpoint)
+        self._server_hostname, self._context = url.hostname, None
         if url.scheme == "https":
             import ssl
 
             self._context = ssl.create_default_context()
-        self._idle: list = []  # http.client connections, most recently used last
+        self._idle: list = []  # sockets, most recently used last
         self._lock = threading.Lock()
 
-    def _connect(self):
-        """A new connection to the endpoint or its proxy; it opens its socket
-        when first used."""
-        import http.client
+    def _open(self, deadline: float):
+        """A new socket to the endpoint, through the proxy's tunnel when
+        there is one and over TLS for https."""
+        import socket
 
-        if self._context is None:
-            return http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
-        connection = http.client.HTTPSConnection(
-            self._host, self._port, timeout=self.timeout, context=self._context
-        )
-        if self._tunnel is not None:
-            connection.set_tunnel(*self._tunnel)
-        return connection
+        sock = socket.create_connection(self._address, _remaining(deadline))
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tunnel is not None:
+                sock.settimeout(_remaining(deadline))
+                sock.sendall(self._tunnel)
+                reader = _ReplyReader(sock, deadline)
+                status, _, headers = reader.head()
+                _check_status(status, headers, reader.buffer)
+                if reader.buffer:  # the tunnel carries only what TLS sends
+                    raise ConnectionError("the proxy sent bytes after its reply to CONNECT")
+            if self._context is not None:
+                sock.settimeout(_remaining(deadline))
+                sock = self._context.wrap_socket(sock, server_hostname=self._server_hostname)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
     def close(self) -> None:
-        """Close every idle pooled connection; a later call opens a new one."""
+        """Close every idle pooled socket; a later call opens a new one."""
         with self._lock:
             idle, self._idle = self._idle, []
-        for connection in idle:
-            connection.close()
+        for sock in idle:
+            sock.close()
 
     def _take(self):
-        """An idle connection whose server has not closed it, or a new one."""
+        """An idle socket whose server has not closed it, or None."""
         while True:
             with self._lock:
-                connection = self._idle.pop() if self._idle else None
-            if connection is None:
-                return self._connect()
+                if not self._idle:
+                    return None
+                sock = self._idle.pop()
             # A server that closed an idle connection leaves its socket
             # readable (at end of file); reusing it would cost a retry.
-            sock = connection.sock
-            if sock is not None:
-                # poll, unlike select, takes descriptors past FD_SETSIZE.
-                readable = select.poll()
-                readable.register(sock, select.POLLIN)
-                if not readable.poll(0):
-                    return connection
-            connection.close()
-
-    def _give_back(self, connection) -> None:
-        with self._lock:
-            if connection.sock is not None and len(self._idle) < MAX_IDLE_CONNECTIONS:
-                self._idle.append(connection)
-                return
-        connection.close()
+            # poll, unlike select, takes descriptors past FD_SETSIZE.
+            readable = select.poll()
+            readable.register(sock, select.POLLIN)
+            if not readable.poll(0):
+                return sock
+            sock.close()
 
     def _body(self, request: ModelRequest) -> tuple[bytes, ...]:
         """The JSON body, serialized once, as the chunks to send; a vision body's
@@ -372,50 +378,34 @@ class HttpBackend:
         tail = body[at + len(_IMAGE_SLOT_JSON) - 1 :]
         return body[: at + 1], prefix, request.image.base64_payload, tail
 
-    def _exchange(self, connection, body: tuple[bytes, ...], deadline: float):
-        """Send one request on the connection and read its reply."""
-        if connection.sock is None:
-            # http.client opens the socket: TLS and the proxy tunnel, if any.
-            connection.timeout = _remaining(deadline)
-            connection.connect()
-        sock = connection.sock
+    def _exchange(self, body: tuple[bytes, ...], deadline: float):
+        """Send one request on an idle or a new socket and read its reply:
+        the status, the headers and the body."""
+        sock = self._take() or self._open(deadline)
         head = b"%s%d\r\n\r\n" % (self._head, sum(map(len, body)))
-        # The head rides with the first chunk; the image's base64 goes alone.
-        for chunk in (head + body[0], *body[1:]):
-            sock.settimeout(_remaining(deadline))
-            sock.sendall(chunk)
-        return _ReplyReader(sock, deadline).read()
+        try:
+            # The head rides with the first chunk; the image's base64 goes alone.
+            for chunk in (head + body[0], *body[1:]):
+                sock.settimeout(_remaining(deadline))
+                sock.sendall(chunk)
+            status, headers, data, reusable = _ReplyReader(sock, deadline).read()
+        except BaseException:
+            sock.close()
+            raise
+        with self._lock:
+            if reusable and len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(sock)
+                return status, headers, data
+        sock.close()
+        return status, headers, data
 
     def complete(self, request: ModelRequest) -> str:
-        import http.client
-
         deadline = time.monotonic() + self.timeout
-        body = self._body(request)
-        connection = self._take()
         try:
-            status, headers, data, reusable = self._exchange(connection, body, deadline)
-        except (OSError, http.client.HTTPException) as exc:
-            connection.close()
+            status, headers, data = self._exchange(self._body(request), deadline)
+        except OSError as exc:
             raise TransientBackendError(f"transport failure: {exc!r}") from exc
-        except BaseException:
-            connection.close()
-            raise
-        if reusable:
-            self._give_back(connection)
-        else:
-            connection.close()
-        if status in (401, 403):
-            raise AuthError(f"backend rejected credentials (HTTP {status})")
-        if status == 429 or status >= 500:
-            retry_after = None
-            if status in (429, 503):
-                retry_after = _retry_after(headers.get(b"retry-after", b"").decode("latin-1"))
-            raise TransientBackendError(f"HTTP {status}: {_excerpt(data)}", retry_after)
-        if status >= 300:
-            # Redirects are not followed; the error names where one pointed.
-            location = headers.get(b"location")
-            where = "" if location is None else f" (Location: {location.decode('latin-1')})"
-            raise GatewayError(f"HTTP {status}: {_excerpt(data)}{where}")
+        _check_status(status, headers, data)
         try:
             content = json.loads(data)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
@@ -423,29 +413,49 @@ class HttpBackend:
         return content if isinstance(content, str) else ""
 
 
-def _request_head(path: str, host: str, headers: dict[str, str], endpoint: str) -> bytes:
-    """The request line and header lines every call sends, in the order
-    ``http.client`` sends them, up to the value of the closing
-    Content-Length."""
-    if not path.isascii() or any(ch <= " " or ch == "\x7f" for ch in path):
+def _head(
+    method: str, target: Optional[str], host: str, port: Optional[int], headers: dict, endpoint: str
+) -> bytes:
+    """A request line, ``Host`` and ``headers``, CRLF-joined with no blank
+    line after. ``Host`` names the idna-encoded host (an IPv6 address in
+    brackets, without its zone) and the port, if given; a ``target`` of
+    None names that too, as CONNECT does. A head that would not go on the
+    wire as written raises GatewayError; idna must encode the host."""
+    host = host.partition("%")[0]
+    host = host if host.isascii() else host.encode("idna").decode("ascii")
+    host = f"[{host}]" if ":" in host else host
+    authority = host if port is None else f"{host}:{port}"
+    if target is not None and not (target.isascii() and all(" " < ch != "\x7f" for ch in target)):
         raise GatewayError(
             f"endpoint {endpoint!r} is not a valid URL: its path is not printable ASCII"
         )
-    try:
-        host = host if host.isascii() else host.encode("idna").decode("ascii")
-    except UnicodeError as exc:
-        raise GatewayError(f"endpoint {endpoint!r} is not a valid URL: {exc}") from None
     if any("\r" in value or "\n" in value for value in headers.values()):
         raise GatewayError("the API key cannot go in an HTTP header: it holds a line break")
-    lines = [f"POST {path} HTTP/1.1", f"Host: {host}", "Accept-Encoding: identity"]
+    lines = [f"{method} {target or authority} HTTP/1.1", f"Host: {authority}"]
     lines += [f"{name}: {value}" for name, value in headers.items()]
-    lines.append("Content-Length: ")
     try:
         return "\r\n".join(lines).encode("latin-1")
     except UnicodeEncodeError:
         raise GatewayError(
             "the API key cannot go in an HTTP header: it holds a character outside Latin-1"
         ) from None
+
+
+def _check_status(status: int, headers: dict[bytes, bytes], data: bytes) -> None:
+    """Raise what a reply's status from 300 up stands for: 401, 403 and 407
+    an AuthError; 429 and 5xx a transient error with the reply's
+    Retry-After; any other a GatewayError (redirects are not followed)."""
+    if status < 300:
+        return
+    excerpt = data.decode("utf-8", "replace")[:200]
+    if status in (401, 403, 407):
+        raise AuthError(f"credentials rejected (HTTP {status})")
+    if status == 429 or status >= 500:
+        delay = headers.get(b"retry-after") if status in (429, 503) else None
+        raise TransientBackendError(f"HTTP {status}: {excerpt}", _retry_after(delay))
+    location = headers.get(b"location")
+    where = "" if location is None else f" (Location: {location.decode('latin-1')})"
+    raise GatewayError(f"HTTP {status}: {excerpt}{where}")
 
 
 def _remaining(deadline: float) -> float:
@@ -481,9 +491,7 @@ class _ReplyReader:
     def read(self) -> tuple[int, dict[bytes, bytes], bytes, bool]:
         """The status, the headers (names in lower case), the body, and
         whether the connection may carry another request."""
-        status, version, headers = self._head()
-        while 100 <= status < 200:  # an interim reply; the real one follows
-            status, version, headers = self._head()
+        status, version, headers = self.head()
         connection = headers.get(b"connection", b"").lower()
         if version == b"HTTP/1.1":
             reusable = b"close" not in connection
@@ -510,40 +518,57 @@ class _ReplyReader:
         self.sock.settimeout(_remaining(self.deadline))
         return self.sock.recv(_RECV_BYTES)
 
-    def _head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
-        buffer = self.buffer or self._recv()
-        end = buffer.find(b"\r\n\r\n")
-        if end < 0:
-            buffer = bytearray(buffer)  # grows in place
-            while end < 0:
-                if len(buffer) > MAX_REPLY_BYTES:
-                    raise GatewayError(_oversize("header block"))
-                data = self._recv()
-                if not data:  # no reply came at all, as after a reset
+    def head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
+        """The status, the version and the headers (names in lower case) of
+        the reply, past any interim 1xx replies."""
+        status = 100
+        while 100 <= status < 200:  # an interim reply; the real one follows
+            if not self.buffer:
+                self.buffer = self._recv()
+                if not self.buffer:  # no reply came at all, as after a reset
                     raise ConnectionResetError("the server closed the connection before a reply")
-                searched = max(len(buffer) - 3, 0)
-                buffer += data
-                end = buffer.find(b"\r\n\r\n", searched)
-            buffer = bytes(buffer)
-        if end > MAX_REPLY_BYTES:
-            raise GatewayError(_oversize("header block"))
-        lines = buffer[:end].split(b"\r\n")
-        self.buffer = buffer[end + 4 :]
-        version, _, rest = lines[0].partition(b" ")
-        code = rest[:3]
-        if not (
-            version.startswith(b"HTTP/")
-            and code.isdigit()
-            and code >= b"100"
-            and rest[3:4] in (b"", b" ")
-        ):
-            raise ConnectionError(f"malformed status line {lines[0][:80]!r}")
+            block = self._until(b"\r\n\r\n", MAX_REPLY_BYTES)
+            if block is None:
+                raise GatewayError(_oversize("header block"))
+            lines = block.split(b"\r\n")
+            version, _, rest = lines[0].partition(b" ")
+            code = rest[:3]
+            if not (
+                version.startswith(b"HTTP/")
+                and code.isdigit()
+                and code >= b"100"
+                and rest[3:4] in (b"", b" ")
+            ):
+                raise ConnectionError(f"malformed status line {lines[0][:80]!r}")
+            status = int(code)
         headers = {}
         for line in lines[1:]:
             name, colon, value = line.partition(b":")
             if colon:
                 headers[name.strip().lower()] = value.strip()
-        return int(code), version, headers
+        return status, version, headers
+
+    def _until(self, delimiter: bytes, cap: int) -> Optional[bytes]:
+        """The bytes up to the next ``delimiter``, which is taken too, or
+        None past ``cap`` bytes."""
+        buffer = self.buffer
+        end = buffer.find(delimiter)
+        if end < 0:
+            buffer = bytearray(buffer)  # grows in place
+            while end < 0:
+                if len(buffer) > cap:
+                    return None
+                data = self._recv()
+                if not data:
+                    raise ConnectionError("the server closed the connection inside a reply")
+                searched = max(len(buffer) - len(delimiter) + 1, 0)
+                buffer += data
+                end = buffer.find(delimiter, searched)
+            buffer = bytes(buffer)
+        if end > cap:
+            return None
+        self.buffer = buffer[end + len(delimiter) :]
+        return buffer[:end]
 
     def _exact(self, size: int) -> bytes | bytearray:
         """The next ``size`` bytes; a body read in pieces goes straight into
@@ -569,17 +594,9 @@ class _ReplyReader:
 
     def _line(self) -> bytes:
         """The next line of a chunked body, without its CRLF."""
-        end = self.buffer.find(b"\r\n")
-        while end < 0:
-            if len(self.buffer) > 65536:
-                raise ConnectionError("malformed chunked body: a line runs past 64 KiB")
-            data = self._recv()
-            if not data:
-                raise ConnectionError("the server closed the connection in a chunked body")
-            searched = max(len(self.buffer) - 1, 0)
-            self.buffer += data
-            end = self.buffer.find(b"\r\n", searched)
-        line, self.buffer = self.buffer[:end], self.buffer[end + 2 :]
+        line = self._until(b"\r\n", 65536)
+        if line is None:
+            raise ConnectionError("malformed chunked body: a line runs past 64 KiB")
         return line
 
     def _chunked(self) -> bytes:
@@ -621,10 +638,6 @@ class _ReplyReader:
             if not received:
                 return data
             data += received
-
-
-def _excerpt(data: bytes) -> str:
-    return data.decode("utf-8", "replace")[:200]
 
 
 @dataclass(frozen=True)
@@ -760,19 +773,6 @@ class ScriptedBackend:
         return reply
 
 
-class _Gate:
-    """One call in flight: its maker holds ``lock`` from birth until the
-    call ends, duplicates wait on it, and ``error`` holds what the call
-    raised, for those waiters only."""
-
-    __slots__ = ("lock", "error")
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.lock.acquire()
-        self.error: Optional[BaseException] = None
-
-
 class Gateway:
     """Caching, retrying, coalescing front door to a backend.
 
@@ -783,12 +783,12 @@ class Gateway:
     replies do not parse.
 
     One table, ``_replies``, maps each key this gateway has called to its
-    reply, or to the _Gate of its one call in flight. With cache_dir set, a
-    key with no entry is first looked up in that directory's ReplyLog, and
-    a hit there is served without entering the table; record=True
-    additionally appends live replies to the log, so a real run can later
-    be replayed by a gateway over the same directory whose backend has no
-    replies of its own.
+    reply, or to the Future (``_Gate``) of its one call in flight. With
+    cache_dir set, a key with no entry is first looked up in that
+    directory's ReplyLog, and a hit there is served without entering the
+    table; record=True additionally appends live replies to the log, so a
+    real run can later be replayed by a gateway over the same directory
+    whose backend has no replies of its own.
     """
 
     def __init__(
@@ -862,20 +862,15 @@ class Gateway:
                     text = self._complete_with_retries(request)
                     if self.record:
                         self._log.append(key, text)
-                    self._replies[key] = text
                 except BaseException as exc:
-                    gate.error = exc
                     del self._replies[key]
+                    gate.set_exception(exc)
                     raise
-                finally:
-                    gate.lock.release()
+                self._replies[key] = text
+                gate.set_result(text)
                 return ModelResponse(text=text, cached=0)
         if isinstance(entry, _Gate):
-            with entry.lock:  # held by the maker until its call ends
-                pass
-            if entry.error is not None:
-                raise entry.error
-            entry = self._replies[key]
+            entry = entry.result()  # the maker's reply, or what its call raised
         return ModelResponse(text=entry, cached=1)
 
 

@@ -10,12 +10,15 @@ import http.server
 import json
 import random
 import socket
+import ssl
 import struct
+import sys
 import threading
 import time
 import types
 import zlib
 from enum import Enum
+from pathlib import Path
 from typing import Callable, Optional
 
 from hmgie import gateway as gateway_module
@@ -379,6 +382,12 @@ def write_fixture_dir(fixtures: dict, directory) -> None:
         log.append(key, text)
 
 
+# A self-signed certificate for "localhost" alone (no IP address), valid to
+# 2126, and its key; a client trusts it when SSL_CERT_FILE names it.
+LOCALHOST_CERT = Path(__file__).with_name("localhost-cert.pem")
+LOCALHOST_KEY = Path(__file__).with_name("localhost-key.pem")
+
+
 class Fault(Enum):
     """Transport faults a FakeChatServer responder can return instead of a reply."""
 
@@ -402,7 +411,8 @@ class FakeChatServer:
     Content-Length, "chunked" the chunked transfer coding (each piece of
     the body in two chunks, the first chunk with an extension, and a
     trailer), "close" neither, ending the body by closing the connection.
-    A 204 or 304 reply has no body.
+    A 204 or 304 reply has no body. With tls, the server speaks https with
+    LOCALHOST_CERT, and its endpoint names "localhost".
 
     .requests holds each parsed body, .raw the bytes as received, .headers
     and .paths the rest of each request. .open_connections counts the
@@ -414,6 +424,7 @@ class FakeChatServer:
         responder: Optional[Callable[[dict], tuple | Fault]] = None,
         drop_idle: bool = False,
         framing: str = "length",
+        tls: bool = False,
     ):
         if framing not in ("length", "chunked", "close"):
             raise ValueError(f"unknown framing {framing!r}")
@@ -425,10 +436,27 @@ class FakeChatServer:
         self.open_connections = 0
         self.peak_connections = 0
         self._count_lock = threading.Lock()
+        self.tls = tls
+        if tls:
+            context = ssl.create_default_context(ssl.Purpose.CLIENT_AUTH)
+            context.load_cert_chain(LOCALHOST_CERT, LOCALHOST_KEY)
         outer = self
 
         class Server(http.server.ThreadingHTTPServer):
             request_queue_size = 64  # accept every connection a test opens at once
+
+            def get_request(self):
+                sock, address = super().get_request()
+                if tls:
+                    # The handshake runs on the first read, in the request's thread.
+                    sock = context.wrap_socket(
+                        sock, server_side=True, do_handshake_on_connect=False
+                    )
+                return sock, address
+
+            def handle_error(self, request, client_address):
+                if not isinstance(sys.exc_info()[1], ssl.SSLError):  # a refused certificate
+                    super().handle_error(request, client_address)
 
             def process_request_thread(self, request, client_address):
                 outer._count_connections(+1)
@@ -547,7 +575,7 @@ class FakeChatServer:
     @property
     def endpoint(self) -> str:
         host, port = self._server.server_address
-        return f"http://{host}:{port}"
+        return f"https://localhost:{port}" if self.tls else f"http://{host}:{port}"
 
     def _count_connections(self, change: int) -> None:
         with self._count_lock:
@@ -561,3 +589,69 @@ class FakeChatServer:
         while self.open_connections > at_most and time.monotonic() < deadline:
             time.sleep(0.01)
         return self.open_connections
+
+
+class FakeProxy:
+    """A proxy for https endpoints, on a port of 127.0.0.1.
+
+    It reads each connection's CONNECT head into .heads, answers with
+    ``reply`` byte for byte and then, given a ``target`` (host, port),
+    relays the tunnel's bytes both ways to it, whatever the head named;
+    without one it closes the connection.
+    """
+
+    def __init__(
+        self,
+        target: Optional[tuple[str, int]] = None,
+        reply: bytes = b"HTTP/1.1 200 Connection established\r\n\r\n",
+    ):
+        self.target, self.reply = target, reply
+        self.heads: list[bytes] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+
+    def __enter__(self) -> "FakeProxy":
+        threading.Thread(target=self._accept, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._listener.close()
+
+    @property
+    def address(self) -> str:
+        return "127.0.0.1:%d" % self._listener.getsockname()[1]
+
+    def _accept(self) -> None:
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:
+                return  # the listener was closed
+            threading.Thread(target=self._serve, args=(client,), daemon=True).start()
+
+    def _serve(self, client: socket.socket) -> None:
+        with client:
+            head = b""
+            while b"\r\n\r\n" not in head:
+                data = client.recv(4096)
+                if not data:
+                    return
+                head += data
+            self.heads.append(head)
+            client.sendall(self.reply)
+            if self.target is None:
+                return
+            with socket.create_connection(self.target) as upstream:
+                back = threading.Thread(target=_relay, args=(upstream, client), daemon=True)
+                back.start()
+                _relay(client, upstream)
+                back.join(timeout=10)
+
+
+def _relay(source: socket.socket, sink: socket.socket) -> None:
+    """Copy bytes from source to sink until source ends, then end sink's side."""
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass  # either side hung up

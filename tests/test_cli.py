@@ -894,6 +894,11 @@ class TestRunConfigErrors:
                 "https_proxy is not a valid URL: Port could not be cast to integer value as 'abc'",
             ),
             ("http://:3128", "https_proxy names no host"),
+            (
+                "http://b\u00fc..example:3128",
+                "https_proxy is not a valid URL: "
+                "encoding with 'idna' codec failed (UnicodeError: label empty or too long)",
+            ),
         ],
     )
     def test_malformed_proxy_exits_64(self, capsys, monkeypatch, proxy, message):

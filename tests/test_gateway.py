@@ -1,5 +1,7 @@
+import ast
 import base64
 import hashlib
+import http.client
 import json
 import os
 import resource
@@ -23,7 +25,9 @@ import pytest
 from helpers import (
     TINY_PNG,
     DynamicBackend,
+    LOCALHOST_CERT,
     FakeChatServer,
+    FakeProxy,
     Fault,
     build_two_level_scenario,
     count_payload_hashes,
@@ -54,6 +58,7 @@ from hmgie.gateway import (
     call_parsed,
     sniff_media_type,
 )
+from hmgie.forge import DEFAULT_GRANULARITY_SPECS, ForgeBindings, ForgeConfig, build_dataset
 from hmgie.pipeline import RoleBindings, evaluate_pair
 
 
@@ -894,6 +899,13 @@ def _reply(status_line: bytes, headers: bytes, content: str) -> bytes:
     return b"%s\r\n%sContent-Length: %d\r\n\r\n%s" % (status_line, headers, len(body), body)
 
 
+def _https_proxy(monkeypatch, url: str) -> None:
+    """Send https endpoints through ``url``, whatever the environment held."""
+    for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("https_proxy", url)
+
+
 class TestHttpBackend:
     def test_package_import_leaves_requests_unloaded(self):
         """Importing the package loads no HTTP or TLS module."""
@@ -906,6 +918,23 @@ class TestHttpBackend:
             env=_package_env(), capture_output=True, text=True, check=True,
         )
         assert result.stdout.strip() == "[]"
+
+    def test_no_module_imports_http_client(self):
+        """HttpBackend opens its sockets and speaks HTTP itself."""
+        package = Path(gateway_module.__file__).parent
+        importers = []
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                    names.append(node.module or "")
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                if any(name == "http.client" or name.startswith("http.client.") for name in names):
+                    importers.append(path.name)
+        assert importers == []
 
     def test_round_trips_need_no_third_party_package(self):
         probe = """
@@ -925,42 +954,138 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         assert result.returncode == 0, result.stderr
         assert result.stdout.split("\n")[:2] == ["canned reply", "canned reply"]
 
-    def test_https_connection_verifies_certificates(self):
-        backend = HttpBackend(endpoint="https://api.example.com/v1", api_key="k")
-        connection = backend._connect()
-        assert connection.sock is None  # nothing opened
-        assert (connection.host, connection.port) == ("api.example.com", 443)
-        assert connection._context.verify_mode is ssl.CERT_REQUIRED
-        assert connection._context.check_hostname
-        backend.close()
+    def test_https_connection_verifies_certificates(self, monkeypatch):
+        """A certificate the client trusts, for the host the endpoint names,
+        is accepted; the same certificate for another name, or untrusted,
+        fails the call as a transport failure."""
+        for name in ("https_proxy", "HTTPS_PROXY", "SSL_CERT_DIR"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("SSL_CERT_FILE", str(LOCALHOST_CERT))
+        with FakeChatServer(tls=True) as server:
+            port = server.endpoint.rpartition(":")[2]
+            with closing(HttpBackend(server.endpoint, "k")) as backend:
+                assert backend.complete(text_request()) == "canned reply"
+            by_address = HttpBackend(f"https://127.0.0.1:{port}", "k")
+            monkeypatch.delenv("SSL_CERT_FILE")
+            untrusted = HttpBackend(server.endpoint, "k")
+            for backend in (by_address, untrusted):
+                with pytest.raises(TransientBackendError) as exc_info:
+                    backend.complete(text_request())
+                assert isinstance(exc_info.value.__cause__, ssl.SSLCertVerificationError)
+                assert backend._idle == []
+        assert len(server.requests) == 1
 
     def test_https_proxy_tunnels(self, monkeypatch):
-        for name in ("no_proxy", "NO_PROXY", "HTTPS_PROXY"):
-            monkeypatch.delenv(name, raising=False)
-        monkeypatch.setenv("https_proxy", "http://user:pw@proxy.example:3128")
-        connection = HttpBackend(endpoint="https://api.example.com/v1", api_key="k")._connect()
-        assert connection.sock is None
-        assert (connection.host, connection.port) == ("proxy.example", 3128)
-        assert (connection._tunnel_host, connection._tunnel_port) == ("api.example.com", 443)
+        """The proxy is sent one CONNECT head naming the endpoint, with the
+        proxy URL's credentials; TLS runs inside the tunnel, whose socket
+        is pooled and carries the second call too."""
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+        monkeypatch.setenv("SSL_CERT_FILE", str(LOCALHOST_CERT))
+        with FakeChatServer(tls=True) as server:
+            port = int(server.endpoint.rpartition(":")[2])
+            with FakeProxy(target=("127.0.0.1", port)) as proxy:
+                _https_proxy(monkeypatch, f"http://user:pw@{proxy.address}")
+                with closing(HttpBackend(server.endpoint, "k")) as backend:
+                    assert backend.complete(text_request("first")) == "canned reply"
+                    (sock,) = backend._idle
+                    assert backend.complete(text_request("second")) == "canned reply"
+                    assert backend._idle == [sock]
         auth = base64.b64encode(b"user:pw").decode("ascii")
-        assert connection._tunnel_headers == {"Proxy-Authorization": f"Basic {auth}"}
+        assert proxy.heads == [
+            (
+                f"CONNECT localhost:{port} HTTP/1.1\r\nHost: localhost:{port}\r\n"
+                f"Proxy-Authorization: Basic {auth}\r\n\r\n"
+            ).encode("ascii")
+        ]
+        assert [r["messages"][0]["content"] for r in server.requests] == ["first", "second"]
+        assert server.headers[0]["Host"] == f"localhost:{port}"
+        assert server.peak_connections == 1
+
+    def test_tunnel_to_an_idn_host_names_it_in_idna_and_the_forge_run_completes(
+        self, monkeypatch, tmp_path
+    ):
+        """A proxy that cannot reach the endpoint fails each of its calls,
+        and build_dataset still writes its file, noting the cell's failure."""
+        image = tmp_path / "cat.png"
+        image.write_bytes(TINY_PNG)
+        out = tmp_path / "data.jsonl"
+        with FakeProxy(reply=b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0\r\n\r\n") as proxy:
+            _https_proxy(monkeypatch, f"http://{proxy.address}")
+            with closing(HttpBackend("https://b\u00fccher.example/v1", "k")) as backend:
+                config = ForgeConfig(
+                    bindings=ForgeBindings.uniform(Gateway(backend, sleeper=lambda s: None)),
+                    specs=DEFAULT_GRANULARITY_SPECS[:1],
+                )
+                summary = build_dataset([image], config, out)
+        assert out.read_text() == ""
+        (error,) = summary.errors
+        assert error.startswith(f"{image} g1: ") and "HTTP 502" in error
+        assert proxy.heads[0].startswith(
+            b"CONNECT xn--bcher-kva.example:443 HTTP/1.1\r\nHost: xn--bcher-kva.example:443\r\n"
+        )
+
+    def test_tunnel_to_an_ipv6_endpoint_brackets_its_address(self, monkeypatch):
+        with FakeProxy(reply=b"HTTP/1.1 502 Bad Gateway\r\n\r\n") as proxy:
+            _https_proxy(monkeypatch, f"http://{proxy.address}")
+            with pytest.raises(TransientBackendError, match="HTTP 502"):
+                HttpBackend("https://[::1]:8443/v1", "k").complete(text_request())
+        assert proxy.heads == [b"CONNECT [::1]:8443 HTTP/1.1\r\nHost: [::1]:8443\r\n\r\n"]
+
+    @pytest.mark.parametrize(
+        "reply, error, requests",
+        [
+            (b"HTTP/1.1 407 Proxy Authentication Required\r\n\r\n", AuthError, 1),
+            (b"HTTP/1.1 403 Forbidden\r\n\r\n", AuthError, 1),
+            (b"HTTP/1.1 503 Busy\r\nRetry-After: 2\r\n\r\n", ExhaustedError, 3),
+            (b"HTTP/1.1 302 Found\r\nLocation: /elsewhere\r\n\r\n", GatewayError, 1),
+        ],
+        ids=["407", "403", "503", "302"],
+    )
+    def test_a_tunnel_reply_maps_to_an_error_as_any_reply_does(
+        self, monkeypatch, reply, error, requests
+    ):
+        sleeps = []
+        with FakeProxy(reply=reply) as proxy:
+            _https_proxy(monkeypatch, f"http://{proxy.address}")
+            backend = HttpBackend("https://api.example.com/v1", "k")
+            with pytest.raises(error) as exc_info:
+                Gateway(backend, attempts=3, sleeper=sleeps.append).call(text_request())
+        assert type(exc_info.value) is error
+        assert len(proxy.heads) == requests
+        assert sleeps == [2.0, 2.0][: requests - 1]
+
+    def test_bytes_after_a_tunnel_reply_are_a_transport_failure(self, monkeypatch):
+        with FakeProxy(reply=b"HTTP/1.1 200 OK\r\n\r\nstray bytes") as proxy:
+            _https_proxy(monkeypatch, f"http://{proxy.address}")
+            with pytest.raises(TransientBackendError, match="ConnectionError") as exc_info:
+                HttpBackend("https://api.example.com/v1", "k").complete(text_request())
+        assert "after its reply to CONNECT" in str(exc_info.value)
 
     def test_http_proxy_is_sent_the_absolute_url(self, monkeypatch):
         for name in ("no_proxy", "NO_PROXY", "HTTP_PROXY"):
             monkeypatch.delenv(name, raising=False)
-        with FakeChatServer() as proxy:
+        with FakeChatServer() as proxy, FakeChatServer() as direct:
             monkeypatch.setenv("http_proxy", proxy.endpoint)
             with closing(HttpBackend("http://model.example/v1", "k")) as backend:
                 assert backend.complete(text_request()) == "canned reply"
-            monkeypatch.setenv("no_proxy", "model.example")
-            with closing(HttpBackend("http://model.example/v1", "k")) as bypassing:
-                assert bypassing._connect().host == "model.example"
+            monkeypatch.setenv("no_proxy", "127.0.0.1")
+            with closing(HttpBackend(f"{direct.endpoint}/v1", "k")) as bypassing:
+                assert bypassing.complete(text_request()) == "canned reply"
         assert proxy.paths == ["http://model.example/v1/chat/completions"]
         assert proxy.headers[0]["Host"] == "model.example"
+        assert direct.paths == ["/v1/chat/completions"]
 
-    def test_ipv6_endpoint_without_a_port_connects_to_the_default_port(self):
-        connection = HttpBackend(endpoint="http://[::1]/v1", api_key="k")._connect()
-        assert (connection.host, connection.port) == ("::1", 80)
+    def test_ipv6_endpoint_without_a_port_connects_to_the_default_port(self, monkeypatch):
+        addresses = []
+
+        def refuse(address, timeout):
+            addresses.append(address)
+            raise ConnectionRefusedError("no server in this test")
+
+        monkeypatch.setattr(socket, "create_connection", refuse)
+        with pytest.raises(TransientBackendError, match="ConnectionRefusedError"):
+            HttpBackend(endpoint="http://[::1]/v1", api_key="k").complete(text_request())
+        assert addresses == [("::1", 80)]
 
     def test_endpoint_must_be_http(self):
         with pytest.raises(GatewayError, match="http or https URL"):
@@ -1151,10 +1276,10 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
                 HttpBackend(endpoint=server.endpoint, api_key="k")
             ) as backend:
                 assert backend.complete(text_request("first")) == "canned reply"
-                (connection,) = backend._idle
-                assert connection.sock.fileno() >= 1024
+                (sock,) = backend._idle
+                assert sock.fileno() >= 1024
                 assert backend.complete(text_request("second")) == "canned reply"
-                assert backend._idle == [connection]
+                assert backend._idle == [sock]
             assert len(server.requests) == 2
             assert server.peak_connections == 1
         finally:
@@ -1335,7 +1460,8 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
     )
     def test_request_head_is_the_one_http_client_sends(self, monkeypatch, endpoint, proxy):
         """The head the backend writes is, byte for byte, the one
-        http.client writes for the same request on the same connection."""
+        http.client writes for the same request on a connection to the
+        same host and port."""
         for name in ("no_proxy", "NO_PROXY", "http_proxy", "HTTP_PROXY", "HTTPS_PROXY"):
             monkeypatch.delenv(name, raising=False)
         url = urllib.parse.urlsplit(endpoint.rstrip("/"))
@@ -1348,7 +1474,10 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
                 auth = base64.b64encode(b"user:pw").decode("ascii")
                 headers["Proxy-Authorization"] = f"Basic {auth}"
         backend = HttpBackend(endpoint, "k")
-        connection = backend._connect()
+        if url.scheme == "https":
+            connection = http.client.HTTPSConnection(url.hostname, url.port)
+        else:
+            connection = http.client.HTTPConnection(url.hostname, url.port)
         sent = []
         connection.sock = types.SimpleNamespace(sendall=sent.append)  # never opened
         connection.request("POST", path, body=b"{}", headers={**headers, "Content-Length": "2"})

@@ -960,12 +960,17 @@ class TestOrderedMap:
 
 def test_only_pipeline_imports_a_thread_pool():
     """ordered_map is the package's one fan-out, and pipeline's
-    ThreadPoolExecutor the one pool class a caller needs to swap."""
+    ThreadPoolExecutor the one pool class a caller needs to swap. A module
+    may import Future alone from concurrent.futures: it is no pool."""
     package = Path(pipeline_module.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
+                if node.module == "concurrent.futures" and [
+                    alias.name for alias in node.names
+                ] == ["Future"]:
+                    continue
                 names = [node.module or ""] + [alias.name for alias in node.names]
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
