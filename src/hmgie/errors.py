@@ -28,9 +28,9 @@ class SchemaViolationError(HmgieError):
 
 
 def require_positive(**values: int) -> None:
-    """SchemaViolationError naming the first of ``values`` below 1."""
+    """SchemaViolationError naming the first of ``values`` < 1 or a bool."""
     for name, value in values.items():
-        if value < 1:
+        if isinstance(value, bool) or value < 1:
             raise SchemaViolationError(f"{name} must be >= 1, got {value}")
 
 

@@ -6,9 +6,9 @@ recorded replies keyed by request digest. The Gateway wraps either one with
 caching, retry with exponential backoff, and coalescing of concurrent
 duplicate requests, so an entire run over the scripted backend is a pure
 function of its inputs and fixtures. Its one reply table holds, per key,
-either the reply or the Future of the one call in flight for that key, which
-concurrent duplicates wait on; a reply log on disk, when there is one, is
-read through without copying into the table.
+either the reply or the lock gate of the one call in flight for that key,
+which concurrent duplicates wait on; a reply log on disk, when there is one,
+is read through without copying into the table.
 
 ``call_parsed`` is the one place that retries a reply the caller could not
 parse, within the gateway's ``attempts``. Each retry is a distinct request
@@ -27,9 +27,9 @@ import select
 import threading
 import time
 import weakref
-from concurrent.futures import Future as _Gate
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, TypeVar
 
@@ -96,8 +96,8 @@ class ImageRef:
 
 def check_sampling(temperature: float, max_output_tokens: int) -> None:
     """SchemaViolationError unless the temperature is finite and >= 0 and the
-    token limit >= 1; every request and both run configs check through here."""
-    if not 0 <= temperature < math.inf:
+    token limit >= 1, neither a bool; every request and config checks here."""
+    if isinstance(temperature, bool) or not 0 <= temperature < math.inf:
         raise SchemaViolationError(f"temperature must be finite and >= 0, got {temperature}")
     require_positive(max_output_tokens=max_output_tokens)
 
@@ -121,6 +121,8 @@ class ModelRequest:
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not (isinstance(self.prompt, str) and isinstance(self.model_id, str)):
+            raise SchemaViolationError("a request's prompt and model_id must be str")
         check_sampling(self.temperature, self.max_output_tokens)
         require_positive(attempt=self.attempt)
         if self.image is not None and not isinstance(self.image, ImageRef):
@@ -148,27 +150,29 @@ class ModelResponse:
 
 
 def cache_key(request: ModelRequest) -> str:
-    """Deterministic request digest.
+    """SHA-256 of ``json.dumps(fields, sort_keys=True, ensure_ascii=False)``.
 
-    Depends on (model_id, temperature, prompt, image_digest) and, from the
+    The fields are (model_id, temperature, prompt, image_digest) and, from the
     second attempt on, the attempt number; max_output_tokens and wall clock
-    never influence the key. A first attempt leaves the attempt out, so its
-    key matches the one recorded fixtures are stored under. The "kind"
-    field only restates whether there is an image; it stays so that keys
-    recorded by earlier versions still match.
+    never influence the key. A first attempt leaves the attempt out, so its key
+    matches the one recorded fixtures are stored under. The "kind" field only
+    restates whether there is an image; it stays so that keys recorded by
+    earlier versions still match. The text is formatted directly.
     """
-    fields = {
-        "kind": "text" if request.image is None else "vision",
-        "model_id": request.model_id,
-        "temperature": request.temperature,
-        "prompt": request.prompt,
-        "image_digest": request.image_digest,
-    }
-    if request.attempt >= 2:
-        fields["attempt"] = request.attempt
-    canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False)
+    attempt = f'"attempt": {_number(request.attempt)}, ' if request.attempt >= 2 else ""
+    digest = "null" if request.image is None else f'"{request.image.digest}"'
+    kind = "text" if request.image is None else "vision"
+    canonical = (
+        f'{{{attempt}"image_digest": {digest}, "kind": "{kind}", '
+        f'"model_id": {_quote(request.model_id)}, "prompt": {_quote(request.prompt)}, '
+        f'"temperature": {_number(request.temperature)}}}'
+    )
     # A quoted reply may hold a lone surrogate; valid text encodes the same.
     return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+def _number(value: int | float) -> str:
+    return int.__repr__(value) if isinstance(value, int) else float.__repr__(value)
 
 
 class Backend(Protocol):
@@ -773,6 +777,19 @@ class ScriptedBackend:
         return reply
 
 
+class _Gate:
+    """One call in flight: its maker holds ``lock`` from birth until the
+    call ends, duplicates wait on it, and ``error`` holds what the call
+    raised, for those waiters only."""
+
+    __slots__ = ("lock", "error")
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.lock.acquire()
+        self.error: Optional[BaseException] = None
+
+
 class Gateway:
     """Caching, retrying, coalescing front door to a backend.
 
@@ -783,12 +800,12 @@ class Gateway:
     replies do not parse.
 
     One table, ``_replies``, maps each key this gateway has called to its
-    reply, or to the Future (``_Gate``) of its one call in flight. With
-    cache_dir set, a key with no entry is first looked up in that
-    directory's ReplyLog, and a hit there is served without entering the
-    table; record=True additionally appends live replies to the log, so a
-    real run can later be replayed by a gateway over the same directory
-    whose backend has no replies of its own.
+    reply, or to the _Gate of its one call in flight. With cache_dir set, a
+    key with no entry is first looked up in that directory's ReplyLog, and
+    a hit there is served without entering the table; record=True
+    additionally appends live replies to the log, so a real run can later
+    be replayed by a gateway over the same directory whose backend has no
+    replies of its own.
     """
 
     def __init__(
@@ -862,15 +879,20 @@ class Gateway:
                     text = self._complete_with_retries(request)
                     if self.record:
                         self._log.append(key, text)
+                    self._replies[key] = text
                 except BaseException as exc:
+                    gate.error = exc
                     del self._replies[key]
-                    gate.set_exception(exc)
                     raise
-                self._replies[key] = text
-                gate.set_result(text)
+                finally:
+                    gate.lock.release()
                 return ModelResponse(text=text, cached=0)
         if isinstance(entry, _Gate):
-            entry = entry.result()  # the maker's reply, or what its call raised
+            with entry.lock:  # held by the maker until its call ends
+                pass
+            if entry.error is not None:
+                raise entry.error
+            entry = self._replies[key]
         return ModelResponse(text=entry, cached=1)
 
 

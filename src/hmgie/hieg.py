@@ -7,11 +7,12 @@ question examines. Values are immutable; expansion returns a new graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .errors import EmptyHiegError, SchemaViolationError
+from .structured import prompt_json
 
 
 @dataclass(frozen=True)
@@ -245,8 +246,8 @@ def level_stats(hieg: Hieg) -> tuple[LevelStats, ...]:
     return tuple(stats)
 
 
-def hieg_to_prompt_payload(hieg: Hieg) -> list[dict]:
-    """Serialize nodes with the exact field names the prompts embed."""
+def hieg_to_prompt_payload(hieg: Hieg, start: int = 0) -> list[dict]:
+    """Nodes from the ``start``-th on, with the field names the prompts embed."""
     return [
         {
             "Question-ID": node.id,
@@ -257,9 +258,14 @@ def hieg_to_prompt_payload(hieg: Hieg) -> list[dict]:
             "Eval-Correct": node.correct,
             "Parent-IDS": sorted(node.parent_ids),
         }
-        for node in hieg.nodes()
+        for node in islice(hieg.nodes(), start, None)
     ]
 
 
-def hieg_to_prompt_json(hieg: Hieg) -> str:
-    return json.dumps(hieg_to_prompt_payload(hieg), indent=2, ensure_ascii=False)
+def hieg_to_prompt_json(hieg: Hieg, texts: Optional[list[str]] = None) -> str:
+    """``json.dumps(hieg_to_prompt_payload(hieg), indent=2)``, non-ASCII kept;
+    ``texts`` holds the node texts made so far; only later nodes are written."""
+    texts = [] if texts is None else texts
+    for fields in hieg_to_prompt_payload(hieg, len(texts)):
+        texts.append(prompt_json(fields).replace("\n", "\n  "))
+    return "[\n  " + ",\n  ".join(texts) + "\n]" if texts else "[]"

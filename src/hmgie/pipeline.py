@@ -445,9 +445,9 @@ def evaluate_pair(
     """Evaluate one image-caption pair and return the full report.
 
     Raw image bytes are wrapped in an ImageRef once, so the image is hashed
-    once per pair however many questions ask about it. Likewise the graph is
-    serialized once per pair and the HIEG once per level: the texts live in
-    locals here, never on the report's objects.
+    once per pair however many questions ask about it. Likewise the graph and
+    each HIEG node are serialized once per pair: the texts live in locals
+    here, never on the report's objects.
 
     Every HmgieError raised here carries the evaluation graph built so far
     (.partial_hieg) and the diagnostics collected so far (.diagnostics).
@@ -471,7 +471,8 @@ def evaluate_pair(
     try:
         graph = _generate_graph(caption, config, diagnostics)
         graph_json = graph_to_json(graph)
-        hieg_json = hieg_to_prompt_json(hieg)
+        node_texts: list[str] = []  # the HIEG's node texts, extended per level
+        hieg_json = hieg_to_prompt_json(hieg, node_texts)
         mask = fresh_mask(graph)
         suggestion: Optional[str] = None
 
@@ -507,7 +508,7 @@ def evaluate_pair(
             answers, verdicts, notes = _run_level(batch, image, config)
             diagnostics.extend(notes)
             hieg = expand(hieg, batch, answers, verdicts)
-            hieg_json = hieg_to_prompt_json(hieg)
+            hieg_json = hieg_to_prompt_json(hieg, node_texts)
 
             declared_nodes = frozenset().union(*(i.covered_nodes for i in batch.items))
             declared_edges = frozenset().union(*(i.covered_edges for i in batch.items))

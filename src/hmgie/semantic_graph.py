@@ -7,14 +7,13 @@ been examined so far (flag 1 = still unexamined).
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from .errors import MalformedOutputError, SchemaViolationError
-from .structured import extract_json_value
+from .structured import extract_json_value, prompt_json
 
 _NODE_ID_RE = re.compile(r"^N[1-9][0-9]*$")
 
@@ -290,4 +289,4 @@ def graph_to_payload(graph: SemanticGraph) -> dict:
 
 
 def graph_to_json(graph: SemanticGraph) -> str:
-    return json.dumps(graph_to_payload(graph), indent=2, ensure_ascii=False)
+    return prompt_json(graph_to_payload(graph))

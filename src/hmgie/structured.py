@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring as _quote
 from typing import Any, Iterator
 
 from .errors import MalformedOutputError
@@ -60,3 +61,23 @@ def extract_json_value(raw: str) -> Any:
     except RecursionError as exc:
         raise MalformedOutputError("model reply nests too deeply to parse") from exc
     raise MalformedOutputError("no balanced JSON object or array found in model reply")
+
+
+def prompt_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False)`` for values built
+    from None, bool, int, str, list and str-keyed dict; strings are quoted by
+    json.dumps's C escaper, not the pure-Python encoder ``indent`` forces."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, list):
+        items, brackets = [prompt_json(item) for item in value], "[]"
+    elif isinstance(value, dict):
+        items, brackets = [_quote(k) + ": " + prompt_json(v) for k, v in value.items()], "{}"
+    else:
+        raise TypeError(f"prompt_json cannot write a {type(value).__name__}")
+    body = ",\n".join(items).replace("\n", "\n  ")  # no quoted string holds a newline
+    return f"{brackets[0]}\n  {body}\n{brackets[1]}" if items else brackets

@@ -21,6 +21,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     TINY_PNG,
@@ -85,6 +87,33 @@ class TestRequestValidation:
     def test_temperature_must_be_finite(self, temperature):
         with pytest.raises(SchemaViolationError):
             ModelRequest(prompt="p", temperature=temperature)
+
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((5,), {}),
+            ((None,), {}),
+            (("p",), {"model_id": 7}),
+            (("p",), {"model_id": None}),
+            (("p",), {"temperature": True}),
+            (("p",), {"max_output_tokens": True}),
+            (("p",), {"attempt": True}),
+        ],
+        ids=[
+            "int-prompt",
+            "none-prompt",
+            "int-model-id",
+            "none-model-id",
+            "bool-temperature",
+            "bool-max-output-tokens",
+            "bool-attempt",
+        ],
+    )
+    def test_a_value_neither_the_key_nor_the_wire_carries_is_refused(self, args, kwargs):
+        # A bool passes ``>= 1`` and json writes it as true; an int prompt
+        # would go on the wire as "content": 5.
+        with pytest.raises(SchemaViolationError):
+            ModelRequest(*args, **kwargs)
 
 
 class TestImageRef:
@@ -205,6 +234,47 @@ class TestCacheKey:
             sort_keys=True, ensure_ascii=False,
         )
         assert valid.key == hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _json_dumps_key(request: ModelRequest) -> str:
+    """The key as json.dumps wrote its canonical text, kept as the reference
+    the directly formatted key must agree with."""
+    fields = {
+        "kind": "text" if request.image is None else "vision",
+        "model_id": request.model_id,
+        "temperature": request.temperature,
+        "prompt": request.prompt,
+        "image_digest": request.image_digest,
+    }
+    if request.attempt >= 2:
+        fields["attempt"] = request.attempt
+    canonical = json.dumps(fields, sort_keys=True, ensure_ascii=False)
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    prompt=ANY_TEXT,
+    model_id=ANY_TEXT,
+    temperature=st.integers(min_value=0, max_value=10**20)
+    | st.floats(min_value=0, allow_infinity=False, allow_nan=False),
+    attempt=st.integers(min_value=1, max_value=4),
+    image=st.sampled_from([None, TINY_PNG, b"\x89PNG\r\n\x1a\n" + bytes(range(256))]),
+)
+@example(prompt="\ud800 \u2028 \x00 \" \\ é", model_id="m\udfff", temperature=0,
+         attempt=2, image=None)
+def test_key_is_the_digest_of_the_json_dumps_form(prompt, model_id, temperature, attempt, image):
+    request = ModelRequest(
+        prompt,
+        model_id=model_id,
+        temperature=temperature,
+        image=None if image is None else ImageRef(image),
+        attempt=attempt,
+    )
+    assert request.key == cache_key(request) == _json_dumps_key(request)
 
 
 class TestScriptedBackend:

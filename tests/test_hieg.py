@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from hmgie.hieg import (
     QuestionBatch,
     QuestionItem,
     expand,
+    hieg_to_prompt_json,
     hieg_to_prompt_payload,
     level_stats,
     overall_decision,
@@ -280,3 +282,39 @@ class TestRandomized:
                 [True] * size,
             )
             assert h.node_count == before + size
+
+
+ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=12)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.lists(st.tuples(ANY_TEXT, ANY_TEXT, ANY_TEXT, st.booleans()), min_size=1, max_size=4),
+        max_size=5,
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_incremental_prompt_text_matches_the_whole_graph(levels, rng):
+    """After each expand, the text joined from the node texts kept so far
+    is the one-argument text, which is json.dumps of the prompt payload."""
+    h = Hieg.empty(5)
+    texts: list[str] = []
+    assert hieg_to_prompt_json(h, texts) == hieg_to_prompt_json(h) == "[]"
+    for level, rows in enumerate(levels, start=1):
+        items = tuple(
+            QuestionItem(
+                question=f"q{level}.{i} {question}",
+                verify_fact=fact,
+                expected_answer=expected,
+                parent_ids=frozenset(rng.sample(sorted(h.node_ids()), k=min(2, h.node_count))),
+            )
+            for i, (question, fact, expected, _) in enumerate(rows)
+        )
+        answers = [(f"answer {question}", 1.0) for question, _, _, _ in rows]
+        h = expand(h, QuestionBatch(level, items), answers, [row[3] for row in rows])
+        text = hieg_to_prompt_json(h, texts)
+        assert len(texts) == h.node_count
+        assert text == hieg_to_prompt_json(h) == json.dumps(
+            hieg_to_prompt_payload(h), indent=2, ensure_ascii=False
+        )

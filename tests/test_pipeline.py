@@ -22,6 +22,7 @@ from helpers import (
     scripted_config,
 )
 from hmgie import gateway as gateway_module
+from hmgie import hieg as hieg_module
 from hmgie import pipeline as pipeline_module
 from hmgie.errors import (
     EmptyHiegError,
@@ -219,6 +220,24 @@ class TestPromptPartsBuiltOnce:
         assert digest == self.REPORT_SHA256
 
 
+class TestEachNodeSerializedOnce:
+    def test_each_node_text_is_built_once_per_pair_at_any_fan_out(self, monkeypatch):
+        """A depth-4 pair builds each HIEG node's prompt text once, however
+        many levels embed it, and its report is the same at fan-out 1 and 4."""
+        plan = {level: [_question(level, i) for i in range(3)] for level in (1, 2, 3, 4)}
+        responder = _routing_responder(plan, coverage_plan={1: incomplete_coverage})
+        built = _counting(monkeypatch, hieg_module, "prompt_json")
+        reports = []
+        for fan_out in (1, 4):
+            built.clear()
+            config = _dynamic_config(responder, intra_level_parallelism=fan_out)
+            report = evaluate_pair(TINY_PNG, "caption", config)
+            assert report.realized_depth == 4
+            assert len(built) == report.hieg.node_count == 12
+            reports.append(report.to_json())
+        assert reports[0] == reports[1]
+
+
 class TestFailureModes:
     def test_graph_gen_failed_after_retries(self):
         # A graph that breaks an invariant is retried like one with no JSON.
@@ -368,6 +387,13 @@ def _dynamic_config(responder, attempts=3, **overrides) -> PipelineConfig:
         {"max_output_tokens": 0},
         {"weight_ratio": float("inf")},
         {"weight_ratio": float("nan")},
+        # True passes ``>= 1``, and json would write it as true, not as 1.
+        {"parallelism": True},
+        {"intra_level_parallelism": True},
+        {"max_level": True},
+        {"max_output_tokens": True},
+        {"temperature": True},
+        {"attempts": True},
     ],
 )
 def test_pipeline_config_refuses_a_setting_out_of_range(setting):
@@ -774,6 +800,31 @@ def test_fuzzed_scenarios_always_halt():
         assert 0.0 <= report.h_comp <= 1.0
 
 
+def test_incremental_hieg_text_matches_the_whole_graph_in_fuzzed_scenarios(monkeypatch):
+    """After every expand, the HIEG text evaluate_pair joins from the node
+    texts it kept equals hieg_to_prompt_json of the whole graph."""
+    whole = pipeline_module.hieg_to_prompt_json
+    sizes = []
+
+    def checked(hieg, texts):
+        text = whole(hieg, texts)
+        assert text == whole(hieg)
+        assert len(texts) == hieg.node_count
+        sizes.append(hieg.node_count)
+        return text
+
+    monkeypatch.setattr(pipeline_module, "hieg_to_prompt_json", checked)
+    for seed in range(300):
+        config = _dynamic_config(
+            fuzz_responder(seed), attempts=1, intra_level_parallelism=1
+        )
+        try:
+            evaluate_pair(TINY_PNG, "caption", config)
+        except EmptyHiegError:
+            continue
+    assert sizes.count(0) == 300 and max(sizes) >= 6
+
+
 class TestBatch:
     @pytest.fixture()
     def batch_setup(self, tmp_path):
@@ -960,17 +1011,12 @@ class TestOrderedMap:
 
 def test_only_pipeline_imports_a_thread_pool():
     """ordered_map is the package's one fan-out, and pipeline's
-    ThreadPoolExecutor the one pool class a caller needs to swap. A module
-    may import Future alone from concurrent.futures: it is no pool."""
+    ThreadPoolExecutor the one pool class a caller needs to swap."""
     package = Path(pipeline_module.__file__).parent
     importers = []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom):
-                if node.module == "concurrent.futures" and [
-                    alias.name for alias in node.names
-                ] == ["Future"]:
-                    continue
                 names = [node.module or ""] + [alias.name for alias in node.names]
             elif isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -979,6 +1025,32 @@ def test_only_pipeline_imports_a_thread_pool():
             if any("concurrent" in name or "ThreadPoolExecutor" in name for name in names):
                 importers.append(path.name)
     assert importers == ["pipeline.py"]
+
+
+def test_only_the_report_writers_pass_indent_to_json_dumps():
+    """Prompt JSON is written by structured.prompt_json. ``json.dumps(...,
+    indent=...)``, whose encoder runs in pure Python, is left to the two
+    report files: a pair's report and a batch's summary.json, which hold
+    floats and sort their keys."""
+    package = Path(pipeline_module.__file__).parent
+    found = []
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + (child.name,)
+            elif (
+                isinstance(child, ast.Call)
+                and ast.unparse(child.func) == "json.dumps"
+                and any(keyword.arg == "indent" for keyword in child.keywords)
+            ):
+                found.append((path.name, ".".join(scope)))
+            visit(child, path, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, ())
+    assert found == [("cli.py", "_evaluate"), ("pipeline.py", "EvaluationReport.to_json")]
 
 
 class TestDatasetLoading:

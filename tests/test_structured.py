@@ -3,11 +3,11 @@ import re
 import time
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hmgie.errors import MalformedOutputError
-from hmgie.structured import MAX_REJECTED_STARTS, extract_json_value
+from hmgie.structured import MAX_REJECTED_STARTS, extract_json_value, prompt_json
 
 NOT_FOUND = "no balanced JSON object or array found in model reply"
 TOO_DEEP = "model reply nests too deeply to parse"
@@ -186,3 +186,30 @@ class TestRejectedStartBudget:
         with pytest.raises(MalformedOutputError):
             extract_json_value(raw)
         assert time.perf_counter() - started < 0.5
+
+
+# Any text, lone surrogates and control characters included.
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+PROMPT_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | ANY_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(ANY_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500)
+@given(PROMPT_VALUES)
+@example("lone \ud800 and \udfff")
+@example("\x00\x01\x1f\x7f \t\n\r \" \\ /")
+@example("line\u2028separator\u2029 é ß 中文 🐕")
+@example([[], {}, [[]], {"": {}}, {"a": []}])
+@example({"nested": [{"Parent-IDS": [], "Eval-Correct": False, "n": -0}], "x": None})
+def test_prompt_json_matches_json_dumps(value):
+    assert prompt_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_prompt_json_refuses_values_outside_its_domain():
+    for value in (1.5, (1, 2), {1: "a"}, b"x"):
+        with pytest.raises(TypeError):
+            prompt_json(value)
