@@ -121,7 +121,7 @@ def _load_config_file(path: Optional[str]) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or a long integer
         raise UsageError(f"config file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError(f"config file {path}: top level must be an object")

@@ -8,6 +8,7 @@ checks may raise ValueError).
 
 from __future__ import annotations
 
+import sys
 from typing import Optional
 
 
@@ -28,9 +29,12 @@ class SchemaViolationError(HmgieError):
 
 
 def require_positive(**values: int) -> None:
-    """SchemaViolationError naming the first of ``values`` < 1 or a bool."""
+    """SchemaViolationError naming the first of ``values`` that is not an int
+    (a bool is not) from 1 to sys.maxsize."""
     for name, value in values.items():
-        if isinstance(value, bool) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value > sys.maxsize:
+            raise SchemaViolationError(f"{name} must be an int up to sys.maxsize, got {value!r}")
+        if value < 1:
             raise SchemaViolationError(f"{name} must be >= 1, got {value}")
 
 
@@ -42,10 +46,6 @@ class EmptyBatchError(HmgieError):
 
 class GatewayError(HmgieError):
     """Base class for backend/transport failures."""
-
-
-class UnsupportedRequestError(GatewayError):
-    """A vision request was sent to a backend without vision support."""
 
 
 class AuthError(GatewayError):

@@ -27,7 +27,7 @@ from .errors import (
     require_positive,
 )
 from .gateway import Gateway, ImageRef, ModelRequest, check_sampling
-from .pipeline import ordered_map
+from .pipeline import _sampling, ordered_map
 from .prompts import (
     TemplateName,
     load_templates,
@@ -150,18 +150,19 @@ class ForgeConfig:
     max_iterations: int = 5
     detector_template: TemplateName = TemplateName.DIRECT_PROMPT
     include_undetected: bool = False
-    model_id: str = "gpt-4o"
+    model_id: str = ModelRequest.model_id
     # Distinct captioner models give the ensemble its diversity; one entry
     # per captioner gateway, falling back to model_id when omitted.
     captioner_model_ids: tuple[str, ...] = ()
-    temperature: float = 0.3
-    max_output_tokens: int = 2048
+    temperature: float = ModelRequest.temperature
+    max_output_tokens: int = ModelRequest.max_output_tokens
     templates: dict = field(default_factory=load_templates)
     parallelism: int = 1
 
     def __post_init__(self):
         require_positive(max_iterations=self.max_iterations, parallelism=self.parallelism)
-        check_sampling(self.temperature, self.max_output_tokens)
+        for model_id in (self.model_id, *(self.captioner_model_ids or ())):
+            check_sampling(model_id, self.temperature, self.max_output_tokens)
         if self.detector_template not in (
             TemplateName.DIRECT_PROMPT,
             TemplateName.COT_PROMPT,
@@ -169,9 +170,8 @@ class ForgeConfig:
             raise SchemaViolationError("detector template must be DirectPrompt or CoTPrompt")
         if not self.bindings.captioners:
             raise SchemaViolationError("at least one captioner is required")
-        if self.captioner_model_ids and len(self.captioner_model_ids) != len(
-            self.bindings.captioners
-        ):
+        model_ids = self.captioner_model_ids
+        if model_ids and len(model_ids) != len(self.bindings.captioners):
             raise SchemaViolationError("captioner_model_ids must match the ensemble size")
 
     def captioner_model(self, index: int) -> str:
@@ -247,13 +247,10 @@ def _request(
     model_id: Optional[str] = None,
 ) -> ModelRequest:
     """A forge request: sampling fields from the config, vision with an image."""
-    return ModelRequest(
-        prompt=prompt,
-        image=image,
-        model_id=config.model_id if model_id is None else model_id,
-        temperature=config.temperature,
-        max_output_tokens=config.max_output_tokens,
-    )
+    sampling = _sampling(config)
+    if model_id is not None:
+        sampling["model_id"] = model_id
+    return ModelRequest(prompt, image=image, **sampling)
 
 
 def generate_ground_truth(

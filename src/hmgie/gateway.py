@@ -41,7 +41,6 @@ from .errors import (
     MalformedOutputError,
     SchemaViolationError,
     TransientBackendError,
-    UnsupportedRequestError,
     require_positive,
 )
 
@@ -94,10 +93,15 @@ class ImageRef:
         return base64.b64encode(self.payload)
 
 
-def check_sampling(temperature: float, max_output_tokens: int) -> None:
-    """SchemaViolationError unless the temperature is finite and >= 0 and the
-    token limit >= 1, neither a bool; every request and config checks here."""
-    if isinstance(temperature, bool) or not 0 <= temperature < math.inf:
+def check_sampling(model_id: str, temperature: float, max_output_tokens: int) -> None:
+    """SchemaViolationError unless the model id is a str, the temperature an
+    int or a float (not a bool) that is finite and >= 0, and the token limit
+    a count; the one check of these that every request and config calls."""
+    if not isinstance(model_id, str):
+        raise SchemaViolationError(f"model_id must be a str, got {model_id!r}")
+    if not isinstance(temperature, (int, float)) or isinstance(temperature, bool):
+        raise SchemaViolationError(f"temperature must be an int or a float, got {temperature!r}")
+    if not 0 <= temperature < math.inf:
         raise SchemaViolationError(f"temperature must be finite and >= 0, got {temperature}")
     require_positive(max_output_tokens=max_output_tokens)
 
@@ -115,15 +119,15 @@ class ModelRequest:
     prompt: str
     model_id: str = "gpt-4o"
     temperature: float = 0.3
-    max_output_tokens: int = 1024
+    max_output_tokens: int = 2048
     image: Optional[ImageRef] = None
     attempt: int = 1
     key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.prompt, str) and isinstance(self.model_id, str)):
-            raise SchemaViolationError("a request's prompt and model_id must be str")
-        check_sampling(self.temperature, self.max_output_tokens)
+        if not isinstance(self.prompt, str):
+            raise SchemaViolationError("a request's prompt must be str")
+        check_sampling(self.model_id, self.temperature, self.max_output_tokens)
         require_positive(attempt=self.attempt)
         if self.image is not None and not isinstance(self.image, ImageRef):
             raise SchemaViolationError("image must be an ImageRef")
@@ -179,7 +183,6 @@ class Backend(Protocol):
     """Minimal surface a backend must provide."""
 
     name: str
-    supports_vision: bool
 
     def complete(self, request: ModelRequest) -> str: ...
 
@@ -241,7 +244,6 @@ class HttpBackend:
         self,
         endpoint: str,
         api_key: str,
-        supports_vision: bool = True,
         timeout: float = 120.0,
     ):
         import urllib.parse
@@ -259,11 +261,9 @@ class HttpBackend:
             return parts
 
         self.name = f"http:{endpoint}"
-        self.endpoint = endpoint.rstrip("/")
-        self.api_key = api_key
-        self.supports_vision = supports_vision
         self.timeout = timeout
-        url = split(self.endpoint, f"endpoint {endpoint!r}")
+        base = endpoint.rstrip("/")
+        url = split(base, f"endpoint {endpoint!r}")
         if url.scheme not in ("http", "https") or not url.hostname:
             raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
         default_port = 443 if url.scheme == "https" else 80
@@ -291,7 +291,7 @@ class HttpBackend:
                 proxy_headers["Proxy-Authorization"] = f"Basic {token}"
             if url.scheme == "http":
                 # A proxy forwarding plain http is sent the absolute URL.
-                path, host_port = f"{self.endpoint}/chat/completions", url.port
+                path, host_port = f"{base}/chat/completions", url.port
                 headers.update(proxy_headers)
             else:
                 tunnel = _head("CONNECT", None, url.hostname, port, proxy_headers, endpoint)
@@ -743,10 +743,10 @@ class ReplyLog:
 class ScriptedBackend:
     """Replay backend serving recorded replies keyed by cache_key.
 
-    Fixtures come from an in-memory mapping, a directory's ReplyLog, or
-    both; the mapping wins on overlap. Every served request is appended to
-    .calls as a CallRecord for trace assertions; the record holds the image
-    digest, never the payload.
+    Fixtures come from one source: an in-memory mapping, kept as the dict
+    ``.fixtures``, or a directory's ReplyLog. Every served request is
+    appended to .calls as a CallRecord for trace assertions; the record
+    holds the image digest, never the payload.
     """
 
     def __init__(
@@ -754,26 +754,24 @@ class ScriptedBackend:
         fixture_dir: Optional[str | Path] = None,
         fixtures: Optional[Mapping[str, str]] = None,
     ):
-        if fixture_dir is None and fixtures is None:
-            raise ValueError("scripted backend needs a fixture dir or mapping")
+        if (fixture_dir is None) == (fixtures is None):
+            raise ValueError("scripted backend needs a fixture dir or a mapping, not both")
         self.name = "scripted"
-        self.supports_vision = True
-        self.fixture_dir = Path(fixture_dir) if fixture_dir is not None else None
-        self.fixtures = dict(fixtures or {})
         self.calls: list[CallRecord] = []
         self._lock = threading.Lock()
-        self._log = ReplyLog(self.fixture_dir) if self.fixture_dir is not None else None
+        if fixtures is not None:
+            self.fixtures = dict(fixtures)
+            self._lookup = self.fixtures.get
+        else:
+            self._lookup = ReplyLog(fixture_dir).get
 
     def complete(self, request: ModelRequest) -> str:
-        key = request.key
         record = CallRecord(request.prompt, request.model_id, request.image_digest)
         with self._lock:
             self.calls.append(record)
-        reply = self.fixtures.get(key)
-        if reply is None and self._log is not None:
-            reply = self._log.get(key)
+        reply = self._lookup(request.key)
         if reply is None:
-            raise FixtureMissingError(key)
+            raise FixtureMissingError(request.key)
         return reply
 
 
@@ -817,14 +815,13 @@ class Gateway:
         sleeper: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        if record and self.cache_dir is None:
+        if record and cache_dir is None:
             raise ValueError("record mode requires a cache_dir")
         self.record = record
         require_positive(attempts=attempts)
         self.attempts = attempts
         self._sleeper = sleeper
-        self._log = ReplyLog(self.cache_dir) if self.cache_dir is not None else None
+        self._log = ReplyLog(cache_dir) if cache_dir is not None else None
         self._replies: dict[str, str | _Gate] = {}
 
     def _complete_with_retries(self, request: ModelRequest) -> str:
@@ -857,14 +854,9 @@ class Gateway:
         so a later call starts afresh.
 
         Raises:
-            UnsupportedRequestError: vision request to a text-only backend.
             AuthError: credentials rejected (never retried).
             ExhaustedError: retries exceeded, or scripted fixture missing.
         """
-        if request.image is not None and not self.backend.supports_vision:
-            raise UnsupportedRequestError(
-                f"backend {self.backend.name} cannot serve vision requests"
-            )
         key = request.key
         entry = self._replies.get(key)
         if entry is None:

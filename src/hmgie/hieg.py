@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Optional, Sequence
 
-from .errors import EmptyHiegError, SchemaViolationError
+from .errors import EmptyHiegError, SchemaViolationError, require_positive
 from .structured import prompt_json
 
 
@@ -89,8 +89,7 @@ class QuestionBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
-        if self.level < 1:
-            raise SchemaViolationError("batch level must be positive")
+        require_positive(level=self.level)
         texts = [item.question for item in self.items]
         if len(set(texts)) != len(texts):
             raise SchemaViolationError("batch contains repeated question text")
@@ -111,8 +110,7 @@ class Hieg:
         object.__setattr__(
             self, "levels", tuple(tuple(level) for level in self.levels)
         )
-        if self.max_level < 1:
-            raise SchemaViolationError("max_level must be positive")
+        require_positive(max_level=self.max_level)
         if len(self.levels) > self.max_level:
             raise SchemaViolationError(
                 f"{len(self.levels)} levels exceed max_level {self.max_level}"

@@ -118,9 +118,9 @@ class PipelineConfig:
     max_level: int = 5
     max_questions_per_level: int = 10
     weight_ratio: float = 1.2
-    model_id: str = "gpt-4o"
-    temperature: float = 0.3
-    max_output_tokens: int = 2048
+    model_id: str = ModelRequest.model_id
+    temperature: float = ModelRequest.temperature
+    max_output_tokens: int = ModelRequest.max_output_tokens
     templates: Mapping[TemplateName, PromptTemplate] = field(default_factory=load_templates)
     intra_level_parallelism: int = 4
     # Items evaluate_batch evaluates at once.
@@ -136,14 +136,14 @@ class PipelineConfig:
             max_per_level=self.max_questions_per_level,
         )
         object.__setattr__(self, "scoring", scoring)
-        check_sampling(self.temperature, self.max_output_tokens)
+        check_sampling(self.model_id, self.temperature, self.max_output_tokens)
         require_positive(
             intra_level_parallelism=self.intra_level_parallelism, parallelism=self.parallelism
         )
 
 
-def _sampling(config: PipelineConfig) -> dict:
-    """The request fields every role takes from the config."""
+def _sampling(config) -> dict:
+    """The request fields every role takes from a PipelineConfig or ForgeConfig."""
     return {
         "model_id": config.model_id,
         "temperature": config.temperature,
@@ -618,7 +618,7 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # an integer past int's digit limit, too
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ValueError(f"{path}:{line_no}: line is not an object")

@@ -10,6 +10,7 @@ it is given.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import re
@@ -193,6 +194,8 @@ def _coerce_confidence(value: Any, notes: list[str]) -> float:
         return 1.0
     try:
         confidence = float(value)
+    except OverflowError:  # an integer past float range, clamped below by its sign
+        confidence = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         notes.append(f"non-numeric confidence {value!r}; defaulting to 1.0")
         return 1.0
@@ -263,12 +266,13 @@ def _coerce_index_list(value: Any, field: str, notes: list[str]) -> frozenset[in
         raise MalformedOutputError(f"field {field!r} is not an array: {value!r}")
     indices = set()
     for item in value:
+        if isinstance(item, str) and re.fullmatch(r"-?\d+", item.strip()):
+            with contextlib.suppress(ValueError):  # past int's digit limit: ignored below
+                item = int(item.strip())
         if isinstance(item, bool):
             continue
         if isinstance(item, int):
             indices.add(item)
-        elif isinstance(item, str) and re.fullmatch(r"-?\d+", item.strip()):
-            indices.add(int(item.strip()))
         else:
             notes.append(f"ignoring non-integer edge index {item!r}")
     return frozenset(indices)

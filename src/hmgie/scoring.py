@@ -21,9 +21,7 @@ from .errors import SchemaViolationError, require_positive
 from .hieg import LevelStats
 
 
-def _check_ratio(ratio: float) -> None:
-    if not 0 < ratio < math.inf:
-        raise SchemaViolationError(f"weight_ratio must be finite and > 0, got {ratio}")
+MAX_LEVEL = 100  # the deepest evaluation a config may ask for
 
 
 @dataclass(frozen=True)
@@ -35,29 +33,38 @@ class ScoringConfig:
     max_per_level: int | tuple[int, ...] = 10
 
     def __post_init__(self):
-        _check_ratio(self.weight_ratio)
         require_positive(max_level=self.max_level)
+        if self.max_level > MAX_LEVEL:
+            raise SchemaViolationError(f"max_level must be <= {MAX_LEVEL}, got {self.max_level}")
+        geometric_weights(self.max_level, self.weight_ratio)  # refuses a ratio it cannot use
         per_level = self.max_per_level
-        if isinstance(per_level, int):
+        if not isinstance(per_level, (tuple, list)):
             per_level = (per_level,) * self.max_level
-        else:
-            per_level = tuple(int(n) for n in per_level)
         if len(per_level) != self.max_level:
             raise SchemaViolationError(
                 f"max_per_level needs {self.max_level} entries, got {len(per_level)}"
             )
-        if any(n < 1 for n in per_level):
-            raise SchemaViolationError(f"max_per_level must be >= 1, got {self.max_per_level}")
-        object.__setattr__(self, "max_per_level", per_level)
+        for budget in per_level:
+            require_positive(max_per_level=budget)
+        object.__setattr__(self, "max_per_level", tuple(per_level))
 
 
 def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
-    """Normalized geometric weights ratio**i, shallowest level first."""
+    """Normalized geometric weights ratio**i, shallowest level first. The
+    ratio is an int or a float (not a bool), finite and > 0, whose weights
+    fit in a float."""
     if count < 1:
         raise SchemaViolationError("weight sequence needs at least one level")
-    _check_ratio(ratio)
-    raw = [ratio**i for i in range(count)]
-    total = sum(raw)
+    if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
+        raise SchemaViolationError(f"weight_ratio must be an int or a float, got {ratio!r}")
+    if not 0 < ratio < math.inf:
+        raise SchemaViolationError(f"weight_ratio must be finite and > 0, got {ratio}")
+    try:
+        raw = [ratio**i for i in range(count)]
+    except OverflowError:
+        raw = [math.inf]
+    if (total := sum(raw)) == math.inf:
+        raise SchemaViolationError(f"weight_ratio {ratio} over {count} levels passes float range")
     return tuple(w / total for w in raw)
 
 
@@ -289,8 +296,7 @@ def rouge_n(candidate: str, reference: str, n: int) -> RougeScore:
     Either text having fewer than n tokens yields all-zero scores with the
     too_short flag set instead of an error.
     """
-    if n < 1:
-        raise SchemaViolationError("n must be >= 1")
+    require_positive(n=n)
     candidate_tokens = tokenize(candidate)
     reference_tokens = tokenize(reference)
     if len(candidate_tokens) < n or len(reference_tokens) < n:

@@ -45,7 +45,7 @@ def extract_json_value(raw: str) -> Any:
 
     Raises:
         MalformedOutputError: nothing parseable was found within the budget,
-            or the reply nests deeper than the JSON decoder's recursion limit.
+            or the reply nests too deeply or holds too long an integer.
     """
     if not raw or not raw.strip():
         raise MalformedOutputError("empty model reply")
@@ -60,6 +60,8 @@ def extract_json_value(raw: str) -> Any:
                     break
     except RecursionError as exc:
         raise MalformedOutputError("model reply nests too deeply to parse") from exc
+    except ValueError as exc:  # an integer literal past int's digit limit
+        raise MalformedOutputError(f"model reply holds a number too long to parse: {exc}") from exc
     raise MalformedOutputError("no balanced JSON object or array found in model reply")
 
 

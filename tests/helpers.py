@@ -113,7 +113,6 @@ class DynamicBackend:
 
     def __init__(self, responder: Callable[[ModelRequest], Optional[str]]):
         self.name = "dynamic"
-        self.supports_vision = True
         self.responder = responder
         self.calls: list[ModelRequest] = []
         self._lock = threading.Lock()

@@ -944,6 +944,23 @@ def test_config_file_value_refused_with_exit_64(tmp_path, capsys, settings, mess
     assert capsys.readouterr().err == f"config error: {message.format(path=path)}\n"
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"max_level": 1' + b"0" * 5000 + b"}", "Exceeds the limit (4300 digits)"),
+        (b'{"model": "\xff"}', "'utf-8' codec can't decode byte 0xff"),
+    ],
+    ids=["integer-past-the-digit-limit", "not-utf-8"],
+)
+def test_config_file_that_json_cannot_read_exits_64(tmp_path, capsys, content, message):
+    # json raises a plain ValueError for both, not a JSONDecodeError.
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert main(EVAL + ["--config", str(path), "--replay", str(tmp_path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {path}: ") and message in err
+
+
 COMMON_FLAGS = {
     "--api-key", "--cache-dir", "--config", "--endpoint", "--help", "--model",
     "--parallelism", "--retry-limit", "--temperature", "--templates-dir",

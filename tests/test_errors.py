@@ -30,7 +30,6 @@ TAXONOMY = {
     "ExhaustedError": "GatewayError",
     "FixtureMissingError": "ExhaustedError",
     "AuthError": "GatewayError",
-    "UnsupportedRequestError": "GatewayError",
     "AllCaptionersFailedError": "HmgieError",
     "ForgeError": "HmgieError",
 }

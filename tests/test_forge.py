@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import threading
+from decimal import Decimal
 
 import pytest
 
@@ -208,7 +209,17 @@ class TestPerturbation:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"temperature": -1.0}, {"temperature": float("nan")}, {"max_output_tokens": 0}],
+        [
+            {"temperature": -1.0},
+            {"temperature": float("nan")},
+            {"max_output_tokens": 0},
+            {"model_id": 7},
+            {"captioner_model_ids": (None,)},
+            {"temperature": Decimal("0.3")},
+            {"temperature": True},
+            {"max_output_tokens": 2.5},
+            {"max_iterations": 3.0},
+        ],
     )
     def test_sampling_setting_out_of_range_invalid(self, setting):
         config, _ = forge_config(forge_responder())
@@ -344,6 +355,24 @@ class TestBuildDataset:
         assert first.read_bytes() == second.read_bytes()
         ids = [json.loads(line)["image_path"] for line in first.read_text().splitlines()]
         assert ids == sorted(ids)
+
+    def test_a_reply_with_an_integer_past_the_digit_limit_costs_no_cell(self, images, tmp_path):
+        long_reply = '{"Perturbed-Caption": "a blue car", "n": 1' + "0" * 5000 + "}"
+
+        def respond(request):
+            if request.prompt.startswith("You are constructing hard negative captions"):
+                return long_reply
+            if request.prompt.startswith("Does the image match"):
+                return json.dumps({"Answer": "Yes", "Explanation": "e"})
+            return forge_responder()(request)
+
+        config, _ = forge_config(respond)
+        out = tmp_path / "data.jsonl"
+        summary = build_dataset(images, config, out)
+        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        assert summary.records_written == len(lines) == 16
+        # An unparseable reply is the caption itself, as for any other.
+        assert {line["caption"] for line in lines if line["label"] == 1} == {long_reply}
 
     def test_undetected_omitted_by_default(self, images, tmp_path):
         config, _ = forge_config(forge_responder(fool_at_version=None), max_iterations=2)

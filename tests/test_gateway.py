@@ -18,6 +18,8 @@ import types
 import urllib.parse
 from contextlib import closing, contextmanager
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -47,7 +49,6 @@ from hmgie.errors import (
     MalformedOutputError,
     SchemaViolationError,
     TransientBackendError,
-    UnsupportedRequestError,
 )
 from hmgie.gateway import (
     CallRecord,
@@ -98,6 +99,13 @@ class TestRequestValidation:
             (("p",), {"temperature": True}),
             (("p",), {"max_output_tokens": True}),
             (("p",), {"attempt": True}),
+            (("p",), {"temperature": Decimal("0.3")}),
+            (("p",), {"temperature": Fraction(1, 3)}),
+            (("p",), {"temperature": "0.3"}),
+            (("p",), {"max_output_tokens": 2.5}),
+            (("p",), {"max_output_tokens": 2048.0}),
+            (("p",), {"max_output_tokens": 2**64}),
+            (("p",), {"attempt": 2.0}),
         ],
         ids=[
             "int-prompt",
@@ -107,6 +115,13 @@ class TestRequestValidation:
             "bool-temperature",
             "bool-max-output-tokens",
             "bool-attempt",
+            "decimal-temperature",
+            "fraction-temperature",
+            "str-temperature",
+            "fractional-max-output-tokens",
+            "float-max-output-tokens",
+            "max-output-tokens-past-maxsize",
+            "float-attempt",
         ],
     )
     def test_a_value_neither_the_key_nor_the_wire_carries_is_refused(self, args, kwargs):
@@ -299,9 +314,12 @@ class TestScriptedBackend:
         gateway = Gateway(ScriptedBackend(fixture_dir=tmp_path))
         assert gateway.call(request).text == "from disk"
 
-    def test_requires_some_fixture_source(self):
+    def test_requires_some_fixture_source(self, tmp_path):
         with pytest.raises(ValueError):
             ScriptedBackend()
+        # One source: a mapping and a directory together are refused too.
+        with pytest.raises(ValueError, match="not both"):
+            ScriptedBackend(fixture_dir=tmp_path, fixtures={})
 
     def test_call_trace_records_requests(self):
         request = text_request("traced")
@@ -902,13 +920,6 @@ class TestRetry:
             gateway.call(text_request())
         assert calls["n"] == 1
 
-    def test_vision_to_text_only_backend(self):
-        backend = DynamicBackend(lambda r: "x")
-        backend.supports_vision = False
-        gateway = Gateway(backend)
-        with pytest.raises(UnsupportedRequestError):
-            gateway.call(ModelRequest.vision("p", TINY_PNG))
-
 
 def _vision_body(prompt, payload, media) -> bytes:
     """The chat-completions body of a vision request, as the wire shape
@@ -1172,7 +1183,7 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
             expected = {
                 "model": "my-model",
                 "temperature": 0.3,
-                "max_tokens": 1024,
+                "max_tokens": 2048,
                 "messages": [{"role": "user", "content": "ping"}],
             }
             assert server.raw[0] == json.dumps(expected).encode()
@@ -1284,6 +1295,22 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         ) as backend:
             with pytest.raises(AuthError):
                 Gateway(backend).call(text_request())
+
+    def test_vision_request_the_model_refuses_fails_once_quoting_the_reply(self):
+        # The server says which inputs its model takes: a model without vision
+        # answers an image with a 4xx, which is neither retried nor cached.
+        def respond(body):
+            content = body["messages"][0]["content"]
+            return (400, "model takes no images") if isinstance(content, list) else (200, "ok")
+
+        with FakeChatServer(respond) as server, closing(
+            HttpBackend(endpoint=server.endpoint, api_key="k")
+        ) as backend:
+            gateway = Gateway(backend, sleeper=lambda seconds: pytest.fail("retried"))
+            with pytest.raises(GatewayError, match="HTTP 400: .*model takes no images"):
+                gateway.call(ModelRequest.vision("p", TINY_PNG))
+            assert gateway.call(text_request()).text == "ok"
+            assert len(server.requests) == 2
 
     def test_server_error_exhausts(self):
         with FakeChatServer(lambda body: (500, "boom")) as server, closing(

@@ -19,6 +19,14 @@ from hmgie.hieg import (
 )
 
 
+@pytest.mark.parametrize("level", [0, True, 1.0])
+def test_a_level_or_depth_that_is_not_a_count_is_refused(level):
+    with pytest.raises(SchemaViolationError, match="level must be"):
+        QuestionBatch(level=level, items=())
+    with pytest.raises(SchemaViolationError, match="max_level must be"):
+        Hieg(max_level=level)
+
+
 def batch(level: int, *questions: str, parents=()) -> QuestionBatch:
     return QuestionBatch(
         level=level,

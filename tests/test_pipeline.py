@@ -6,6 +6,8 @@ import threading
 import time
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,7 @@ from hmgie.pipeline import (
     PipelineConfig,
     RoleBindings,
     build_graph_request,
+    build_vqa_request,
     evaluate_batch,
     evaluate_pair,
     load_dataset_jsonl,
@@ -394,6 +397,24 @@ def _dynamic_config(responder, attempts=3, **overrides) -> PipelineConfig:
         {"max_output_tokens": True},
         {"temperature": True},
         {"attempts": True},
+        # A config refuses what each of its requests would refuse.
+        {"model_id": 7},
+        {"model_id": None},
+        {"temperature": Decimal("0.3")},
+        {"temperature": Fraction(1, 3)},
+        # Counts and budgets are ints; a ratio is an int or a float.
+        {"max_questions_per_level": True},
+        {"max_questions_per_level": ("3", True, 3, 3, 3)},
+        {"max_questions_per_level": (4.7, 2, 2, 2, 2)},
+        {"max_questions_per_level": 2**1100},
+        {"weight_ratio": True},
+        {"weight_ratio": Decimal("1.2")},
+        {"attempts": 2.5},
+        {"max_level": 2.0},
+        {"max_level": 2**1100},
+        # Weights a float cannot hold.
+        {"max_level": 101},
+        {"weight_ratio": 1e300},
     ],
 )
 def test_pipeline_config_refuses_a_setting_out_of_range(setting):
@@ -883,6 +904,35 @@ class TestBatch:
         assert batch.results[0].error.startswith("GraphGenFailedError")
         assert batch.results[1].report is not None
 
+    def test_a_graph_reply_with_an_integer_past_the_digit_limit_is_retried(self, batch_setup):
+        config, image_path = batch_setup
+        script = build_two_level_scenario(config, caption="long caption")
+        first = build_graph_request("long caption", config)
+        script.set(first, '{"nodes": [], "n": 1' + "0" * 5000 + "}")
+        script.set(replace(first, attempt=2), graph_reply_for("long caption"))
+        item = DatasetItem(id="long", image_path=image_path, caption="long caption")
+        report = evaluate_batch([item], config).results[0].report
+        assert report is not None
+        assert report.diagnostics[0].startswith(
+            "graph-gen attempt 1 unparseable: model reply holds a number too long to parse"
+        )
+
+    def test_a_confidence_past_float_range_is_clamped_and_the_batch_completes(
+        self, batch_setup
+    ):
+        config, image_path = batch_setup
+        script = build_two_level_scenario(config, caption="huge caption")
+        huge = json.dumps({"Answer": "a dog", "Confidence": 10**400})
+        script.set(build_vqa_request(script.questions[0], TINY_PNG, config), huge)
+        captions = ("clean caption", "huge caption", "noisy caption")
+        items = [DatasetItem(id=c, image_path=image_path, caption=c) for c in captions]
+        batch = evaluate_batch(items, config)
+        assert [r.error for r in batch.results] == [None, None, None]
+        diagnostics = batch.results[1].report.diagnostics
+        assert "confidence inf clamped into [0, 1]" in diagnostics
+        assert all("0" * 50 not in note for note in diagnostics)
+        assert batch.results[1].report.hieg.levels[0][0].confidence == 1.0
+
     def test_a_template_missing_a_substitution_fails_only_its_item(self, tmp_path):
         # The coverage template declares a placeholder no caller fills, so
         # only a pair whose questions leave an element unexamined renders it.
@@ -1071,6 +1121,16 @@ class TestDatasetLoading:
         path = tmp_path / "data.jsonl"
         path.write_text('{"image_path": "a", "caption": "c", "label": 3}\n', encoding="utf-8")
         with pytest.raises(ValueError, match="label"):
+            load_dataset_jsonl(path)
+
+    def test_an_integer_past_the_digit_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            '{"image_path": "a", "caption": "c"}\n'
+            '{"image_path": "a", "caption": "c", "id": 1' + "0" * 5000 + "}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: invalid JSON: Exceeds")):
             load_dataset_jsonl(path)
 
     def test_bad_granularity_rejected(self, tmp_path):

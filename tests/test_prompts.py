@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,14 @@ class TestVqaReply:
         assert reply.answer == "x"
         assert reply.confidence == 1.0
 
+    @pytest.mark.parametrize("sign, expected", [(1, 1.0), (-1, 0.0)])
+    def test_confidence_past_float_range_clamped_by_its_sign(self, sign, expected):
+        # float() raises OverflowError; the note names no digit of the number.
+        notes: list[str] = []
+        reply = parse_vqa_reply(json.dumps({"Answer": "y", "Confidence": sign * 10**400}), notes)
+        assert reply.confidence == expected
+        assert notes == [f"confidence {sign * math.inf} clamped into [0, 1]"]
+
     def test_fenced_reply(self):
         raw = 'Sure:\n```json\n{"Answer": "two", "Confidence": 0.5}\n```'
         assert parse_vqa_reply(raw, []).answer == "two"
@@ -275,6 +284,15 @@ class TestQuestionBatch:
         batch = parse_question_batch(json.dumps({"Questions": items}), 1, notes)
         assert notes == ["ignoring non-integer edge index '²'"]
         assert batch.items[0].covered_edges == {-1, 3}
+
+    def test_an_edge_index_past_the_digit_limit_is_ignored_with_a_note(self):
+        # int() refuses a string of more than 4,300 digits with a ValueError.
+        long_index = "1" + "0" * 5000
+        items = [{"Question": "q", "Expected-Answer": "a", "Covered-Edges": [long_index, 3]}]
+        notes: list[str] = []
+        batch = parse_question_batch(json.dumps({"Questions": items}), 1, notes)
+        assert notes == [f"ignoring non-integer edge index {long_index!r}"]
+        assert batch.items[0].covered_edges == {3}
 
     def test_top_level_array_tolerated(self):
         batch = parse_question_batch(

@@ -1,5 +1,7 @@
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -170,7 +172,9 @@ class TestHComp:
             )
 
 
-@pytest.mark.parametrize("ratio", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "ratio", [math.inf, math.nan, True, Decimal("1.2"), Fraction(6, 5), "1.2"]
+)
 def test_weight_ratio_must_be_finite(ratio):
     with pytest.raises(SchemaViolationError):
         ScoringConfig(weight_ratio=ratio)
@@ -409,6 +413,11 @@ class TestRouge:
             assert score.precision == pytest.approx(p, abs=1e-12)
             assert score.recall == pytest.approx(r, abs=1e-12)
             assert score.f_measure == pytest.approx(f, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [0, True, 2.0])
+    def test_n_must_be_a_count(self, n):
+        with pytest.raises(SchemaViolationError, match="n must be"):
+            rouge_n("a red car", "a red car", n)
 
     def test_too_short(self):
         score = rouge_n("one two three", "one two three four", 4)

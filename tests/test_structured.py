@@ -154,6 +154,11 @@ class TestSearch:
             extract_json_value("[" * depth + "]" * depth)
         assert isinstance(exc_info.value.__cause__, RecursionError)
 
+    def test_an_integer_past_the_digit_limit_is_malformed(self):
+        # int() refuses a literal of more than 4,300 digits with a plain ValueError.
+        with pytest.raises(MalformedOutputError, match="a number too long to parse"):
+            extract_json_value('{"Perturbed-Caption": "a blue car", "n": 1' + "0" * 5000 + "}")
+
 
 class TestRejectedStartBudget:
     def test_budget_counts_starts_in_the_reply(self):
