@@ -28,18 +28,26 @@ class SchemaViolationError(HmgieError):
     template's placeholders, a score's inputs or a setting's range."""
 
 
+def shown(value: object) -> str:
+    """``repr(value)`` for a message, or a stand-in where that repr raises
+    ValueError: an int past int's 4,300-digit string limit, or a value
+    holding one."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to write>"
+
+
 def require_positive(**values: int) -> None:
     """SchemaViolationError naming the first of ``values`` that is not an int
     (a bool is not) from 1 to sys.maxsize."""
     for name, value in values.items():
         if not isinstance(value, int) or isinstance(value, bool) or value > sys.maxsize:
-            raise SchemaViolationError(f"{name} must be an int up to sys.maxsize, got {value!r}")
+            raise SchemaViolationError(
+                f"{name} must be an int up to sys.maxsize, got {shown(value)}"
+            )
         if value < 1:
-            raise SchemaViolationError(f"{name} must be >= 1, got {value}")
-
-
-class EmptyBatchError(HmgieError):
-    """A question-generation reply contained no usable question items."""
+            raise SchemaViolationError(f"{name} must be >= 1, got {shown(value)}")
 
 
 # --- model gateway ---

@@ -42,6 +42,7 @@ from .errors import (
     SchemaViolationError,
     TransientBackendError,
     require_positive,
+    shown,
 )
 
 _MAGIC_SIGNATURES = (
@@ -95,14 +96,21 @@ class ImageRef:
 
 def check_sampling(model_id: str, temperature: float, max_output_tokens: int) -> None:
     """SchemaViolationError unless the model id is a str, the temperature an
-    int or a float (not a bool) that is finite and >= 0, and the token limit
-    a count; the one check of these that every request and config calls."""
+    int or a float (not a bool) that is >= 0 and that a float holds finite,
+    and the token limit a count; the one check of these that every request
+    and config calls."""
     if not isinstance(model_id, str):
-        raise SchemaViolationError(f"model_id must be a str, got {model_id!r}")
+        raise SchemaViolationError(f"model_id must be a str, got {shown(model_id)}")
     if not isinstance(temperature, (int, float)) or isinstance(temperature, bool):
-        raise SchemaViolationError(f"temperature must be an int or a float, got {temperature!r}")
-    if not 0 <= temperature < math.inf:
-        raise SchemaViolationError(f"temperature must be finite and >= 0, got {temperature}")
+        raise SchemaViolationError(
+            f"temperature must be an int or a float, got {shown(temperature)}"
+        )
+    try:
+        finite = 0 <= float(temperature) < math.inf
+    except OverflowError:  # an int past float range
+        finite = False
+    if not finite:
+        raise SchemaViolationError(f"temperature must be finite and >= 0, got {shown(temperature)}")
     require_positive(max_output_tokens=max_output_tokens)
 
 

@@ -174,27 +174,15 @@ def expand(
 ) -> Hieg:
     """Append one level of nodes built from the batch and its results.
 
-    answers and verdicts align with batch.items by index. Node ids are
-    assigned deterministically as "Q<level>.<ordinal>". The new graph's
-    constructor rejects unknown parents and repeated questions.
+    answers and verdicts align with batch.items by index; a length mismatch
+    raises ValueError. Node ids are assigned deterministically as
+    "Q<level>.<ordinal>". The new graph's constructor refuses the rest: an
+    empty batch, a level that is not the next or is past max_level, unknown
+    parents and repeated questions.
     """
-    if not batch.items:
-        raise ValueError("cannot expand with an empty batch")
-    if batch.level != hieg.deepest_level + 1:
-        raise SchemaViolationError(
-            f"batch targets level {batch.level} but the next level is "
-            f"{hieg.deepest_level + 1}"
-        )
-    if batch.level > hieg.max_level:
-        raise SchemaViolationError(
-            f"batch level {batch.level} exceeds max_level {hieg.max_level}"
-        )
-    if not (len(answers) == len(verdicts) == len(batch.items)):
-        raise ValueError("answers and verdicts must align with batch items")
-
     new_nodes = []
     for ordinal, (item, answer, verdict) in enumerate(
-        zip(batch.items, answers, verdicts), start=1
+        zip(batch.items, answers, verdicts, strict=True), start=1
     ):
         actual, confidence = answer
         new_nodes.append(

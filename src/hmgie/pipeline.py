@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
-    EmptyBatchError,
     EmptyHiegError,
     GraphGenFailedError,
     HmgieError,
@@ -116,7 +115,7 @@ class RoleBindings:
 class PipelineConfig:
     backends: RoleBindings
     max_level: int = 5
-    max_questions_per_level: int = 10
+    max_questions_per_level: int | tuple[int, ...] = 10
     weight_ratio: float = 1.2
     model_id: str = ModelRequest.model_id
     temperature: float = ModelRequest.temperature
@@ -481,23 +480,22 @@ def evaluate_pair(
                 graph, graph_json, mask, hieg_json, suggestion, level, config
             )
             suggestion = None  # consumed by this level's prompt
-            try:
-                batch = call_parsed(
-                    config.backends.question_gen,
-                    request,
-                    lambda text: parse_question_batch(text, level, diagnostics),
-                    lambda attempt, exc: diagnostics.append(
-                        f"level {level}: question reply attempt {attempt} unparseable: {exc}"
-                    ),
-                )
-            except EmptyBatchError:
-                diagnostics.append(f"level {level}: question generator returned no items")
-                batch = None
+            batch = call_parsed(
+                config.backends.question_gen,
+                request,
+                lambda text: parse_question_batch(text, level, diagnostics),
+                lambda attempt, exc: diagnostics.append(
+                    f"level {level}: question reply attempt {attempt} unparseable: {exc}"
+                ),
+            )
             if batch is None:
+                break
+            if not batch.items:
+                diagnostics.append(f"level {level}: question generator returned no items")
                 break
 
             batch = _sanitize_batch(
-                batch, graph, hieg, config.max_questions_per_level, diagnostics
+                batch, graph, hieg, config.scoring.max_per_level[level - 1], diagnostics
             )
             if not batch.items:
                 diagnostics.append(

@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
-from .errors import EmptyBatchError, MalformedOutputError, SchemaViolationError
+from .errors import MalformedOutputError, SchemaViolationError
 from .hieg import QuestionBatch, QuestionItem
 from .structured import extract_json_value
 
@@ -283,10 +283,10 @@ def parse_question_batch(raw: str, level: int, notes: list[str]) -> QuestionBatc
 
     Items with duplicate question text collapse to the first occurrence;
     items missing a question or expected answer are dropped with a note.
+    The batch holds the usable items found, possibly none.
 
     Raises:
         MalformedOutputError: no parseable payload or wrong shape.
-        EmptyBatchError: no usable question items remain.
     """
     payload = extract_json_value(raw)
     if isinstance(payload, dict):
@@ -295,8 +295,6 @@ def parse_question_batch(raw: str, level: int, notes: list[str]) -> QuestionBatc
         items_raw = payload
     if not isinstance(items_raw, list):
         raise MalformedOutputError("question reply has no 'Questions' array")
-    if not items_raw:
-        raise EmptyBatchError(f"question generator produced no items at level {level}")
 
     items: list[QuestionItem] = []
     seen_questions: set[str] = set()
@@ -333,8 +331,6 @@ def parse_question_batch(raw: str, level: int, notes: list[str]) -> QuestionBatc
                 ),
             )
         )
-    if not items:
-        raise EmptyBatchError(f"no usable question items at level {level}")
     return QuestionBatch(level=level, items=tuple(items))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from typing import Optional, Sequence
 
-from .errors import SchemaViolationError, require_positive
+from .errors import SchemaViolationError, require_positive, shown
 from .hieg import LevelStats
 
 
@@ -56,9 +56,9 @@ def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
     if count < 1:
         raise SchemaViolationError("weight sequence needs at least one level")
     if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
-        raise SchemaViolationError(f"weight_ratio must be an int or a float, got {ratio!r}")
+        raise SchemaViolationError(f"weight_ratio must be an int or a float, got {shown(ratio)}")
     if not 0 < ratio < math.inf:
-        raise SchemaViolationError(f"weight_ratio must be finite and > 0, got {ratio}")
+        raise SchemaViolationError(f"weight_ratio must be finite and > 0, got {shown(ratio)}")
     try:
         raw = [ratio**i for i in range(count)]
     except OverflowError:

@@ -9,6 +9,7 @@ import hashlib
 import http.server
 import json
 import random
+import re
 import socket
 import ssl
 import struct
@@ -20,6 +21,8 @@ import zlib
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional
+
+from hypothesis import strategies as st
 
 from hmgie import gateway as gateway_module
 from hmgie.errors import FixtureMissingError
@@ -327,15 +330,14 @@ def fuzz_responder(seed: int):
     Exercises empty batches, malformed replies, unknown ids in coverage
     replies, and random completion claims.
     """
-    import re as _re
-
     def respond(request):
-        rng = random.Random(f"{seed}:{zlib.crc32(request.prompt.encode())}")
         prompt = request.prompt
+        # A reply echoed into a later prompt may hold a lone surrogate.
+        rng = random.Random(f"{seed}:{zlib.crc32(prompt.encode('utf-8', 'surrogatepass'))}")
         if prompt.startswith("Your task is to parse"):
             return GRAPH_REPLY
         if prompt.startswith("You are a specialized question generator"):
-            level = int(_re.search(r"Current Level: \[(\d+)\]", prompt).group(1))
+            level = int(re.search(r"Current Level: \[(\d+)\]", prompt).group(1))
             if rng.random() < 0.15:
                 return json.dumps({"Questions": []})
             if rng.random() < 0.05:
@@ -370,6 +372,142 @@ def fuzz_responder(seed: int):
                 }
             )
         return "explanation"
+
+    return respond
+
+
+# The opening words of each role's prompt in the shipped templates.
+ROLE_PREFIXES = {
+    "graph": "Your task is to parse",
+    "question": "You are a specialized question generator",
+    "vqa": "You are an advanced AI assistant specialized in visual question answering",
+    "eval": "You are a question answer evaluator",
+    "coverage": "You are an AI assistant responsible for detecting image-text inconsistency",
+    "explain": "You are an AI assistant responsible for generating natural language explanations",
+}
+
+
+def role_of(prompt: str) -> str:
+    """The pipeline role whose template a prompt was rendered from, or "other"."""
+    for role, prefix in ROLE_PREFIXES.items():
+        if prompt.startswith(prefix):
+            return role
+    return "other"
+
+
+# A well-shaped reply per role. "<level>" in a question's text becomes the
+# level its prompt asks for, so each level's questions are new; the declared
+# and examined targets never cover N2 or edge 1, so levels go on until a
+# reply ends them.
+WELL_SHAPED_REPLIES = {
+    "graph": json.loads(GRAPH_REPLY),
+    "question": {
+        "Questions": [
+            {
+                "Question": "Is there a dog? <level>",
+                "Verify-Fact": "a dog is present",
+                "Expected-Answer": "yes",
+                "Parent-IDS": [],
+                "Covered-Nodes": ["N1"],
+                "Covered-Edges": [],
+            },
+            {
+                "Question": "Does the dog lie on a sofa? <level>",
+                "Verify-Fact": "the dog lies on the sofa",
+                "Expected-Answer": "yes",
+                "Parent-IDS": ["Q1.1"],
+                "Covered-Nodes": ["N3"],
+                "Covered-Edges": [0],
+            },
+        ]
+    },
+    "vqa": {"Answer": "yes", "Confidence": 0.9},
+    "eval": {"Correct": True},
+    "coverage": {
+        "Verified-Complete": False,
+        "Examined-Nodes": ["N1"],
+        "Examined-Edges": [0],
+        "Next-Level-Suggestion": "check the dog's color",
+    },
+    "explain": "The caption matches the image on every point examined.",
+}
+
+PAST_FLOAT_RANGE = st.integers(min_value=2**1024, max_value=2**1100)
+# Digit strings longer than the 4,300 digits int() converts.
+LONG_DIGITS = st.integers(min_value=4301, max_value=6000).map(lambda n: "1" + "0" * (n - 1))
+
+# Number texts, bare or quoted, that a hostile model may write as a JSON value.
+HOSTILE_NUMBER_TEXTS = st.one_of(
+    PAST_FLOAT_RANGE.map(str),
+    PAST_FLOAT_RANGE.map(lambda n: str(-n)),
+    LONG_DIGITS,
+    LONG_DIGITS.map(lambda digits: f'"{digits}"'),
+    PAST_FLOAT_RANGE.map(lambda n: f'"{n}"'),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0.0", "1e400", "-1e400"]),
+)
+
+# JSON texts a hostile model may put in place of any value.
+HOSTILE_JSON = st.one_of(
+    HOSTILE_NUMBER_TEXTS,
+    st.sampled_from(["2.5", "-1", "true", "false", "null", "[]", "{}", '["N1"]', '{"Answer": "y"}']),
+    # Lone surrogates, escaped and raw, long strings and unknown ids.
+    st.sampled_from(["\ud800", "x\udfff", "y" * 20_000, "N99", "Q9.9", "", " "]).map(
+        lambda text: json.dumps(text, ensure_ascii=False)
+    ),
+    st.just('"\\ud800"'),
+)
+
+_SLOT = "@hostile@"
+
+
+def _paths(value, path=()):
+    """Every position in a JSON value, the whole value and nested ones."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _paths(item, path + (index,))
+
+
+def _swapped(shape, path, text: str) -> str:
+    """The JSON text of shape with the value at path written as text."""
+    if not path:
+        return text
+    shape = json.loads(json.dumps(shape))
+    parent = shape
+    for step in path[:-1]:
+        parent = parent[step]
+    parent[path[-1]] = _SLOT
+    return json.dumps(shape, ensure_ascii=False).replace(f'"{_SLOT}"', text, 1)
+
+
+def hostile_replies(shape) -> st.SearchStrategy[str]:
+    """Texts of a well-shaped reply with one value, nested ones and the
+    whole reply included, swapped for a HOSTILE_JSON value."""
+    return st.builds(
+        lambda path, text: _swapped(shape, path, text),
+        st.sampled_from(list(_paths(shape))),
+        HOSTILE_JSON,
+    )
+
+
+def hostile_responder(replies: dict[str, list[str]]):
+    """Replies by role: each prompt gets one of its role's well-shaped reply
+    and ``replies[role]``, picked by the prompt's CRC-32 and attempt."""
+
+    def respond(request):
+        role = role_of(request.prompt)
+        shaped = WELL_SHAPED_REPLIES[role]
+        options = [shaped if isinstance(shaped, str) else json.dumps(shaped)]
+        options += replies.get(role, [])
+        pick = zlib.crc32(request.prompt.encode("utf-8", "surrogatepass")) + request.attempt
+        reply = options[pick % len(options)]
+        if role == "question":
+            level = re.search(r"Current Level: \[(\d+)\]", request.prompt).group(1)
+            reply = reply.replace("<level>", level)
+        return reply
 
     return respond
 

@@ -21,7 +21,6 @@ TAXONOMY = {
     "HmgieError": "Exception",
     "MalformedOutputError": "HmgieError",
     "SchemaViolationError": "HmgieError",
-    "EmptyBatchError": "HmgieError",
     "GatewayError": "HmgieError",
     "TransientBackendError": "GatewayError",
     # named in artifacts

@@ -42,8 +42,8 @@ from helpers import (
 from hmgie import gateway as gateway_module
 from hmgie.errors import (
     AuthError,
+    EmptyHiegError,
     ExhaustedError,
-    EmptyBatchError,
     FixtureMissingError,
     GatewayError,
     MalformedOutputError,
@@ -106,6 +106,11 @@ class TestRequestValidation:
             (("p",), {"max_output_tokens": 2048.0}),
             (("p",), {"max_output_tokens": 2**64}),
             (("p",), {"attempt": 2.0}),
+            (("p",), {"temperature": 10**5000}),
+            (("p",), {"temperature": 10**400}),
+            (("p",), {"max_output_tokens": 10**5000}),
+            (("p",), {"max_output_tokens": -(10**5000)}),
+            (("p",), {"model_id": 10**5000}),
         ],
         ids=[
             "int-prompt",
@@ -122,12 +127,18 @@ class TestRequestValidation:
             "float-max-output-tokens",
             "max-output-tokens-past-maxsize",
             "float-attempt",
+            "temperature-past-the-digit-limit",
+            "temperature-past-float-range",
+            "max-output-tokens-past-the-digit-limit",
+            "max-output-tokens-below-minus-the-digit-limit",
+            "model-id-past-the-digit-limit",
         ],
     )
     def test_a_value_neither_the_key_nor_the_wire_carries_is_refused(self, args, kwargs):
         # A bool passes ``>= 1`` and json writes it as true; an int prompt
-        # would go on the wire as "content": 5.
-        with pytest.raises(SchemaViolationError):
+        # would go on the wire as "content": 5. An int past 4,300 digits
+        # cannot be written at all, so its message names it without them.
+        with pytest.raises(SchemaViolationError, match=[*kwargs, "prompt"][0]):
             ModelRequest(*args, **kwargs)
 
 
@@ -666,10 +677,10 @@ class TestCallParsed:
 
     def test_other_errors_propagate_without_retry(self):
         def parse(text):
-            raise EmptyBatchError("no items")
+            raise EmptyHiegError("no items")
 
         backend = _replies("[]", "[]")
-        with pytest.raises(EmptyBatchError):
+        with pytest.raises(EmptyHiegError):
             call_parsed(Gateway(backend), text_request(), parse, lambda *a: None)
         assert len(backend.calls) == 1
 

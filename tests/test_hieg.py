@@ -66,11 +66,18 @@ class TestExpand:
         assert [n.correct for n in h.nodes()] == [True, False]
 
     def test_level_gap(self):
+        # The new graph's constructor refuses it: expand keeps no guard of its own.
         h = expand(Hieg.empty(5), batch(1, "q1"), answered(1), [True])
         with pytest.raises(
-            SchemaViolationError, match="^batch targets level 3 but the next level is 2$"
+            SchemaViolationError, match="^node Q3.1 has level 3 but sits in level 2$"
         ):
             expand(h, batch(3, "q9"), answered(1), [True])
+
+    def test_empty_batch(self):
+        with pytest.raises(
+            SchemaViolationError, match=r"^level 1 is empty \(levels must be contiguous\)$"
+        ):
+            expand(Hieg.empty(5), batch(1), [], [])
 
     def test_same_level_parent_rejected(self):
         # parents must already exist at a strictly lower level
@@ -101,7 +108,7 @@ class TestExpand:
 
     def test_exceeding_max_level(self):
         h = expand(Hieg.empty(1), batch(1, "q1"), answered(1), [True])
-        with pytest.raises(SchemaViolationError, match="^batch level 2 exceeds max_level 1$"):
+        with pytest.raises(SchemaViolationError, match="^2 levels exceed max_level 1$"):
             expand(h, batch(2, "q2"), answered(1), [True])
 
     def test_alignment_required(self):

@@ -1,15 +1,19 @@
-"""Hostile settings and hostile numbers in replies cost at most their item.
+"""Hostile settings and hostile values in replies cost at most their item.
 
 A setting drawn from values of the wrong type or past float range is either
 refused with SchemaViolationError when its object is built, or the object is
 built and a whole run over it completes, every item ending in a report or an
 error string. A well-shaped reply with one field swapped for a hostile
-number either parses or fails as a reply the parser cannot use.
+number either parses or fails as a reply the parser cannot use, and a batch
+whose replies have any field swapped for a hostile JSON value returns, and
+replays from its recorded log byte for byte.
 """
 
 import json
 import math
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,11 +21,17 @@ from hypothesis import strategies as st
 
 from helpers import (
     GRAPH_REPLY,
+    HOSTILE_NUMBER_TEXTS,
+    PAST_FLOAT_RANGE,
     TINY_PNG,
+    WELL_SHAPED_REPLIES,
     DynamicBackend,
     fuzz_responder,
+    hostile_replies,
+    hostile_responder,
 )
-from hmgie.errors import EmptyBatchError, MalformedOutputError, SchemaViolationError
+from hmgie import errors
+from hmgie.errors import HmgieError, MalformedOutputError, SchemaViolationError
 from hmgie.forge import (
     DEFAULT_GRANULARITY_SPECS,
     ForgeBindings,
@@ -29,7 +39,7 @@ from hmgie.forge import (
     _parse_perturbed_caption,
     build_dataset,
 )
-from hmgie.gateway import Gateway, HttpBackend, ModelRequest
+from hmgie.gateway import Gateway, HttpBackend, ModelRequest, ScriptedBackend
 from hmgie.hieg import LevelStats
 from hmgie.pipeline import DatasetItem, PipelineConfig, RoleBindings, evaluate_batch
 from hmgie.prompts import (
@@ -42,7 +52,8 @@ from hmgie.prompts import (
 from hmgie.scoring import ScoringConfig, compute_h_acc, compute_h_comp
 from hmgie.semantic_graph import parse_semantic_graph
 
-PAST_FLOAT_RANGE = st.integers(min_value=2**1024, max_value=2**1100)
+# Ints of 4,301 to 6,000 digits: past the digits ``str`` and ``repr`` convert.
+PAST_DIGIT_LIMIT = st.integers(min_value=4300, max_value=5999).map(lambda n: 10**n)
 
 # Values of the wrong type, or numbers a float cannot hold, for any setting.
 HOSTILE_SETTINGS = st.one_of(
@@ -57,6 +68,8 @@ HOSTILE_SETTINGS = st.one_of(
     st.none(),
     PAST_FLOAT_RANGE,
     PAST_FLOAT_RANGE.map(lambda n: -n),
+    PAST_DIGIT_LIMIT,
+    PAST_DIGIT_LIMIT.map(lambda n: -n),
 )
 
 HOSTILE_SETTINGS_SETTINGS = settings(
@@ -218,18 +231,6 @@ REPLY_FIELDS = [
     (_parse_perturbed_caption, {"Perturbed-Caption": "@", "n": 1}),
 ]
 
-LONG_DIGITS = st.integers(min_value=4301, max_value=6000).map(lambda n: "1" + "0" * (n - 1))
-
-HOSTILE_NUMBER_TEXTS = st.one_of(
-    PAST_FLOAT_RANGE.map(str),
-    PAST_FLOAT_RANGE.map(lambda n: str(-n)),
-    LONG_DIGITS,
-    LONG_DIGITS.map(lambda digits: f'"{digits}"'),
-    PAST_FLOAT_RANGE.map(lambda n: f'"{n}"'),
-    st.sampled_from(["NaN", "Infinity", "-Infinity", "-0.0", "1e400", "-1e400"]),
-)
-
-
 def _reply_text(shape, number: str) -> str:
     if shape == "graph-label":
         graph = json.loads(GRAPH_REPLY)
@@ -244,7 +245,72 @@ def test_a_hostile_number_in_a_reply_is_parsed_or_refused(case, number):
     parse, shape = case
     try:
         value = parse(_reply_text(shape, number))
-    except (MalformedOutputError, SchemaViolationError, EmptyBatchError):
+    except (MalformedOutputError, SchemaViolationError):
         return
     confidence = getattr(value, "confidence", 0.0)
     assert 0 <= confidence <= 1
+
+
+ERROR_NAMES = {
+    name
+    for name, value in vars(errors).items()
+    if isinstance(value, type) and issubclass(value, HmgieError)
+}
+
+# Up to three hostile replies per role, beside its well-shaped one.
+HOSTILE_ROLE_REPLIES = st.fixed_dictionaries(
+    {
+        role: st.lists(hostile_replies(shape), max_size=3)
+        for role, shape in WELL_SHAPED_REPLIES.items()
+    }
+)
+
+
+def _batch_outcome(gateway: Gateway, fan_out: int, image_path) -> list:
+    """Each item's report text and error string, from 3 items over gateway."""
+    config = PipelineConfig(
+        backends=RoleBindings.uniform(gateway),
+        intra_level_parallelism=fan_out,
+        parallelism=fan_out,
+    )
+    items = [
+        DatasetItem(id=str(i), image_path=str(image_path), caption=f"caption {i}")
+        for i in range(3)
+    ]
+    batch = evaluate_batch(items, config)
+    outcome = []
+    for result in batch.results:
+        if result.report is None:
+            assert result.error.partition(":")[0] in ERROR_NAMES
+            outcome.append((None, result.error))
+            continue
+        report = result.report
+        assert 0 <= report.h_acc <= 1 and 0 <= report.h_comp <= 1
+        assert all(0 <= node.confidence <= 1 for node in report.hieg.nodes())
+        outcome.append((report.to_json(), None))
+    return outcome
+
+
+@pytest.mark.parametrize("fan_out", [1, 2])
+@settings(
+    max_examples=50,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(replies=HOSTILE_ROLE_REPLIES)
+def test_a_batch_of_hostile_replies_returns_and_replays_byte_for_byte(
+    fan_out, replies, image_path
+):
+    with tempfile.TemporaryDirectory() as log_dir:
+        recorder = Gateway(
+            DynamicBackend(hostile_responder(replies)),
+            cache_dir=log_dir,
+            record=True,
+            sleeper=lambda seconds: None,
+        )
+        recorded = _batch_outcome(recorder, fan_out, image_path)
+        replayer = Gateway(ScriptedBackend(fixtures={}), cache_dir=log_dir)
+        assert _batch_outcome(replayer, fan_out, image_path) == recorded
+        log = Path(log_dir, "replies.jsonl").read_text(encoding="ascii")
+        assert all(isinstance(json.loads(line), list) for line in log.splitlines())

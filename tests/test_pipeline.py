@@ -20,6 +20,7 @@ from helpers import (
     count_payload_hashes,
     fuzz_responder,
     graph_reply_for,
+    role_of,
     scripted_backend_of,
     scripted_config,
 )
@@ -415,6 +416,17 @@ def _dynamic_config(responder, attempts=3, **overrides) -> PipelineConfig:
         # Weights a float cannot hold.
         {"max_level": 101},
         {"weight_ratio": 1e300},
+        # Ints past 4,300 digits, which no message may write out.
+        {"temperature": 10**5000},
+        {"temperature": 10**400},
+        {"max_output_tokens": 10**5000},
+        {"parallelism": 10**5000},
+        {"intra_level_parallelism": -(10**5000)},
+        {"max_level": 10**5000},
+        {"max_questions_per_level": (10**5000, 1, 1, 1, 1)},
+        {"weight_ratio": -(10**5000)},
+        {"model_id": 10**5000},
+        {"attempts": 10**5000},
     ],
 )
 def test_pipeline_config_refuses_a_setting_out_of_range(setting):
@@ -465,6 +477,27 @@ class TestLoopBehavior:
         report = evaluate_pair(TINY_PNG, "caption", config)
         assert report.per_level[0].count == 2
         assert any("truncated" in d for d in report.diagnostics)
+
+    def test_each_level_is_cut_to_its_own_budget(self, tmp_path):
+        responder = _routing_responder(
+            question_plan={
+                1: [_question(1, i) for i in range(3)],
+                2: [_question(2, i) for i in range(3)],
+                3: [],
+            },
+            coverage_plan={1: incomplete_coverage, 2: incomplete_coverage},
+        )
+        config = _dynamic_config(
+            responder, max_questions_per_level=(1, 10, 10, 10, 10), intra_level_parallelism=1
+        )
+        image_path = tmp_path / "image.png"
+        image_path.write_bytes(TINY_PNG)
+        item = DatasetItem(id="a", image_path=str(image_path), caption="caption")
+        (result,) = evaluate_batch([item], config).results
+        assert result.error is None
+        assert [len(level) for level in result.report.hieg.levels] == [1, 3]
+        assert "level 1: truncated 3 questions to 1" in result.report.diagnostics
+        assert not any(d.startswith("level 2: truncated") for d in result.report.diagnostics)
 
     def test_repeats_do_not_use_up_the_budget(self):
         """A question repeated from an earlier level is dropped before the
@@ -696,24 +729,12 @@ class TestParserNotes:
         assert report.diagnostics[-1] == "ignoring non-integer edge index 'y'"
 
 
-def _role(prompt: str) -> str:
-    if prompt.startswith("Your task is to parse"):
-        return "graph"
-    if prompt.startswith("You are a specialized question generator"):
-        return "question"
-    if prompt.startswith("You are a question answer evaluator"):
-        return "eval"
-    if "based on QA results" in prompt:
-        return "coverage"
-    return "other"
-
-
 def _garbage_first(responder, roles):
     """Answer the first attempt of every prompt of the given roles with text
     no parser accepts, and every later attempt as responder would."""
 
     def respond(request):
-        if request.attempt == 1 and _role(request.prompt) in roles:
+        if request.attempt == 1 and role_of(request.prompt) in roles:
             return "sorry, no structured reply this time"
         return responder(request)
 
@@ -755,7 +776,7 @@ class TestRetriesReachTheModel:
 
         attempts: dict[str, list[int]] = {}
         for request in backend.calls:
-            if _role(request.prompt) == role:
+            if role_of(request.prompt) == role:
                 attempts.setdefault(request.prompt, []).append(request.attempt)
         assert attempts and all(seen == [1, 2] for seen in attempts.values())
         if role == "graph":
@@ -766,7 +787,7 @@ class TestRetriesReachTheModel:
     def test_each_role_retries_within_its_own_gateways_attempts(self):
         plan = _garbage_first(_retry_plan(), {"graph"})
         backend = DynamicBackend(
-            lambda request: "no verdict" if _role(request.prompt) == "eval" else plan(request)
+            lambda request: "no verdict" if role_of(request.prompt) == "eval" else plan(request)
         )
         bindings = replace(
             RoleBindings.uniform(Gateway(backend, attempts=1)),
@@ -777,7 +798,7 @@ class TestRetriesReachTheModel:
         report = evaluate_pair(TINY_PNG, "caption", config)
         tries: dict[str, list[int]] = {}
         for request in backend.calls:
-            tries.setdefault(_role(request.prompt), []).append(request.attempt)
+            tries.setdefault(role_of(request.prompt), []).append(request.attempt)
         assert tries["graph"] == [1, 2]
         assert tries["eval"] == [1, 2, 3, 4]
         assert tries["question"] == [1, 1]

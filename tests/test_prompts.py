@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmgie.errors import (
-    EmptyBatchError,
     HmgieError,
     MalformedOutputError,
     SchemaViolationError,
@@ -258,8 +257,9 @@ class TestQuestionBatch:
         assert [item.question for item in batch.items] == ["a?", "b?"]
 
     def test_empty_list(self):
-        with pytest.raises(EmptyBatchError):
-            parse_question_batch('{"Questions": []}', 1, [])
+        notes: list[str] = []
+        assert parse_question_batch('{"Questions": []}', 1, notes) == QuestionBatch(1, ())
+        assert notes == []
 
     def test_parent_and_coverage_fields(self):
         items = [
@@ -412,12 +412,6 @@ REFUSED_REPLIES = [
     ),
     (
         "questions",
-        _questions({"Question": " "}, "q?"),
-        EmptyBatchError,
-        "no usable question items at level 1",
-    ),
-    (
-        "questions",
         _questions({"Covered-Nodes": "N1"}),
         MalformedOutputError,
         "field 'Covered-Nodes' is not an array: 'N1'",
@@ -471,6 +465,13 @@ TOLERATED_REPLIES = [
         CoverageReply(verified_complete=False, next_level_suggestion="3"),
         [],
     ),
+    # No usable item: the batch is empty, and the level loop ends on it.
+    (
+        "questions",
+        _questions({"Question": " "}, "q?"),
+        QuestionBatch(level=1, items=()),
+        ["skipping question item without question text", "skipping non-object question item 'q?'"],
+    ),
 ]
 
 
@@ -497,7 +498,7 @@ def test_parsers_total_under_fuzz(raw):
             pass
     try:
         parse_question_batch(raw, 1, notes)
-    except (MalformedOutputError, EmptyBatchError, SchemaViolationError):
+    except (MalformedOutputError, SchemaViolationError):
         pass
 
 
