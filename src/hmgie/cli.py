@@ -340,7 +340,6 @@ def _write_text(path: Path, text: str) -> None:
     field, is written as its ``\\udxxx`` escape, so the file stays JSON
     that reads back to the same string.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="utf-8", errors="backslashreplace") as handle:
@@ -360,6 +359,8 @@ def _evaluate(args, config: PipelineConfig) -> int:
     if args.caption:
         try:
             payload = Path(args.image).read_bytes()
+            if args.out is not None:  # made before any model call: a bad path fails first
+                Path(args.out).mkdir(parents=True, exist_ok=True)
             report = evaluate_pair(payload, args.caption, config)
         except (HmgieError, OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -372,6 +373,7 @@ def _evaluate(args, config: PipelineConfig) -> int:
         dataset = load_dataset_jsonl(args.dataset)
         if args.out is not None:
             _check_report_names(dataset)
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

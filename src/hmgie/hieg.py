@@ -35,8 +35,6 @@ class EvalNode:
         object.__setattr__(self, "parent_ids", frozenset(self.parent_ids))
         object.__setattr__(self, "covered_nodes", frozenset(self.covered_nodes))
         object.__setattr__(self, "covered_edges", frozenset(self.covered_edges))
-        if self.level < 1:
-            raise SchemaViolationError(f"node {self.id} has non-positive level")
         if not 0.0 <= self.confidence <= 1.0:
             raise SchemaViolationError(
                 f"node {self.id} confidence {self.confidence} outside [0, 1]"
@@ -82,7 +80,7 @@ class QuestionItem:
 
 @dataclass(frozen=True)
 class QuestionBatch:
-    """Questions generated for a single level; question texts are distinct."""
+    """Questions generated for one level; the Hieg built from it refuses repeats."""
 
     level: int
     items: tuple[QuestionItem, ...]
@@ -90,9 +88,6 @@ class QuestionBatch:
     def __post_init__(self):
         object.__setattr__(self, "items", tuple(self.items))
         require_positive(level=self.level)
-        texts = [item.question for item in self.items]
-        if len(set(texts)) != len(texts):
-            raise SchemaViolationError("batch contains repeated question text")
 
 
 @dataclass(frozen=True)
@@ -178,7 +173,7 @@ def expand(
     raises ValueError. Node ids are assigned deterministically as
     "Q<level>.<ordinal>". The new graph's constructor refuses the rest: an
     empty batch, a level that is not the next or is past max_level, unknown
-    parents and repeated questions.
+    parents and questions repeated within the batch or from an earlier level.
     """
     new_nodes = []
     for ordinal, (item, answer, verdict) in enumerate(
@@ -204,9 +199,9 @@ def expand(
 
 
 def overall_decision(hieg: Hieg) -> int:
-    """1 iff every node was answered correctly; empty graphs are an error."""
+    """1 iff every node was answered correctly; an empty graph raises EmptyHiegError."""
     if hieg.node_count == 0:
-        raise EmptyHiegError("no questions were generated; decision undefined")
+        raise EmptyHiegError("evaluation produced no questions")
     return int(all(node.correct for node in hieg.nodes()))
 
 

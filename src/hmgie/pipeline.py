@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import (
-    EmptyHiegError,
     GraphGenFailedError,
     HmgieError,
     MalformedOutputError,
@@ -454,7 +453,7 @@ def evaluate_pair(
     Raises:
         ValueError: empty caption or undecodable image.
         GraphGenFailedError: the caption graph could not be parsed after retries.
-        EmptyHiegError: no level produced any question.
+        EmptyHiegError: no level produced any question (from overall_decision).
         ExhaustedError and friends propagate from the gateway.
     """
     if not caption or not caption.strip():
@@ -545,13 +544,10 @@ def evaluate_pair(
             if is_fully_covered(mask):
                 break
 
-        if hieg.node_count == 0:
-            raise EmptyHiegError("evaluation produced no questions")
-
+        decision = overall_decision(hieg)  # first: refuses a graph with no question
         stats = level_stats(hieg)
         h_acc = compute_h_acc(stats, config.scoring)
         h_comp = compute_h_comp([s.count for s in stats], config.scoring)
-        decision = overall_decision(hieg)
 
         explanation = ""
         try:

@@ -126,14 +126,7 @@ def render(template: PromptTemplate, substitutions: Mapping[str, str]) -> str:
         raise SchemaViolationError(
             f"{template.name.value}: unexpected substitution keys {sorted(extraneous)}"
         )
-
-    def _sub(match: re.Match) -> str:
-        token = match.group(1)
-        if token in template.placeholders:
-            return str(substitutions[token])
-        return match.group(0)
-
-    return _PLACEHOLDER_RE.sub(_sub, template.body)
+    return _PLACEHOLDER_RE.sub(lambda match: str(substitutions[match.group(1)]), template.body)
 
 
 @dataclass(frozen=True)

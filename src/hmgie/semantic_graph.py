@@ -91,11 +91,6 @@ class SemanticEdge:
     def __post_init__(self):
         if not isinstance(self.kind, EdgeKind):
             raise SchemaViolationError(f"edge kind {self.kind!r} is not an EdgeKind")
-        for endpoint in (self.from_id, self.to_id):
-            if not _NODE_ID_RE.match(endpoint):
-                raise SchemaViolationError(
-                    f"edge endpoint {endpoint!r} does not match 'N<positive integer>'"
-                )
 
 
 @dataclass(frozen=True)

@@ -376,7 +376,8 @@ def fuzz_responder(seed: int):
     return respond
 
 
-# The opening words of each role's prompt in the shipped templates.
+# The opening words of each role's prompt: the pipeline's shipped templates,
+# then forge's prompts (its detector's with the default direct template).
 ROLE_PREFIXES = {
     "graph": "Your task is to parse",
     "question": "You are a specialized question generator",
@@ -384,11 +385,17 @@ ROLE_PREFIXES = {
     "eval": "You are a question answer evaluator",
     "coverage": "You are an AI assistant responsible for detecting image-text inconsistency",
     "explain": "You are an AI assistant responsible for generating natural language explanations",
+    "captioner": "Describe the image for a captioning dataset",
+    "fusion": "You are given several candidate captions",
+    "perturbation": "You are constructing hard negative captions",
+    "detector": "Does the image match the given caption",
 }
+PIPELINE_ROLES = ("graph", "question", "vqa", "eval", "coverage", "explain")
+FORGE_ROLES = ("captioner", "fusion", "perturbation", "detector")
 
 
 def role_of(prompt: str) -> str:
-    """The pipeline role whose template a prompt was rendered from, or "other"."""
+    """The role whose prompt a request carries, or "other"."""
     for role, prefix in ROLE_PREFIXES.items():
         if prompt.startswith(prefix):
             return role
@@ -430,6 +437,10 @@ WELL_SHAPED_REPLIES = {
         "Next-Level-Suggestion": "check the dog's color",
     },
     "explain": "The caption matches the image on every point examined.",
+    "captioner": "A brown dog lies on a red sofa.",
+    "fusion": "A brown dog lies on a sofa.",
+    "perturbation": {"Perturbed-Caption": "A black dog lies on a sofa."},
+    "detector": {"Answer": "Yes", "Explanation": "the caption matches"},
 }
 
 PAST_FLOAT_RANGE = st.integers(min_value=2**1024, max_value=2**1100)
@@ -483,19 +494,36 @@ def _swapped(shape, path, text: str) -> str:
     return json.dumps(shape, ensure_ascii=False).replace(f'"{_SLOT}"', text, 1)
 
 
+# How a model may dress its reply: bare, fenced, inside prose, or not at all.
+REPLY_DRESSINGS = (
+    "{}",
+    "```json\n{}\n```",
+    "Sure! Here is what you asked for:\n{}\nLet me know if anything is unclear.",
+    " \n",
+)
+
+
 def hostile_replies(shape) -> st.SearchStrategy[str]:
-    """Texts of a well-shaped reply with one value, nested ones and the
-    whole reply included, swapped for a HOSTILE_JSON value."""
-    return st.builds(
+    """Texts of a well-shaped reply, either whole or with one value, nested
+    ones and the whole reply included, swapped for a HOSTILE_JSON value;
+    each dressed in one of REPLY_DRESSINGS."""
+    swapped = st.builds(
         lambda path, text: _swapped(shape, path, text),
         st.sampled_from(list(_paths(shape))),
         HOSTILE_JSON,
+    )
+    whole = st.just(shape if isinstance(shape, str) else json.dumps(shape))
+    return st.builds(
+        lambda dressing, text: dressing.format(text),
+        st.sampled_from(REPLY_DRESSINGS),
+        st.one_of(swapped, whole),
     )
 
 
 def hostile_responder(replies: dict[str, list[str]]):
     """Replies by role: each prompt gets one of its role's well-shaped reply
-    and ``replies[role]``, picked by the prompt's CRC-32 and attempt."""
+    and ``replies[role]``, picked by the prompt's CRC-32 and attempt. The
+    replies may come fenced, in prose or blank (see hostile_replies)."""
 
     def respond(request):
         role = role_of(request.prompt)

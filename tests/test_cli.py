@@ -23,6 +23,7 @@ from hmgie.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from hmgie.forge import ForgeConfig
 from hmgie.gateway import Gateway, HttpBackend
 from hmgie.pipeline import PipelineConfig, RoleBindings, evaluate_pair
+from hmgie.prompts import TemplateName
 
 CAPTION = "A brown dog lies on a sofa."
 
@@ -74,6 +75,18 @@ class TestEvaluateSingle:
         report = json.loads((out_dir / "pair.report.json").read_text())
         assert report["decision"] == 1
         assert report["realized_depth"] == 2
+
+    def test_out_that_is_a_file_exits_2_before_any_call(
+        self, replay_setup, capsys, tmp_path, monkeypatch
+    ):
+        fixture_dir, image = replay_setup
+        monkeypatch.setattr(cli, "evaluate_pair", lambda *a: pytest.fail("pair ran"))
+        not_a_dir = tmp_path / "notadir"
+        not_a_dir.write_text("", encoding="utf-8")
+        argv = ["replay", "--image", str(image), "--caption", CAPTION,
+                "--replay", str(fixture_dir), "--out", str(not_a_dir)]
+        assert main(argv) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_json_output(self, replay_setup, capsys):
         fixture_dir, image = replay_setup
@@ -236,6 +249,21 @@ class TestEvaluateBatch:
         )
         assert captured.out == ""
         assert not out_dir.exists()
+
+    def test_out_that_is_a_file_exits_2_before_any_call(
+        self, batch_setup, capsys, tmp_path, monkeypatch
+    ):
+        fixture_dir, dataset = batch_setup
+        monkeypatch.setattr(cli, "evaluate_batch", lambda *a: pytest.fail("batch ran"))
+        not_a_dir = tmp_path / "notadir"
+        not_a_dir.write_text("keep\n", encoding="utf-8")
+        argv = ["replay", "--dataset", str(dataset), "--replay", str(fixture_dir),
+                "--out", str(not_a_dir)]
+        assert main(argv) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(not_a_dir) in captured.err
+        assert captured.out == ""
+        assert not_a_dir.read_text(encoding="utf-8") == "keep\n"
 
 
 def router(prompt: str) -> str:
@@ -1101,3 +1129,18 @@ def test_each_numeric_setting_arrives_where_it_is_named(tmp_path, command):
     gateway = config.bindings.perturb if command == "forge" else config.backends.vqa
     for key, name in settings.items():
         assert getattr(config if hasattr(config, name) else gateway, name) == 2, key
+
+
+@pytest.mark.parametrize(
+    "flag, template",
+    [
+        (["--detector", "dp"], TemplateName.DIRECT_PROMPT),
+        (["--detector", "cot"], TemplateName.COT_PROMPT),
+    ],
+)
+def test_forge_detector_flag_picks_its_template(tmp_path, flag, template):
+    argv = ["forge", "--images", str(tmp_path), "--out", str(tmp_path / "x.jsonl"),
+            "--replay", str(tmp_path), *flag]
+    with ExitStack() as stack:
+        config = cli._configure(cli.build_parser().parse_args(argv), stack)
+    assert config.detector_template is template

@@ -103,8 +103,9 @@ class TestExpand:
             expand(h, batch(2, "q1"), answered(1), [True])
 
     def test_duplicate_question_within_batch(self):
-        with pytest.raises(SchemaViolationError, match="^batch contains repeated question text$"):
-            batch(1, "same", "same")
+        repeated = batch(1, "same", "same")  # the Hieg built from it refuses the repeat
+        with pytest.raises(SchemaViolationError, match="^question text already present: 'same'$"):
+            expand(Hieg.empty(5), repeated, answered(2), [True, True])
 
     def test_exceeding_max_level(self):
         h = expand(Hieg.empty(1), batch(1, "q1"), answered(1), [True])
@@ -136,7 +137,7 @@ class TestDecision:
         assert overall_decision(h) == 0
 
     def test_empty(self):
-        with pytest.raises(EmptyHiegError):
+        with pytest.raises(EmptyHiegError, match="^evaluation produced no questions$"):
             overall_decision(Hieg.empty(5))
 
 
@@ -185,6 +186,16 @@ class TestInvariants:
         )
         with pytest.raises(SchemaViolationError):
             Hieg(levels=((), (node,)), max_level=5)
+
+    def test_level_below_one_is_refused_by_its_placement(self):
+        node = EvalNode(
+            id="Q1.1", level=0, question="q", verify_fact="", expected_answer="",
+            actual_answer="a", confidence=1.0, correct=True,
+        )
+        with pytest.raises(
+            SchemaViolationError, match="^node Q1.1 has level 0 but sits in level 1$"
+        ):
+            Hieg(levels=((node,),), max_level=5)
 
     def test_repeated_question_rejected_in_constructor(self):
         def node(node_id: str, level: int) -> EvalNode:

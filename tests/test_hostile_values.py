@@ -5,12 +5,14 @@ refused with SchemaViolationError when its object is built, or the object is
 built and a whole run over it completes, every item ending in a report or an
 error string. A well-shaped reply with one field swapped for a hostile
 number either parses or fails as a reply the parser cannot use, and a batch
-whose replies have any field swapped for a hostile JSON value returns, and
-replays from its recorded log byte for byte.
+whose replies have any field swapped for a hostile JSON value, or come
+fenced, in prose or blank, returns, and replays from its recorded log byte
+for byte. The same holds for a forge run over such replies.
 """
 
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -20,9 +22,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FORGE_ROLES,
     GRAPH_REPLY,
     HOSTILE_NUMBER_TEXTS,
     PAST_FLOAT_RANGE,
+    PIPELINE_ROLES,
     TINY_PNG,
     WELL_SHAPED_REPLIES,
     DynamicBackend,
@@ -257,13 +261,26 @@ ERROR_NAMES = {
     if isinstance(value, type) and issubclass(value, HmgieError)
 }
 
-# Up to three hostile replies per role, beside its well-shaped one.
-HOSTILE_ROLE_REPLIES = st.fixed_dictionaries(
-    {
-        role: st.lists(hostile_replies(shape), max_size=3)
-        for role, shape in WELL_SHAPED_REPLIES.items()
-    }
-)
+
+def hostile_role_replies(roles) -> st.SearchStrategy[dict[str, list[str]]]:
+    """Up to three hostile replies per role, beside its well-shaped one."""
+    return st.fixed_dictionaries(
+        {role: st.lists(hostile_replies(WELL_SHAPED_REPLIES[role]), max_size=3) for role in roles}
+    )
+
+
+def _recording_gateway(replies: dict[str, list[str]], log_dir: str) -> Gateway:
+    return Gateway(
+        DynamicBackend(hostile_responder(replies)),
+        cache_dir=log_dir,
+        record=True,
+        sleeper=lambda seconds: None,
+    )
+
+
+def _assert_log_parses(log_dir: str) -> None:
+    log = Path(log_dir, "replies.jsonl").read_text(encoding="ascii")
+    assert all(isinstance(json.loads(line), list) for line in log.splitlines())
 
 
 def _batch_outcome(gateway: Gateway, fan_out: int, image_path) -> list:
@@ -298,19 +315,62 @@ def _batch_outcome(gateway: Gateway, fan_out: int, image_path) -> list:
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(replies=HOSTILE_ROLE_REPLIES)
+@given(replies=hostile_role_replies(PIPELINE_ROLES))
 def test_a_batch_of_hostile_replies_returns_and_replays_byte_for_byte(
     fan_out, replies, image_path
 ):
     with tempfile.TemporaryDirectory() as log_dir:
-        recorder = Gateway(
-            DynamicBackend(hostile_responder(replies)),
-            cache_dir=log_dir,
-            record=True,
-            sleeper=lambda seconds: None,
-        )
-        recorded = _batch_outcome(recorder, fan_out, image_path)
+        recorded = _batch_outcome(_recording_gateway(replies, log_dir), fan_out, image_path)
         replayer = Gateway(ScriptedBackend(fixtures={}), cache_dir=log_dir)
         assert _batch_outcome(replayer, fan_out, image_path) == recorded
-        log = Path(log_dir, "replies.jsonl").read_text(encoding="ascii")
-        assert all(isinstance(json.loads(line), list) for line in log.splitlines())
+        _assert_log_parses(log_dir)
+
+
+def _forge_outcome(gateway: Gateway, image_paths, out: Path) -> tuple[str, tuple[str, ...]]:
+    """The JSONL text and the errors of a two-captioner forge run over gateway."""
+    config = ForgeConfig(
+        bindings=ForgeBindings(
+            captioners=(gateway, gateway), fusion=gateway, perturb=gateway, detector=gateway
+        ),
+        specs=DEFAULT_GRANULARITY_SPECS[:2],
+        captioner_model_ids=("captioner-a", "captioner-b"),
+        max_iterations=3,
+        parallelism=2,
+    )
+    summary = build_dataset(image_paths, config, out)
+    text = out.read_text(encoding="utf-8")
+    lines = [json.loads(line) for line in text.splitlines()]
+    assert summary.records_written == len(lines)
+    # A cell ends in records and notes, or in one error naming its type.
+    failures = []
+    for entry in summary.errors:
+        cell, _, rest = entry.partition(": ")
+        name = re.match(r"(\w+): ", rest)
+        if name is not None:
+            assert name.group(1) in ERROR_NAMES, entry
+            failures.append(cell)
+    cleans = {f"{line['image_path']} g{line['granularity']}" for line in lines if line["label"] == 0}
+    cells = {f"{path} g{spec.level}" for path in image_paths for spec in config.specs}
+    assert sorted(failures) == sorted(cells - cleans)
+    return text, summary.errors
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(replies=hostile_role_replies(FORGE_ROLES))
+def test_a_forge_run_over_hostile_replies_returns_and_replays_byte_for_byte(
+    replies, image_path
+):
+    second = image_path.with_name("second.png")
+    second.write_bytes(TINY_PNG)
+    image_paths = [str(image_path), str(second)]
+    with tempfile.TemporaryDirectory() as log_dir:
+        out = Path(log_dir, "data.jsonl")
+        recorded = _forge_outcome(_recording_gateway(replies, log_dir), image_paths, out)
+        replayer = Gateway(ScriptedBackend(fixtures={}), cache_dir=log_dir)
+        assert _forge_outcome(replayer, image_paths, out) == recorded
+        _assert_log_parses(log_dir)

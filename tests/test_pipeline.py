@@ -463,6 +463,16 @@ class TestLoopBehavior:
         with pytest.raises(EmptyHiegError):
             evaluate_pair(TINY_PNG, "caption", config)
 
+    def test_empty_evaluation_batch_row(self, tmp_path):
+        responder = _routing_responder(
+            question_plan={1: []}, coverage_plan={1: incomplete_coverage}
+        )
+        image_path = tmp_path / "image.png"
+        image_path.write_bytes(TINY_PNG)
+        item = DatasetItem(id="a", image_path=str(image_path), caption="caption")
+        (result,) = evaluate_batch([item], _dynamic_config(responder)).results
+        assert result.error == "EmptyHiegError: evaluation produced no questions"
+
     def test_batch_truncated_to_budget(self):
         responder = _routing_responder(
             question_plan={
@@ -667,6 +677,25 @@ class TestLoopBehavior:
         assert report.decision == 0
         assert report.hieg.levels[0][0].correct is False
         assert any("marked incorrect" in d for d in report.diagnostics)
+
+    def test_blank_vqa_reply_marks_false_without_a_judge_call(self):
+        """Pins today's handling of a blank VQA reply; ROADMAP item 4 changes it."""
+        responder = _routing_responder(
+            question_plan={1: [_question(1, 0)], 2: []},
+            coverage_plan={1: incomplete_coverage},
+            vqa_reply=" \n ",
+        )
+        config = _dynamic_config(responder, intra_level_parallelism=1)
+        report = evaluate_pair(TINY_PNG, "caption", config)
+        (node,) = report.hieg.nodes()
+        assert (node.actual_answer, node.confidence, node.correct) == ("", 1.0, False)
+        assert report.decision == 0
+        assert (
+            "vqa returned an empty reply for 'level 1 question 0?'; marked incorrect"
+            in report.diagnostics
+        )
+        prompts = [call.prompt for call in config.backends.answer_eval.backend.calls]
+        assert not any(p.startswith("You are a question answer evaluator") for p in prompts)
 
 
 def _noting_responder(request):

@@ -71,6 +71,12 @@ REFUSED_GRAPHS = [
         SchemaViolationError,
         "edge 'from' must be a node id or an [id, label] pair, got 1",
     ),
+    # A label where an id belongs: the graph, not the edge, refuses the endpoint.
+    (
+        {"nodes": [DOG], "edges": [{"from": "dog", "to": "N1", "type": "Spatial"}]},
+        SchemaViolationError,
+        "edge 0 references unknown node dog",
+    ),
 ]
 
 
