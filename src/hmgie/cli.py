@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 runtime failure (any per-item error), 64 usage or
-configuration error. Values resolve as flags > environment > config file; a
-setting given nowhere keeps the library's default, which --help shows.
-Backend credentials can be overridden per role through
-HMGIE_<ROLE>_ENDPOINT / HMGIE_<ROLE>_API_KEY.
+configuration error. A run is live, records each reply into the cache dir
+(--record) or serves replies from a fixture dir alone (--replay DIR).
+Values resolve as flags > environment > config file; a setting given
+nowhere keeps the library's default, which --help shows. Backend
+credentials can be overridden per role through HMGIE_<ROLE>_ENDPOINT /
+HMGIE_<ROLE>_API_KEY.
 """
 
 from __future__ import annotations
@@ -158,32 +160,21 @@ def _passed(given: dict, target) -> dict:
 
 
 def _run_mode(args, given: dict) -> tuple[str, Optional[str]]:
-    """The run mode and replay directory: the subcommand's mode, then the
-    flags. --replay (or the replay subcommand's cache-dir fallback) wins,
-    --record turns live into record."""
-    mode = args.mode
-    cache_dir = given.get("cache_dir")
-    record = getattr(args, "record", False)
-    replay_dir = getattr(args, "replay", None)
-    if replay_dir is None and mode == "replay":
-        replay_dir = cache_dir
-    if mode == "replay" and replay_dir is None:
-        raise UsageError("replay needs --replay DIR or a cache dir (HMGIE_CACHE_DIR)")
-    elif replay_dir is not None and not Path(replay_dir).is_dir():
-        raise UsageError(f"replay dir does not exist: {replay_dir}")
-    elif replay_dir is not None and record:
+    """The run mode and replay directory: --replay DIR replays, --record
+    records, and a run with neither is live."""
+    if args.replay is not None and not Path(args.replay).is_dir():
+        raise UsageError(f"replay dir does not exist: {args.replay}")
+    elif args.replay is not None and args.record:
         raise UsageError("--record and --replay are mutually exclusive")
-    elif replay_dir is not None:
-        mode = "replay"
-    elif (record or mode == "record") and cache_dir is None:
+    elif args.replay is not None:
+        return "replay", args.replay
+    elif args.record and given.get("cache_dir") is None:
         raise UsageError("record mode needs --cache-dir or HMGIE_CACHE_DIR")
     elif not given.get("api_key"):
         raise UsageError("no API key configured (--api-key or HMGIE_API_KEY)")
     elif not given.get("endpoint"):
         raise UsageError("no endpoint configured (--endpoint or HMGIE_ENDPOINT)")
-    elif record:
-        mode = "record"
-    return mode, replay_dir
+    return ("record" if args.record else "live"), None
 
 
 class _GatewayFactory:
@@ -357,26 +348,18 @@ def _write_report(out_dir: Optional[str], name: str, report: EvaluationReport) -
 
 def _evaluate(args, config: PipelineConfig) -> int:
     if args.caption:
-        try:
-            payload = Path(args.image).read_bytes()
-            if args.out is not None:  # made before any model call: a bad path fails first
-                Path(args.out).mkdir(parents=True, exist_ok=True)
-            report = evaluate_pair(payload, args.caption, config)
-        except (HmgieError, OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
+        payload = Path(args.image).read_bytes()
+        if args.out is not None:  # made before any model call: a bad path fails first
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        report = evaluate_pair(payload, args.caption, config)
         _print_report(report, args.json)
         _write_report(args.out, "pair", report)
         return EXIT_OK
 
-    try:
-        dataset = load_dataset_jsonl(args.dataset)
-        if args.out is not None:
-            _check_report_names(dataset)
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    dataset = load_dataset_jsonl(args.dataset)
+    if args.out is not None:
+        _check_report_names(dataset)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     batch = evaluate_batch(dataset, config)
 
     summary_rows = []
@@ -423,16 +406,11 @@ def _evaluate(args, config: PipelineConfig) -> int:
 def _forge(args, config: ForgeConfig) -> int:
     images_dir = Path(args.images)
     if not images_dir.is_dir():
-        print(f"error: images directory not readable: {args.images}", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise NotADirectoryError(f"images directory not readable: {args.images}")
     image_paths = sorted(
         str(p) for p in images_dir.iterdir() if p.suffix.lower() in IMAGE_EXTENSIONS
     )
-    try:
-        summary = build_dataset(image_paths, config, args.out)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    summary = build_dataset(image_paths, config, args.out)
     print(f"records: {summary.records_written} "
           f"({summary.clean_records} clean, {summary.adversarial_records} adversarial)")
     for granularity in sorted(summary.per_granularity):
@@ -462,9 +440,13 @@ def _add_common_args(parser, config) -> None:
         "--retry-limit", help=f"attempts per model call (default {_GATEWAY_ATTEMPTS})"
     )
     parser.add_argument("--parallelism", help=f"concurrent items (default {config.parallelism})")
+    parser.add_argument(
+        "--record", action="store_true", help="capture live replies into the cache dir"
+    )
+    parser.add_argument("--replay", metavar="DIR", help="serve replies from this fixture directory")
 
 
-def _add_eval_args(parser, include_modes: bool = True) -> None:
+def _add_eval_args(parser) -> None:
     parser.add_argument("--image", help="image file for single-pair evaluation")
     parser.add_argument("--caption", help="caption text for single-pair evaluation")
     parser.add_argument("--dataset", help="JSONL dataset for batch evaluation")
@@ -481,11 +463,6 @@ def _add_eval_args(parser, include_modes: bool = True) -> None:
         help="break metrics down by dataset granularity",
     )
     _add_common_args(parser, PipelineConfig)
-    if include_modes:
-        parser.add_argument(
-            "--record", action="store_true", help="capture live replies into the cache dir"
-        )
-        parser.add_argument("--replay", help="serve replies from this fixture directory")
 
 
 def build_parser() -> _Parser:
@@ -494,16 +471,6 @@ def build_parser() -> _Parser:
 
     evaluate = sub.add_parser("evaluate", help="evaluate image-caption consistency")
     _add_eval_args(evaluate)
-    evaluate.set_defaults(mode="live")
-
-    record = sub.add_parser("record", help="evaluate live and capture replay fixtures")
-    _add_eval_args(record, include_modes=False)
-    record.set_defaults(mode="record")
-
-    replay = sub.add_parser("replay", help="re-run an evaluation from fixtures only")
-    _add_eval_args(replay, include_modes=False)
-    replay.add_argument("--replay", help="fixture directory (defaults to the cache dir)")
-    replay.set_defaults(mode="replay")
 
     forge = sub.add_parser("forge", help="construct an adversarial dataset")
     forge.add_argument("--images", required=True, help="directory of input images")
@@ -533,10 +500,7 @@ def build_parser() -> _Parser:
         action="append",
         help="ensemble captioner model id (repeatable)",
     )
-    forge.add_argument("--record", action="store_true", help=argparse.SUPPRESS)
-    forge.add_argument("--replay", help="serve replies from this fixture directory")
     _add_common_args(forge, ForgeConfig)
-    forge.set_defaults(mode="live")
     return parser
 
 
@@ -565,9 +529,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         except (UsageError, HmgieError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        if forge:
-            return _forge(args, config)
-        return _evaluate(args, config)
+        try:
+            return _forge(args, config) if forge else _evaluate(args, config)
+        except (HmgieError, OSError, ValueError) as exc:  # the run failed, not its config
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -259,21 +259,27 @@ def generate_ground_truth(
     """Ensemble captioning followed by fusion; identity for one member.
 
     Every member is asked at once; captions and failure notes keep captioner
-    order. AllCaptionersFailedError when no member replies.
+    order. A blank reply is that member's failure. AllCaptionersFailedError
+    when no member gives a caption.
     """
     captioners = config.bindings.captioners
     image = ImageRef.of(image)
 
-    def caption(index: int) -> str | GatewayError:
+    def caption(index: int) -> str | GatewayError | None:
         request = _request(config, spec.prompt, image, config.captioner_model(index))
         try:
-            return captioners[index].call(request).text
+            text = captioners[index].call(request).text
         except GatewayError as exc:
             return exc
+        return text if text.strip() else None
 
     outcomes = ordered_map(caption, range(len(captioners)), len(captioners))
     captions = [text for text in outcomes if isinstance(text, str)]
-    failures = [f"captioner {i}: {e}" for i, e in enumerate(outcomes) if not isinstance(e, str)]
+    failures = [
+        f"captioner {i}: {'blank reply' if e is None else e}"
+        for i, e in enumerate(outcomes)
+        if not isinstance(e, str)
+    ]
     if not captions:
         raise AllCaptionersFailedError("; ".join(failures))
     if failures:

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from hypothesis import strategies as st
 
 from hmgie import gateway as gateway_module
-from hmgie.errors import FixtureMissingError
+from hmgie.errors import FixtureMissingError, TransientBackendError
 from hmgie.gateway import Gateway, ModelRequest, ReplyLog, ScriptedBackend, cache_key
 from hmgie.hieg import Hieg, expand, hieg_to_prompt_json, overall_decision
 from hmgie.pipeline import (
@@ -494,19 +494,28 @@ def _swapped(shape, path, text: str) -> str:
     return json.dumps(shape, ensure_ascii=False).replace(f'"{_SLOT}"', text, 1)
 
 
-# How a model may dress its reply: bare, fenced, inside prose, or not at all.
+class ReplyFault(Enum):
+    """A transport fault that hostile_responder meets in place of a reply."""
+
+    TRANSIENT = "transient"  # the request's first try raises TransientBackendError
+    MISSING = "missing"  # the backend has no reply: FixtureMissingError
+
+
+# How a model may dress its reply: bare, fenced, inside prose, or not at all;
+# or the transport may lose it.
 REPLY_DRESSINGS = (
     "{}",
     "```json\n{}\n```",
     "Sure! Here is what you asked for:\n{}\nLet me know if anything is unclear.",
     " \n",
+    *ReplyFault,
 )
 
 
-def hostile_replies(shape) -> st.SearchStrategy[str]:
+def hostile_replies(shape) -> st.SearchStrategy[str | ReplyFault]:
     """Texts of a well-shaped reply, either whole or with one value, nested
     ones and the whole reply included, swapped for a HOSTILE_JSON value;
-    each dressed in one of REPLY_DRESSINGS."""
+    each dressed in one of REPLY_DRESSINGS, or replaced by a ReplyFault."""
     swapped = st.builds(
         lambda path, text: _swapped(shape, path, text),
         st.sampled_from(list(_paths(shape))),
@@ -514,16 +523,22 @@ def hostile_replies(shape) -> st.SearchStrategy[str]:
     )
     whole = st.just(shape if isinstance(shape, str) else json.dumps(shape))
     return st.builds(
-        lambda dressing, text: dressing.format(text),
+        lambda dressing, text: (
+            dressing if isinstance(dressing, ReplyFault) else dressing.format(text)
+        ),
         st.sampled_from(REPLY_DRESSINGS),
         st.one_of(swapped, whole),
     )
 
 
-def hostile_responder(replies: dict[str, list[str]]):
+def hostile_responder(replies: dict[str, list[str | ReplyFault]]):
     """Replies by role: each prompt gets one of its role's well-shaped reply
     and ``replies[role]``, picked by the prompt's CRC-32 and attempt. The
-    replies may come fenced, in prose or blank (see hostile_replies)."""
+    replies may come fenced, in prose or blank, or be a ReplyFault (see
+    hostile_replies). A TRANSIENT request gets the well-shaped reply when the
+    gateway retries it, so the recorded log still holds a reply for its key."""
+    failed_once: set[str] = set()
+    lock = threading.Lock()
 
     def respond(request):
         role = role_of(request.prompt)
@@ -532,6 +547,15 @@ def hostile_responder(replies: dict[str, list[str]]):
         options += replies.get(role, [])
         pick = zlib.crc32(request.prompt.encode("utf-8", "surrogatepass")) + request.attempt
         reply = options[pick % len(options)]
+        if reply is ReplyFault.MISSING:
+            return None
+        if reply is ReplyFault.TRANSIENT:
+            with lock:
+                first_try = request.key not in failed_once
+                failed_once.add(request.key)
+            if first_try:
+                raise TransientBackendError("connection reset on the first try")
+            reply = options[0]
         if role == "question":
             level = re.search(r"Current Level: \[(\d+)\]", request.prompt).group(1)
             reply = reply.replace("<level>", level)

@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import shlex
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
@@ -83,7 +84,7 @@ class TestEvaluateSingle:
         monkeypatch.setattr(cli, "evaluate_pair", lambda *a: pytest.fail("pair ran"))
         not_a_dir = tmp_path / "notadir"
         not_a_dir.write_text("", encoding="utf-8")
-        argv = ["replay", "--image", str(image), "--caption", CAPTION,
+        argv = ["evaluate", "--image", str(image), "--caption", CAPTION,
                 "--replay", str(fixture_dir), "--out", str(not_a_dir)]
         assert main(argv) == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("error: ")
@@ -130,6 +131,10 @@ class TestEvaluateSingle:
 
     def test_unknown_flag_exits_64(self):
         assert main(["evaluate", "--bogus-flag"]) == EXIT_USAGE
+
+    def test_no_command_prints_the_usage_and_exits_64(self, capsys):
+        assert main([]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage: hmgie ")
 
     def test_missing_fixture_exits_2_with_key(self, replay_setup, capsys):
         fixture_dir, image = replay_setup
@@ -257,13 +262,29 @@ class TestEvaluateBatch:
         monkeypatch.setattr(cli, "evaluate_batch", lambda *a: pytest.fail("batch ran"))
         not_a_dir = tmp_path / "notadir"
         not_a_dir.write_text("keep\n", encoding="utf-8")
-        argv = ["replay", "--dataset", str(dataset), "--replay", str(fixture_dir),
+        argv = ["evaluate", "--dataset", str(dataset), "--replay", str(fixture_dir),
                 "--out", str(not_a_dir)]
         assert main(argv) == EXIT_RUNTIME
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and str(not_a_dir) in captured.err
         assert captured.out == ""
         assert not_a_dir.read_text(encoding="utf-8") == "keep\n"
+
+    def test_a_report_write_that_fails_after_the_batch_exits_2(
+        self, batch_setup, capsys, tmp_path
+    ):
+        fixture_dir, dataset = batch_setup
+        out_dir = tmp_path / "reports"
+        (out_dir / "a.report.json").mkdir(parents=True)
+        argv = ["evaluate", "--dataset", str(dataset), "--replay", str(fixture_dir),
+                "--out", str(out_dir)]
+        assert main(argv) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out.startswith("a: decision=consistent ")
+        assert captured.err.startswith("error: [Errno 21] Is a directory: ")
+        assert captured.err.count("\n") == 1
+        # The temp file the write went through is gone.
+        assert [path.name for path in out_dir.iterdir()] == ["a.report.json"]
 
 
 def router(prompt: str) -> str:
@@ -318,7 +339,8 @@ class TestRecordReplay:
         with FakeChatServer(http_responder) as server:
             code = main(
                 [
-                    "record",
+                    "evaluate",
+                    "--record",
                     "--image", str(image),
                     "--caption", "a dog",
                     "--endpoint", server.endpoint,
@@ -334,10 +356,10 @@ class TestRecordReplay:
             # replay must not touch the network
             code = main(
                 [
-                    "replay",
+                    "evaluate",
                     "--image", str(image),
                     "--caption", "a dog",
-                    "--cache-dir", str(cache_dir),
+                    "--replay", str(cache_dir),
                     "--out", str(out_replay),
                 ]
             )
@@ -364,8 +386,8 @@ class TestRecordReplay:
 
         monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
         out = tmp_path / "out"
-        argv = ["replay", "--image", str(image), "--caption", CAPTION, "--out", str(out),
-                "--cache-dir", str(fixture_dir)]
+        argv = ["evaluate", "--image", str(image), "--caption", CAPTION, "--out", str(out),
+                "--replay", str(fixture_dir)]
         assert main(argv) == EXIT_OK
         assert pools == []
         assert (out / "pair.report.json").read_text(encoding="utf-8") == fanned_out
@@ -383,8 +405,8 @@ class TestRecordReplay:
                 built.append(self)
 
         monkeypatch.setattr(cli, "Gateway", KeptGateway)
-        argv = ["replay", "--image", str(image), "--caption", CAPTION,
-                "--out", str(tmp_path / "out"), "--cache-dir", str(fixture_dir)]
+        argv = ["evaluate", "--image", str(image), "--caption", CAPTION,
+                "--out", str(tmp_path / "out"), "--replay", str(fixture_dir)]
         assert main(argv) == EXIT_OK
         assert len(built) == 1
         assert built[0].backend.calls == []
@@ -410,7 +432,8 @@ class TestRecordReplay:
         with FakeChatServer(responder) as server:
             code = main(
                 [
-                    "record",
+                    "evaluate",
+                    "--record",
                     "--dataset", str(dataset),
                     "--endpoint", server.endpoint,
                     "--api-key", "k",
@@ -447,7 +470,8 @@ class TestRecordReplay:
         with FakeChatServer(http_responder) as server:
             code = main(
                 [
-                    "record",
+                    "evaluate",
+                    "--record",
                     "--image", str(image),
                     "--caption", "a dog",
                     "--endpoint", server.endpoint,
@@ -504,16 +528,18 @@ class TestRecordReplay:
         pair = ["--image", str(image), "--caption", "a dog", "--cache-dir", str(cache_dir)]
         with FakeChatServer(unjudged) as server:
             live = ["--endpoint", server.endpoint, "--api-key", "k"]
-            argv = ["record", *pair, *live, "--retry-limit", "1", "--out", str(tmp_path / "a")]
+            argv = ["evaluate", "--record", *pair, *live, "--retry-limit", "1",
+                    "--out", str(tmp_path / "a")]
             assert main(argv) == EXIT_OK
-        argv = ["replay", *pair, "--retry-limit", "1", "--out", str(tmp_path / "b")]
+        replay = ["evaluate", *pair, "--replay", str(cache_dir)]
+        argv = [*replay, "--retry-limit", "1", "--out", str(tmp_path / "b")]
         assert main(argv) == EXIT_OK
         recorded = (tmp_path / "a" / "pair.report.json").read_bytes()
         assert (tmp_path / "b" / "pair.report.json").read_bytes() == recorded
         assert b"answer-eval attempt 1 unparseable" in recorded
         # At the default budget, replay asks for a second attempt never recorded.
         capsys.readouterr()
-        assert main(["replay", *pair]) == EXIT_RUNTIME
+        assert main(replay) == EXIT_RUNTIME
         assert "no fixture recorded for request key" in capsys.readouterr().err
 
     def test_record_without_api_key_is_usage_error(self, tmp_path, capsys):
@@ -521,7 +547,8 @@ class TestRecordReplay:
         image.write_bytes(TINY_PNG)
         code = main(
             [
-                "record",
+                "evaluate",
+                "--record",
                 "--image", str(image),
                 "--caption", "a dog",
                 "--cache-dir", str(tmp_path / "cache"),
@@ -535,7 +562,8 @@ class TestRecordReplay:
         image.write_bytes(TINY_PNG)
         code = main(
             [
-                "record",
+                "evaluate",
+                "--record",
                 "--image", str(image),
                 "--caption", "a dog",
                 "--endpoint", "http://example.invalid",
@@ -552,7 +580,8 @@ class TestRecordReplay:
         with FakeChatServer(http_responder) as server:
             main(
                 [
-                    "record",
+                    "evaluate",
+                    "--record",
                     "--image", str(image),
                     "--caption", "a dog",
                     "--endpoint", server.endpoint,
@@ -568,10 +597,10 @@ class TestRecordReplay:
         log.write_bytes(b"".join(lines[1:]))
         code = main(
             [
-                "replay",
+                "evaluate",
                 "--image", str(image),
                 "--caption", "a dog",
-                "--cache-dir", str(cache_dir),
+                "--replay", str(cache_dir),
             ]
         )
         captured = capsys.readouterr()
@@ -769,6 +798,21 @@ class TestForgeCli:
             f"note: {images / 'one.png'} g1: perturbation equals ground truth; omitted\n"
         )
 
+    def test_a_run_whose_every_cell_fails_exits_2(self, tmp_path, capsys):
+        images = tmp_path / "imgs"
+        images.mkdir()
+        (images / "one.png").write_bytes(TINY_PNG)
+        fixtures = tmp_path / "fx"
+        fixtures.mkdir()
+        argv = ["forge", "--images", str(images), "--out", str(tmp_path / "x.jsonl"),
+                "--replay", str(fixtures), "--granularity", "1"]
+        assert main(argv) == EXIT_RUNTIME
+        captured = capsys.readouterr()
+        assert captured.out == "records: 0 (0 clean, 0 adversarial)\n"
+        assert captured.err.startswith(
+            f"note: {images / 'one.png'} g1: AllCaptionersFailedError: captioner 0: "
+        )
+
     def test_images_sharing_a_stem_exit_2_before_any_call(self, tmp_path, capsys):
         images = tmp_path / "imgs"
         images.mkdir()
@@ -864,11 +908,7 @@ RUN_CONFIG_ERRORS = [
     (FORGE + ["--record"] + FX, CONFLICT),
     (EVAL + ["--replay", "{missing}"], "replay dir does not exist: {missing}"),
     (FORGE + ["--replay", "{missing}"], "replay dir does not exist: {missing}"),
-    (
-        ["replay", "--caption", "c", "--image", "i"],
-        "replay needs --replay DIR or a cache dir (HMGIE_CACHE_DIR)",
-    ),
-    (["record", "--caption", "c", "--image", "i"] + ENDPOINT + KEY, NO_CACHE),
+    (FORGE + ["--record"] + ENDPOINT + KEY, NO_CACHE),
     (EVAL + ENDPOINT + KEY + ["--record"], NO_CACHE),
     (EVAL + KEY, "no endpoint configured (--endpoint or HMGIE_ENDPOINT)"),
     (EVAL + ENDPOINT, "no API key configured (--api-key or HMGIE_API_KEY)"),
@@ -938,14 +978,6 @@ class TestRunConfigErrors:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"config error: {message}\n"
 
-    def test_replay_falls_back_to_the_cache_dir_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("HMGIE_CACHE_DIR", str(tmp_path / "missing"))
-        code = main(["replay", "--caption", "c", "--image", "i"])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == (
-            f"config error: replay dir does not exist: {tmp_path / 'missing'}\n"
-        )
-
 
 # Config-file values that name no setting or have the wrong type, with the
 # exact stderr line, which names a file value by its key; all but the
@@ -958,6 +990,7 @@ CONFIG_FILE_ERRORS = [
     ({"weight_ratio": "nan"}, "weight_ratio: expected a number, got 'nan'"),
     ({"endpoint": 123, "api_key": "k"}, "endpoint: expected text, got 123"),
     ({"templates_dir": 7}, "templates_dir: expected text, got 7"),
+    ([], "config file {path}: top level must be an object"),
 ]
 
 
@@ -991,20 +1024,18 @@ def test_config_file_that_json_cannot_read_exits_64(tmp_path, capsys, content, m
 
 COMMON_FLAGS = {
     "--api-key", "--cache-dir", "--config", "--endpoint", "--help", "--model",
-    "--parallelism", "--retry-limit", "--temperature", "--templates-dir",
+    "--parallelism", "--record", "--replay", "--retry-limit", "--temperature",
+    "--templates-dir",
 }
 EVAL_FLAGS = COMMON_FLAGS | {
     "--caption", "--dataset", "--image", "--json", "--max-level", "--max-per-level",
     "--out", "--per-granularity", "--weight-ratio",
 }
 HELP_FLAGS = {
-    "evaluate": EVAL_FLAGS | {"--record", "--replay"},
-    "record": EVAL_FLAGS,
-    "replay": EVAL_FLAGS | {"--replay"},
-    # --record is accepted but hidden from forge's help
+    "evaluate": EVAL_FLAGS,
     "forge": COMMON_FLAGS | {
         "--captioner-model", "--detector", "--granularity", "--images",
-        "--include-undetected", "--max-iter", "--out", "--replay",
+        "--include-undetected", "--max-iter", "--out",
     },
 }
 
@@ -1144,3 +1175,18 @@ def test_forge_detector_flag_picks_its_template(tmp_path, flag, template):
     with ExitStack() as stack:
         config = cli._configure(cli.build_parser().parse_args(argv), stack)
     assert config.detector_template is template
+
+
+def test_every_readme_command_parses():
+    """Each `hmgie …` line in README.md's code blocks is one the parser takes,
+    so the docs show no spelling the CLI has dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    commands = [line for line in lines if line.startswith("hmgie ")]
+    assert len(commands) >= 4
+    for command in commands:
+        try:
+            cli.build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

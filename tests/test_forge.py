@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import threading
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -139,6 +140,20 @@ class TestGroundTruth:
         assert notes[0].startswith("1 captioner(s) failed: ['captioner 1: ")
         assert caption == "solo caption"
 
+    def test_a_blank_reply_is_its_captioners_failure(self):
+        # Beside a usable caption, a blank one is noted and nothing is fused;
+        # alone, it leaves no caption at all.
+        config, backend = ensemble_config(
+            lambda request: "" if request.model_id == "model-0" else "A dog on a sofa.", size=2
+        )
+        notes: list[str] = []
+        assert ground_truth(config, notes) == "A dog on a sofa."
+        assert notes == ["1 captioner(s) failed: ['captioner 0: blank reply']"]
+        assert len(backend.calls) == 2
+        config, _ = forge_config(lambda request: " \n")
+        with pytest.raises(AllCaptionersFailedError, match=r"^captioner 0: blank reply$"):
+            ground_truth(config, [])
+
     def test_ensemble_members_are_asked_at_once(self):
         # Each caption call waits until all three are in flight; asked one
         # after another, the first call breaks the barrier.
@@ -225,6 +240,16 @@ class TestPerturbation:
         config, _ = forge_config(forge_responder())
         with pytest.raises(SchemaViolationError):
             ForgeConfig(bindings=config.bindings, templates=TEMPLATES, **setting)
+
+    def test_an_ensemble_or_detector_it_cannot_run_is_refused(self):
+        bindings = forge_config(forge_responder())[0].bindings
+        for options, message in (
+            ({"detector_template": TemplateName.VQA}, "must be DirectPrompt or CoTPrompt"),
+            ({"bindings": replace(bindings, captioners=())}, "at least one captioner"),
+            ({"captioner_model_ids": ("a", "b")}, "must match the ensemble size"),
+        ):
+            with pytest.raises(SchemaViolationError, match=message):
+                ForgeConfig(**{"bindings": bindings, "templates": TEMPLATES, **options})
 
     def test_history_embedded_in_each_prompt(self):
         config, backend = forge_config(forge_responder(fool_at_version=None), max_iterations=4)

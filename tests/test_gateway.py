@@ -358,6 +358,10 @@ class TestCaching:
         assert second.text == first.text
         assert len(backend.calls) == 1
 
+    def test_record_mode_needs_a_cache_dir(self):
+        with pytest.raises(ValueError, match="record mode requires a cache_dir"):
+            Gateway(DynamicBackend(lambda r: "live"), record=True)
+
     def test_record_then_replay_round_trip(self, tmp_path):
         request = text_request("record me")
         live = DynamicBackend(lambda r: "live text")
@@ -1628,8 +1632,14 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
             b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n",
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n",
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\nabc\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n",
+            # Exactly one byte past the cap, so the client reads every byte sent.
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"0" * 65537,
         ],
-        ids=["protocol", "status", "content-length", "chunk-size", "chunk-overrun"],
+        ids=[
+            "protocol", "status", "content-length", "chunk-size", "chunk-overrun",
+            "negative-chunk-size", "chunk-size-line-past-64-KiB",
+        ],
     )
     def test_a_malformed_reply_is_a_transport_failure(self, reply):
         with raw_reply_server(reply) as endpoint, closing(HttpBackend(endpoint, "k")) as backend:

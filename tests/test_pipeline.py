@@ -250,10 +250,12 @@ class TestFailureModes:
         dangling = json.dumps(
             {"nodes": [node], "edges": [{"from": "N1", "to": "N9", "type": "Spatial"}]}
         )
+        unlabeled = json.dumps({"nodes": [{**node, "label": ""}], "edges": []})
         for reply, reason in (
             ("no graph here, sorry", "no balanced JSON object or array found in model reply"),
             (duplicate, "duplicate node id N1"),
             (dangling, "edge 0 references unknown node N9"),
+            (unlabeled, "node N1 has an empty label"),
         ):
             config = scripted_config(templates=TEMPLATES)
             backend = scripted_backend_of(config)
@@ -939,6 +941,18 @@ class TestBatch:
         assert batch.metrics.confusion.tp == 1
         assert batch.metrics.confusion.tn == 1
 
+    def test_an_empty_image_file_fails_only_its_item(self, batch_setup, tmp_path):
+        config, image_path = batch_setup
+        empty = tmp_path / "empty.png"
+        empty.write_bytes(b"")
+        items = [
+            DatasetItem(id="empty", image_path=str(empty), caption="clean caption"),
+            DatasetItem(id="clean", image_path=image_path, caption="clean caption"),
+        ]
+        batch = evaluate_batch(items, config)
+        assert batch.results[0].error == "ValueError: image payload is empty"
+        assert batch.results[1].report is not None
+
     def test_deeply_nested_reply_fails_only_its_item(self, batch_setup):
         config, image_path = batch_setup
         hostile = build_graph_request("hostile caption", config)
@@ -1166,6 +1180,14 @@ class TestDatasetLoading:
         assert items[0].granularity == 2
         assert items[1].id == "line-2"
         assert items[1].label is None
+
+    def test_a_blank_line_is_skipped_and_a_line_not_an_object_is_named(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"image_path": "a", "caption": "c"}\n \n', encoding="utf-8")
+        assert [item.id for item in load_dataset_jsonl(path)] == ["line-1"]
+        path.write_text('{"image_path": "a", "caption": "c"}\n \n[1]\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: line is not an object")):
+            load_dataset_jsonl(path)
 
     def test_bad_label_rejected(self, tmp_path):
         path = tmp_path / "data.jsonl"

@@ -112,10 +112,10 @@ def live_record(capsys, options: list[str]) -> dict:
     dataset = ["--dataset", "dataset.jsonl", *options]
     with serving(workload) as endpoint:
         record = run(capsys, [
-            "record", *dataset, "--endpoint", endpoint, "--api-key", "k",
+            "evaluate", "--record", *dataset, "--endpoint", endpoint, "--api-key", "k",
             "--cache-dir", "rec", "--out", "out-record",
         ])
-    replay = run(capsys, ["replay", *dataset, "--replay", "rec", "--out", "out-replay"])
+    replay = run(capsys, ["evaluate", *dataset, "--replay", "rec", "--out", "out-replay"])
 
     log = Path("rec/replies.jsonl").read_text(encoding="ascii").splitlines(keepends=True)
     least = min(log, key=lambda line: json.loads(line)[0])
@@ -123,7 +123,7 @@ def live_record(capsys, options: list[str]) -> dict:
     Path("rec-missing/replies.jsonl").write_text(
         "".join(line for line in log if line != least), encoding="ascii"
     )
-    missing = run(capsys, ["replay", *dataset, "--replay", "rec-missing", "--out", "out-missing"])
+    missing = run(capsys, ["evaluate", *dataset, "--replay", "rec-missing", "--out", "out-missing"])
     return {
         "keys": recorded_keys(Path("rec")),
         "record": outputs(*record, Path("out-record")),
