@@ -23,6 +23,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import select
 import threading
 import time
@@ -207,6 +208,8 @@ MAX_REPLY_BYTES = 4 * 1024 * 1024
 # The most one socket read asks for: a chat reply's head and body usually
 # fit; a longer body with a Content-Length is read straight into its buffer.
 _RECV_BYTES = 8192
+# A chunk size is 1*HEXDIG; int(size, 16) alone would also read 0x5, +5 and 0_5.
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
 
 # Retry backoff: the first pause after a transient failure, doubling after
 # each retry, and the most one call sleeps in total across its retries.
@@ -518,8 +521,9 @@ class _ReplyReader:
         elif length is not None:
             if not length.isdigit():
                 raise ConnectionError(f"malformed Content-Length {length[:40]!r}")
-            if int(length) > MAX_REPLY_BYTES:
-                raise GatewayError(_oversize(f"of {int(length)} bytes"))
+            # int() refuses past 4,300 digits; 18 hold any length under the cap.
+            if len(length) > 18 or int(length) > MAX_REPLY_BYTES:
+                raise GatewayError(_oversize(f"of {length[:40].decode()} bytes"))
             body = self._exact(int(length))
         else:
             body, reusable = self._until_close(), False
@@ -617,12 +621,9 @@ class _ReplyReader:
         pieces, total = [], 0
         while True:
             size = self._line().partition(b";")[0].strip()
-            try:
-                size = int(size, 16)
-            except ValueError:
-                raise ConnectionError(f"malformed chunk size {size[:40]!r}") from None
-            if size < 0:
-                raise ConnectionError("malformed chunk size")
+            if not _CHUNK_SIZE.fullmatch(size):
+                raise ConnectionError(f"malformed chunk size {size[:40]!r}")
+            size = int(size, 16)
             total += size
             if total > MAX_REPLY_BYTES:
                 raise GatewayError(_oversize("body"))

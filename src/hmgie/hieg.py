@@ -74,8 +74,6 @@ class QuestionItem:
         object.__setattr__(self, "parent_ids", frozenset(self.parent_ids))
         object.__setattr__(self, "covered_nodes", frozenset(self.covered_nodes))
         object.__setattr__(self, "covered_edges", frozenset(self.covered_edges))
-        if not self.question or not self.question.strip():
-            raise SchemaViolationError("question text must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -94,8 +92,8 @@ class QuestionBatch:
 class Hieg:
     """Evaluation nodes grouped by level; levels[0] holds level 1.
 
-    Node ids and question texts are distinct across the graph, and each
-    node's parents sit at lower levels.
+    Question texts are distinct across the graph, and each node's parents
+    sit at lower levels; ``expand`` gives each node an id of its own.
     """
 
     levels: tuple[tuple[EvalNode, ...], ...] = ()
@@ -110,7 +108,6 @@ class Hieg:
             raise SchemaViolationError(
                 f"{len(self.levels)} levels exceed max_level {self.max_level}"
             )
-        seen: set[str] = set()
         questions: set[str] = set()
         lower_ids: set[str] = set()
         for index, level_nodes in enumerate(self.levels):
@@ -122,9 +119,6 @@ class Hieg:
                     raise SchemaViolationError(
                         f"node {node.id} has level {node.level} but sits in level {level}"
                     )
-                if node.id in seen:
-                    raise SchemaViolationError(f"duplicate node id {node.id}")
-                seen.add(node.id)
                 if node.question in questions:
                     raise SchemaViolationError(
                         f"question text already present: {node.question!r}"

@@ -210,11 +210,9 @@ def parse_vqa_reply(raw: str, notes: list[str]) -> VqaReply:
     payload = extract_json_value(raw)
     if not isinstance(payload, dict):
         raise MalformedOutputError("VQA reply is not a JSON object")
-    answer = _get_field(payload, "Answer", "answer")
-    if answer is None:
-        raise MalformedOutputError("VQA reply has no 'Answer' field")
+    answer = _coerce_answer(_get_field(payload, "Answer", "answer"))
     confidence = _coerce_confidence(_get_field(payload, "Confidence", "confidence"), notes)
-    return VqaReply(answer=_coerce_answer(answer), confidence=confidence)
+    return VqaReply(answer=answer, confidence=confidence)
 
 
 def parse_eval_reply(raw: str) -> bool:
@@ -222,10 +220,7 @@ def parse_eval_reply(raw: str) -> bool:
     payload = extract_json_value(raw)
     if not isinstance(payload, dict):
         raise MalformedOutputError("evaluation reply is not a JSON object")
-    value = _get_field(payload, "Correct", "correct")
-    if value is None:
-        raise MalformedOutputError("evaluation reply has no 'Correct' field")
-    return _coerce_bool(value, "Correct")
+    return _coerce_bool(_get_field(payload, "Correct", "correct"), "Correct")
 
 
 def parse_consistency_reply(raw: str) -> bool:
@@ -337,8 +332,6 @@ def parse_coverage_reply(raw: str, notes: list[str]) -> CoverageReply:
     if not isinstance(payload, dict):
         raise MalformedOutputError("coverage reply is not a JSON object")
     complete_raw = _get_field(payload, "Verified-Complete", "verified-complete")
-    if complete_raw is None:
-        raise MalformedOutputError("coverage reply has no 'Verified-Complete' field")
     suggestion = _get_field(payload, "Next-Level-Suggestion", "next-level-suggestion")
     if isinstance(suggestion, str) and suggestion.strip().lower() in ("", "none", "null"):
         suggestion = None

@@ -14,8 +14,10 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import groupby
-from typing import Optional, Sequence
+from operator import add
+from typing import Iterable, Optional, Sequence
 
 from .errors import SchemaViolationError, require_positive, shown
 from .hieg import LevelStats
@@ -49,12 +51,17 @@ class ScoringConfig:
         object.__setattr__(self, "max_per_level", tuple(per_level))
 
 
+def _total(values: Iterable[float]) -> float:
+    """The sum of ``values``, added left to right as ``sum()`` adds floats
+    before Python 3.12; 3.12's compensated ``sum()`` can move the last digit
+    of a score, and so a report's bytes."""
+    return reduce(add, values, 0)
+
+
 def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
     """Normalized geometric weights ratio**i, shallowest level first. The
     ratio is an int or a float (not a bool), finite and > 0, whose weights
     fit in a float."""
-    if count < 1:
-        raise SchemaViolationError("weight sequence needs at least one level")
     if not isinstance(ratio, (int, float)) or isinstance(ratio, bool):
         raise SchemaViolationError(f"weight_ratio must be an int or a float, got {shown(ratio)}")
     if not 0 < ratio < math.inf:
@@ -63,7 +70,7 @@ def geometric_weights(count: int, ratio: float) -> tuple[float, ...]:
         raw = [ratio**i for i in range(count)]
     except OverflowError:
         raw = [math.inf]
-    if (total := sum(raw)) == math.inf:
+    if (total := _total(raw)) == math.inf:
         raise SchemaViolationError(f"weight_ratio {ratio} over {count} levels passes float range")
     return tuple(w / total for w in raw)
 
@@ -76,11 +83,8 @@ def compute_h_acc(stats: Sequence[LevelStats], config: ScoringConfig) -> float:
     """
     if not stats:
         raise SchemaViolationError("accuracy score needs at least one populated level")
-    for entry in stats:
-        if entry.count < 1:
-            raise SchemaViolationError(f"level {entry.level} has no questions")
     weights = geometric_weights(len(stats), config.weight_ratio)
-    return sum(
+    return _total(
         weight * (entry.correct_weighted_sum / entry.count)
         for weight, entry in zip(weights, stats)
     )
@@ -92,21 +96,15 @@ def compute_h_comp(counts: Sequence[int], config: ScoringConfig) -> float:
     counts holds the realized question count per level (length <= max_level);
     unreached levels count zero. Weights normalize over all max_level levels.
     """
-    if len(counts) > config.max_level:
-        raise SchemaViolationError(
-            f"{len(counts)} levels exceed configured max_level {config.max_level}"
-        )
     budgets = config.max_per_level
     padded = list(counts) + [0] * (config.max_level - len(counts))
-    for level, (n, cap) in enumerate(zip(padded, budgets), start=1):
-        if n < 0:
-            raise SchemaViolationError(f"level {level} has negative count")
+    for level, (n, cap) in enumerate(zip(padded, budgets, strict=True), start=1):
         if n > cap:
             raise SchemaViolationError(
                 f"level {level} count {n} exceeds its budget {cap}"
             )
     weights = geometric_weights(config.max_level, config.weight_ratio)
-    return sum(w * n / cap for w, n, cap in zip(weights, padded, budgets))
+    return _total(w * n / cap for w, n, cap in zip(weights, padded, budgets))
 
 
 @dataclass(frozen=True)
@@ -149,6 +147,15 @@ class MetricsSummary:
         return payload
 
 
+# The confusion cell of each (predicted, label) bit pair.
+_CELLS = {(1, 1): "tp", (1, 0): "fp", (0, 0): "tn", (0, 1): "fn"}
+
+
+def _count(pairs: Iterable[tuple[int, int]]) -> Confusion:
+    """A pair that is not two bits has no cell, and raises KeyError."""
+    return Confusion(**Counter(_CELLS[predicted, label] for predicted, label in pairs))
+
+
 def _ratio(numerator: int, denominator: int) -> Optional[float]:
     return numerator / denominator if denominator > 0 else None
 
@@ -175,31 +182,11 @@ def detection_metrics(
     """
     if not pairs:
         raise SchemaViolationError("detection metrics need at least one pair")
-    if granularities is not None and len(granularities) != len(pairs):
-        raise SchemaViolationError("granularities must align with pairs")
-
-    def _count(selected: Sequence[tuple[int, int]]) -> Confusion:
-        tp = fp = tn = fn = 0
-        for predicted, label in selected:
-            if predicted not in (0, 1) or label not in (0, 1):
-                raise SchemaViolationError(
-                    f"predicted/label must be bits, got {(predicted, label)}"
-                )
-            if predicted and label:
-                tp += 1
-            elif predicted and not label:
-                fp += 1
-            elif not predicted and label:
-                fn += 1
-            else:
-                tn += 1
-        return Confusion(tp=tp, fp=fp, tn=tn, fn=fn)
-
     summary = _summarize(_count(pairs))
     if granularities is None:
         return summary
     buckets: dict[int, list[tuple[int, int]]] = {}
-    for pair, granularity in zip(pairs, granularities):
+    for pair, granularity in zip(pairs, granularities, strict=True):
         if granularity is not None:
             buckets.setdefault(int(granularity), []).append(pair)
     breakdown = {g: _summarize(_count(bucket)) for g, bucket in buckets.items()}

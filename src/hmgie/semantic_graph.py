@@ -72,8 +72,6 @@ class SemanticNode:
             raise SchemaViolationError(
                 f"node id {self.id!r} does not match 'N<positive integer>'"
             )
-        if not isinstance(self.kind, NodeKind):
-            raise SchemaViolationError(f"node kind {self.kind!r} is not a NodeKind")
         if not self.label or not self.label.strip():
             raise SchemaViolationError(f"node {self.id} has an empty label")
 
@@ -87,10 +85,6 @@ class SemanticEdge:
     kind: EdgeKind
     label: str = ""
     description: str = ""
-
-    def __post_init__(self):
-        if not isinstance(self.kind, EdgeKind):
-            raise SchemaViolationError(f"edge kind {self.kind!r} is not an EdgeKind")
 
 
 @dataclass(frozen=True)

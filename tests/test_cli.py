@@ -129,8 +129,15 @@ class TestEvaluateSingle:
         )
         assert code == EXIT_USAGE
 
-    def test_unknown_flag_exits_64(self):
-        assert main(["evaluate", "--bogus-flag"]) == EXIT_USAGE
+    def test_unknown_flag_exits_64(self, replay_setup, capsys):
+        # Beside flags that would run, so only the unknown one can refuse it.
+        fixture_dir, image = replay_setup
+        argv = ["evaluate", "--image", str(image), "--caption", CAPTION,
+                "--replay", str(fixture_dir), "--bogus-flag"]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "hmgie: error: unrecognized arguments: --bogus-flag\n"
+        )
 
     def test_no_command_prints_the_usage_and_exits_64(self, capsys):
         assert main([]) == EXIT_USAGE
@@ -959,14 +966,12 @@ class TestRunConfigErrors:
         [
             (
                 "http://user:secret@p:abc",
-                "https_proxy is not a valid URL: Port could not be cast to integer value as 'abc'",
-            ),
-            ("http://:3128", "https_proxy names no host"),
-            (
-                "http://b\u00fc..example:3128",
                 "https_proxy is not a valid URL: "
-                "encoding with 'idna' codec failed (UnicodeError: label empty or too long)",
+                "Port could not be cast to integer value as 'abc'\n",
             ),
+            ("http://:3128", "https_proxy names no host\n"),
+            # The rest quotes the idna codec, whose wording each Python changes.
+            ("http://b\u00fc..example:3128", "https_proxy is not a valid URL: "),
         ],
     )
     def test_malformed_proxy_exits_64(self, capsys, monkeypatch, proxy, message):
@@ -976,7 +981,7 @@ class TestRunConfigErrors:
         monkeypatch.setenv("https_proxy", proxy)
         code = main(EVAL + KEY + ["--endpoint", "https://example.invalid"])
         assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 # Config-file values that name no setting or have the wrong type, with the

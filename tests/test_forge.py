@@ -560,6 +560,21 @@ class TestBuildDataset:
             ),
         )
 
+    def test_a_blank_fusion_reply_fails_its_cell_before_any_perturbation(self, images, tmp_path):
+        def respond(request):
+            if request.prompt.startswith("You are given several candidate captions"):
+                return " "
+            return forge_responder(fool_at_version=1)(request)
+
+        config, backend = ensemble_config(respond, size=2)
+        config = replace(config, specs=DEFAULT_GRANULARITY_SPECS[:1])
+        summary = build_dataset(images[:1], config, tmp_path / "data.jsonl")
+        assert summary.records_written == 0
+        assert summary.errors == (
+            f"{images[0]} g1: SchemaViolationError: ground truth caption must be nonempty",
+        )
+        assert not any(c.prompt.startswith("You are constructing") for c in backend.calls)
+
     def test_captioner_failure_noted_in_summary(self, images, tmp_path):
         def flaky(request):
             if request.prompt.startswith("Describe the image") and request.model_id == "bad":

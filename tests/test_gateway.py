@@ -2,6 +2,7 @@ import ast
 import base64
 import hashlib
 import http.client
+import itertools
 import json
 import os
 import resource
@@ -961,10 +962,10 @@ def _package_env() -> dict:
 
 
 @contextmanager
-def raw_reply_server(reply: bytes):
+def raw_reply_server(reply: bytes, close: bool = False):
     """A server that reads one request on each connection it accepts and
-    answers with ``reply`` byte for byte, then waits for the client to
-    close; yields its endpoint."""
+    answers with ``reply`` byte for byte, then closes the connection, given
+    ``close``, or waits for the client to close it; yields its endpoint."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
@@ -980,7 +981,7 @@ def raw_reply_server(reply: bytes):
                         length = int(line[15:])
                 request.read(length)
                 connection.sendall(reply)
-                while connection.recv(65536):
+                while not close and connection.recv(65536):
                     pass
 
     threading.Thread(target=serve, daemon=True).start()
@@ -1341,8 +1342,9 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
         ids=["short-body", "reset"],
     )
     def test_broken_transport_is_retried(self, fault, cause):
+        # A short timeout, so a reader that waits out a closed connection fails fast.
         with FakeChatServer(lambda body: fault) as server, closing(
-            HttpBackend(endpoint=server.endpoint, api_key="k")
+            HttpBackend(endpoint=server.endpoint, api_key="k", timeout=5.0)
         ) as backend:
             gateway = Gateway(backend, attempts=3, sleeper=lambda s: None)
             with pytest.raises(ExhaustedError) as exc_info:
@@ -1635,10 +1637,15 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n-1\r\n",
             # Exactly one byte past the cap, so the client reads every byte sent.
             b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + b"0" * 65537,
+            # int(size, 16) reads each of these sizes; a chunk size is 1*HEXDIG.
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x2\r\nhi\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n+2\r\nhi\r\n0\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0_0\r\n\r\n",
         ],
         ids=[
             "protocol", "status", "content-length", "chunk-size", "chunk-overrun",
             "negative-chunk-size", "chunk-size-line-past-64-KiB",
+            "chunk-size-0x2", "chunk-size-plus-2", "chunk-size-0_0",
         ],
     )
     def test_a_malformed_reply_is_a_transport_failure(self, reply):
@@ -1646,6 +1653,57 @@ with FakeChatServer() as server, closing(HttpBackend(server.endpoint, "k")) as b
             with pytest.raises(TransientBackendError, match="ConnectionError"):
                 backend.complete(text_request())
             assert backend._idle == []
+
+    def test_a_close_inside_the_head_is_a_transport_failure(self):
+        reply = b"HTTP/1.1 200 OK\r\nContent-"
+        with raw_reply_server(reply, close=True) as endpoint, closing(
+            HttpBackend(endpoint, "k", timeout=5.0)
+        ) as backend:
+            with pytest.raises(TransientBackendError, match="closed the connection inside a reply"):
+                backend.complete(text_request())
+
+    # 10**18, and a length past int()'s 4,300-digit limit.
+    @pytest.mark.parametrize("length", [b"1" + b"0" * 18, b"9" * 5000], ids=["19-digits", "5000-digits"])
+    def test_a_content_length_of_many_digits_is_oversize(self, length):
+        reply = b"HTTP/1.1 200 OK\r\nContent-Length: " + length + b"\r\n\r\n"
+        with raw_reply_server(reply) as endpoint, closing(HttpBackend(endpoint, "k")) as backend:
+            with pytest.raises(GatewayError, match="MAX_REPLY_BYTES") as exc_info:
+                backend.complete(text_request())
+            assert not isinstance(exc_info.value, TransientBackendError)
+            assert backend._idle == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # A chunk announced one byte past the cap, and never sent.
+            b"%x\r\n" % (gateway_module.MAX_REPLY_BYTES + 1),
+            # A short chunk, then trailer lines that pass the cap together.
+            b"2\r\nhi\r\n0\r\n" + b"X-Pad: %s\r\n" % (b"p" * 65000) * 65 + b"\r\n",
+        ],
+        ids=["chunk", "trailers"],
+    )
+    def test_a_chunked_reply_past_the_cap_fails_before_more_is_read(self, body):
+        reply = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + body
+        with raw_reply_server(reply) as endpoint, closing(
+            HttpBackend(endpoint, "k", timeout=5.0)
+        ) as backend:
+            with pytest.raises(GatewayError, match="reply body passes MAX_REPLY_BYTES") as exc_info:
+                backend.complete(text_request())
+            assert not isinstance(exc_info.value, TransientBackendError)
+
+
+def test_a_deadline_that_passes_between_reads_is_a_timeout(monkeypatch):
+    """A read that ends as the deadline passes leaves the next none: the
+    reader raises TimeoutError, without a socket timeout of zero or less."""
+    clock = itertools.chain([0.0], itertools.repeat(2.0))  # the deadline is 1.0
+    monkeypatch.setattr(
+        gateway_module, "time", types.SimpleNamespace(monotonic=lambda: next(clock))
+    )
+    server, client = socket.socketpair()
+    with server, client:
+        server.sendall(b"HTTP/1.1 200 OK\r\n")
+        with pytest.raises(TimeoutError, match="ran out of its timeout"):
+            gateway_module._ReplyReader(client, deadline=1.0).read()
 
 
 def test_sniff_media_type():

@@ -404,6 +404,18 @@ REFUSED_REPLIES = [
         MalformedOutputError,
         "detector reply has no textual 'Answer' field",
     ),
+    # A field that is missing reads as null, which its coercer refuses.
+    # The answer is refused before an odd confidence can leave a note.
+    ("vqa", '{"Confidence": "high"}', MalformedOutputError, "'Answer' is not a scalar: None"),
+    ("vqa", '{"Answer": ["a"]}', MalformedOutputError, "'Answer' is not a scalar: ['a']"),
+    ("eval", '{"Verdict": true}', MalformedOutputError, "field 'Correct' is not a boolean: None"),
+    ("eval", '{"Correct": 1}', MalformedOutputError, "field 'Correct' is not a boolean: 1"),
+    (
+        "coverage",
+        '{"Examined-Nodes": []}',
+        MalformedOutputError,
+        "field 'Verified-Complete' is not a boolean: None",
+    ),
     (
         "questions",
         '{"Questions": "q?"}',
@@ -427,10 +439,12 @@ REFUSED_REPLIES = [
 
 @pytest.mark.parametrize("parser, raw, error, message", REFUSED_REPLIES)
 def test_reply_of_a_wrong_shape_is_refused(parser, raw, error, message):
+    notes = []
     with pytest.raises(HmgieError) as excinfo:
-        _parse(parser, raw, [])
+        _parse(parser, raw, notes)
     assert type(excinfo.value) is error
     assert str(excinfo.value) == message
+    assert notes == []
 
 
 # Reply shapes a parser reads with a default or a note: parser, reply, the

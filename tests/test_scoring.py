@@ -1,13 +1,16 @@
+import ast
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmgie.errors import SchemaViolationError
+from hmgie import scoring
 from hmgie.hieg import LevelStats
 from hmgie.scoring import (
     ScoringConfig,
@@ -152,6 +155,10 @@ class TestHComp:
         assert value == pytest.approx((1 / 2.2) * 0.5 + (1.2 / 2.2) * 1.0, abs=1e-12)
         assert value == pytest.approx(0.77272727272, abs=1e-9)
 
+    def test_a_budget_per_level_needs_one_entry_a_level(self):
+        with pytest.raises(SchemaViolationError, match="^max_per_level needs 3 entries, got 2$"):
+            ScoringConfig(max_level=3, max_per_level=(4, 4))
+
     def test_count_above_budget_rejected(self):
         with pytest.raises(SchemaViolationError):
             compute_h_comp([11], ScoringConfig(max_level=1, max_per_level=10))
@@ -253,6 +260,12 @@ def pairs_from_confusion(tp, fn, fp, tn):
 
 
 class TestDetectionMetrics:
+    def test_a_pair_that_is_not_two_bits_or_a_granularity_list_that_does_not_align_raises(self):
+        with pytest.raises(KeyError):
+            detection_metrics([(1, 1), (2, 0)])
+        with pytest.raises(ValueError):
+            detection_metrics([(1, 1), (0, 0)], [1])
+
     def test_perfect(self):
         summary = detection_metrics(pairs_from_confusion(tp=2, fn=0, fp=0, tn=2))
         assert summary.tpr == 1.0
@@ -346,6 +359,10 @@ class TestKendallTau:
         assert kendall_tau(x, y) == pytest.approx(oracle_tau_b(x, y), abs=1e-12)
         assert kendall_tau(x, y) == pytest.approx(4 / 6)
 
+    def test_nan_has_no_rank(self):
+        with pytest.raises(SchemaViolationError, match="^tau-b undefined for this input$"):
+            kendall_tau([1, math.nan, 2], [1, 2, 3])
+
     def test_length_mismatch(self):
         with pytest.raises(SchemaViolationError, match="^length 2 vs 3$"):
             kendall_tau([1, 2], [1, 2, 3])
@@ -380,6 +397,56 @@ class TestKendallTau:
             if len(set(x)) < 2 or len(set(y)) < 2:
                 continue
             assert kendall_tau(x, y) == pytest.approx(oracle_tau_b(x, y), abs=1e-12)
+
+
+# --- float sums -----------------------------------------------------------
+
+
+def _fold(values) -> float:
+    """Left-to-right addition, as sum() adds floats before Python 3.12."""
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
+class TestLeftToRightSums:
+    """Python 3.12's sum() compensates float rounding, which moves the last
+    digit of a score and so a report's bytes. On each input below, the exact
+    sum and the left-to-right one differ."""
+
+    def test_weight_total(self):
+        raw = [1.2**i for i in range(3)]
+        assert math.fsum(raw) != _fold(raw)
+        assert geometric_weights(3, 1.2) == tuple(w / _fold(raw) for w in raw)
+
+    def test_h_acc(self):
+        means = (0.9, 0.8, 0.7)
+        stats = [
+            LevelStats(level=j + 1, count=1, correct_weighted_sum=m) for j, m in enumerate(means)
+        ]
+        terms = [w * m for w, m in zip(geometric_weights(3, 1.2), means)]
+        assert math.fsum(terms) != _fold(terms)
+        assert compute_h_acc(stats, ScoringConfig()) == _fold(terms)
+
+    def test_h_comp(self):
+        counts = [3] * 5
+        terms = [w * n / 10 for w, n in zip(geometric_weights(5, 1.2), counts)]
+        assert math.fsum(terms) != _fold(terms)
+        assert compute_h_comp(counts, ScoringConfig()) == _fold(terms)
+
+    def test_no_score_calls_the_builtin_sum(self):
+        tree = ast.parse(Path(scoring.__file__).read_text(encoding="utf-8"))
+        functions = {"geometric_weights", "compute_h_acc", "compute_h_comp"}
+        calls = [
+            (node.name, call.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name in functions
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "sum"
+        ]
+        assert {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)} >= functions
+        assert calls == []
 
 
 # --- ROUGE ----------------------------------------------------------------

@@ -57,6 +57,11 @@ REFUSED_GRAPHS = [
         "node id must be a string, got 1",
     ),
     (
+        {"nodes": [{**DOG, "id": "n1"}]},
+        SchemaViolationError,
+        "node id 'n1' does not match 'N<positive integer>'",
+    ),
+    (
         {"nodes": [DOG], "edges": [{"from": "N1", "to": "N1"}]},
         SchemaViolationError,
         "edge entry missing fields ['type']: {'from': 'N1', 'to': 'N1'}",
@@ -256,9 +261,11 @@ class TestMask:
         assert updated.node_flags == {"N1": 0, "N2": 1}
 
     def test_apply_unknown_element(self):
-        mask = CoverageMask(node_flags={"N1": 1, "N2": 1}, edge_flags={})
+        mask = CoverageMask(node_flags={"N1": 1, "N2": 1}, edge_flags={0: 1})
         with pytest.raises(SchemaViolationError, match="^node 'N7' is not in the mask$"):
             apply_coverage(mask, examined_nodes={"N7"})
+        with pytest.raises(SchemaViolationError, match="^edge index 3 is not in the mask$"):
+            apply_coverage(mask, examined_edges={3})
 
     def test_fully_covered(self):
         assert is_fully_covered(CoverageMask(node_flags={"N1": 0}, edge_flags={0: 0}))
