@@ -352,8 +352,8 @@ def _evaluate(args, config: PipelineConfig) -> int:
         if args.out is not None:  # made before any model call: a bad path fails first
             Path(args.out).mkdir(parents=True, exist_ok=True)
         report = evaluate_pair(payload, args.caption, config)
-        _print_report(report, args.json)
         _write_report(args.out, "pair", report)
+        _print_report(report, args.json)
         return EXIT_OK
 
     dataset = load_dataset_jsonl(args.dataset)
@@ -362,14 +362,16 @@ def _evaluate(args, config: PipelineConfig) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     batch = evaluate_batch(dataset, config)
 
-    summary_rows = []
+    # Every file is written before any line is printed, so a closed stdout
+    # costs the batch no file.
+    lines, summary_rows = [], []
     for result in batch.results:
         report = result.report
         if report is None:
-            print(f"{result.item.id}: error {result.error}")
+            lines.append(f"{result.item.id}: error {result.error}")
         else:
             decision = "consistent" if report.decision else "inconsistent"
-            print(
+            lines.append(
                 f"{result.item.id}: decision={decision} "
                 f"h_acc={report.h_acc:.6f} h_comp={report.h_comp:.6f}"
             )
@@ -383,11 +385,6 @@ def _evaluate(args, config: PipelineConfig) -> int:
                 "error": result.error,
             }
         )
-    print(f"items: {batch.evaluated} evaluated, {batch.failed} failed")
-    if batch.metrics is not None:
-        if batch.failed:
-            print(f"metrics cover {batch.evaluated} of {len(batch.results)} items")
-        _print_metrics(batch.metrics, args.per_granularity)
     if args.out is not None:
         summary = {
             "items": len(batch.results),
@@ -400,6 +397,13 @@ def _evaluate(args, config: PipelineConfig) -> int:
             Path(args.out) / "summary.json",
             json.dumps(summary, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         )
+    for line in lines:
+        print(line)
+    print(f"items: {batch.evaluated} evaluated, {batch.failed} failed")
+    if batch.metrics is not None:
+        if batch.failed:
+            print(f"metrics cover {batch.evaluated} of {len(batch.results)} items")
+        _print_metrics(batch.metrics, args.per_granularity)
     return EXIT_RUNTIME if batch.failed else EXIT_OK
 
 

@@ -205,8 +205,7 @@ MAX_IDLE_CONNECTIONS = 8
 # its body. A chat reply is kilobytes; a larger one fails its call.
 MAX_REPLY_BYTES = 4 * 1024 * 1024
 
-# The most one socket read asks for: a chat reply's head and body usually
-# fit; a longer body with a Content-Length is read straight into its buffer.
+# The most one socket read asks for; a chat reply's head and body usually fit.
 _RECV_BYTES = 8192
 # A chunk size is 1*HEXDIG; int(size, 16) alone would also read 0x5, +5 and 0_5.
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
@@ -488,12 +487,13 @@ def _oversize(part: str) -> str:
 class _ReplyReader:
     """Reads one HTTP/1.1 reply off a socket.
 
-    Every read gets only what remains of the call's deadline. The body is
-    framed by Content-Length, by the chunked transfer coding, or by the
-    server closing the connection; 1xx, 204 and 304 replies have none. A
-    reply that breaks the framing raises ConnectionError, so it counts as a
-    transport failure; a header block or body past MAX_REPLY_BYTES raises
-    GatewayError before more of it is read.
+    Bytes read off the socket wait in one buffer until they are taken, and
+    ``_fill`` is the one socket read; each gets only what remains of the
+    call's deadline. The body is framed by Content-Length, by the chunked
+    transfer coding, or by the server closing the connection; 1xx, 204 and
+    304 replies have none. A reply that breaks the framing raises
+    ConnectionError, so it counts as a transport failure; a header block or
+    body past MAX_REPLY_BYTES raises GatewayError before more of it is read.
     """
 
     __slots__ = ("sock", "deadline", "buffer")
@@ -501,7 +501,7 @@ class _ReplyReader:
     def __init__(self, sock, deadline: float):
         self.sock = sock
         self.deadline = deadline
-        self.buffer = b""  # read off the socket and not yet taken
+        self.buffer = bytearray()  # read off the socket and not yet taken
 
     def read(self) -> tuple[int, dict[bytes, bytes], bytes, bool]:
         """The status, the headers (names in lower case), the body, and
@@ -530,19 +530,21 @@ class _ReplyReader:
         # Bytes past the reply would be read as the next one's.
         return status, headers, body, reusable and not self.buffer
 
-    def _recv(self) -> bytes:
+    def _fill(self) -> bool:
+        """Append one socket read to the buffer; False once the server has
+        closed the connection."""
         self.sock.settimeout(_remaining(self.deadline))
-        return self.sock.recv(_RECV_BYTES)
+        data = self.sock.recv(_RECV_BYTES)
+        self.buffer += data
+        return bool(data)
 
     def head(self) -> tuple[int, bytes, dict[bytes, bytes]]:
         """The status, the version and the headers (names in lower case) of
         the reply, past any interim 1xx replies."""
         status = 100
         while 100 <= status < 200:  # an interim reply; the real one follows
-            if not self.buffer:
-                self.buffer = self._recv()
-                if not self.buffer:  # no reply came at all, as after a reset
-                    raise ConnectionResetError("the server closed the connection before a reply")
+            if not self.buffer and not self._fill():  # no reply at all, as after a reset
+                raise ConnectionResetError("the server closed the connection before a reply")
             block = self._until(b"\r\n\r\n", MAX_REPLY_BYTES)
             if block is None:
                 raise GatewayError(_oversize("header block"))
@@ -567,46 +569,29 @@ class _ReplyReader:
     def _until(self, delimiter: bytes, cap: int) -> Optional[bytes]:
         """The bytes up to the next ``delimiter``, which is taken too, or
         None past ``cap`` bytes."""
-        buffer = self.buffer
-        end = buffer.find(delimiter)
-        if end < 0:
-            buffer = bytearray(buffer)  # grows in place
-            while end < 0:
-                if len(buffer) > cap:
-                    return None
-                data = self._recv()
-                if not data:
-                    raise ConnectionError("the server closed the connection inside a reply")
-                searched = max(len(buffer) - len(delimiter) + 1, 0)
-                buffer += data
-                end = buffer.find(delimiter, searched)
-            buffer = bytes(buffer)
+        searched = 0
+        while (end := self.buffer.find(delimiter, searched)) < 0:
+            if len(self.buffer) > cap:
+                return None
+            searched = max(len(self.buffer) - len(delimiter) + 1, 0)
+            if not self._fill():
+                raise ConnectionError("the server closed the connection inside a reply")
         if end > cap:
             return None
-        self.buffer = buffer[end + len(delimiter) :]
-        return buffer[:end]
+        taken = bytes(self.buffer[:end])
+        del self.buffer[: end + len(delimiter)]
+        return taken
 
-    def _exact(self, size: int) -> bytes | bytearray:
-        """The next ``size`` bytes; a body read in pieces goes straight into
-        one buffer of its final size."""
-        buffered = self.buffer
-        if len(buffered) >= size:
-            self.buffer = buffered[size:]
-            return buffered[:size]
-        self.buffer = b""
-        data = bytearray(size)
-        view = memoryview(data)
-        got = len(buffered)
-        view[:got] = buffered
-        while got < size:
-            self.sock.settimeout(_remaining(self.deadline))
-            received = self.sock.recv_into(view[got:])
-            if not received:
+    def _exact(self, size: int) -> bytearray:
+        """The next ``size`` bytes."""
+        while len(self.buffer) < size:
+            if not self._fill():
                 raise ConnectionError(
-                    f"the server closed the connection after {got} of {size} bytes"
+                    f"the server closed the connection after {len(self.buffer)} of {size} bytes"
                 )
-            got += received
-        return data
+        taken = self.buffer[:size]
+        del self.buffer[:size]
+        return taken
 
     def _line(self) -> bytes:
         """The next line of a chunked body, without its CRLF."""
@@ -642,15 +627,11 @@ class _ReplyReader:
 
     def _until_close(self) -> bytearray:
         """A body that ends where the server closes the connection."""
-        data = bytearray(self.buffer)
-        self.buffer = b""
-        while True:
-            if len(data) > MAX_REPLY_BYTES:
-                raise GatewayError(_oversize("body"))
-            received = self._recv()
-            if not received:
-                return data
-            data += received
+        while len(self.buffer) <= MAX_REPLY_BYTES:
+            if not self._fill():
+                body, self.buffer = self.buffer, bytearray()
+                return body
+        raise GatewayError(_oversize("body"))
 
 
 @dataclass(frozen=True)

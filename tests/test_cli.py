@@ -1,7 +1,9 @@
 import inspect
+import io
 import json
 import re
 import shlex
+import sys
 from contextlib import ExitStack
 from dataclasses import replace
 from pathlib import Path
@@ -287,11 +289,38 @@ class TestEvaluateBatch:
                 "--out", str(out_dir)]
         assert main(argv) == EXIT_RUNTIME
         captured = capsys.readouterr()
-        assert captured.out.startswith("a: decision=consistent ")
+        assert captured.out == ""  # files go first, so no line is printed
         assert captured.err.startswith("error: [Errno 21] Is a directory: ")
         assert captured.err.count("\n") == 1
         # The temp file the write went through is gone.
         assert [path.name for path in out_dir.iterdir()] == ["a.report.json"]
+
+    def test_a_stdout_closed_after_one_line_costs_no_file(
+        self, batch_setup, capsys, tmp_path, monkeypatch
+    ):
+        """As with `hmgie evaluate ... | head -1`: every report and the summary
+        are on disk, and the run exits 2 naming the broken pipe."""
+
+        class ClosedAfterOneLine(io.StringIO):
+            def write(self, text):
+                if "\n" in self.getvalue():
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        fixture_dir, dataset = batch_setup
+        out_dir = tmp_path / "reports"
+        stdout = ClosedAfterOneLine()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = ["evaluate", "--dataset", str(dataset), "--replay", str(fixture_dir),
+                "--out", str(out_dir)]
+        assert main(argv) == EXIT_RUNTIME
+        assert stdout.getvalue().startswith("a: decision=consistent ")
+        assert stdout.getvalue().count("\n") == 1
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+        assert sorted(path.name for path in out_dir.iterdir()) == [
+            "a.report.json", "b.report.json", "c.report.json", "d.report.json", "summary.json"
+        ]
+        assert json.loads((out_dir / "summary.json").read_text())["evaluated"] == 4
 
 
 def router(prompt: str) -> str:
