@@ -348,10 +348,10 @@ def _write_report(out_dir: Optional[str], name: str, report: EvaluationReport) -
 
 def _evaluate(args, config: PipelineConfig) -> int:
     if args.caption:
-        payload = Path(args.image).read_bytes()
+        image = config.image_files.read(args.image)
         if args.out is not None:  # made before any model call: a bad path fails first
             Path(args.out).mkdir(parents=True, exist_ok=True)
-        report = evaluate_pair(payload, args.caption, config)
+        report = evaluate_pair(image, args.caption, config)
         _write_report(args.out, "pair", report)
         _print_report(report, args.json)
         return EXIT_OK

@@ -26,7 +26,7 @@ from .errors import (
     SchemaViolationError,
     require_positive,
 )
-from .gateway import Gateway, ImageRef, ModelRequest, check_sampling
+from .gateway import Gateway, ImageFiles, ImageRef, ModelRequest, check_sampling
 from .pipeline import _sampling, ordered_map
 from .prompts import (
     TemplateName,
@@ -158,8 +158,11 @@ class ForgeConfig:
     max_output_tokens: int = ModelRequest.max_output_tokens
     templates: dict = field(default_factory=load_templates)
     parallelism: int = 1
+    # Reads every image, hashing an unchanged file once per config.
+    image_files: ImageFiles = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "image_files", ImageFiles())
         require_positive(max_iterations=self.max_iterations, parallelism=self.parallelism)
         for model_id in (self.model_id, *(self.captioner_model_ids or ())):
             check_sampling(model_id, self.temperature, self.max_output_tokens)
@@ -363,7 +366,7 @@ def _record_lines(
 ) -> tuple[list[dict], list[str]]:
     """Build the JSONL payloads and the notes for one (image, granularity) cell."""
     cell = f"{image_path} g{spec.level}"
-    image = ImageRef(Path(image_path).read_bytes())
+    image = config.image_files.read(image_path)
     caption_notes: list[str] = []
     ground_truth = generate_ground_truth(image, spec, config, caption_notes)
     notes = [f"{cell}: {note}" for note in caption_notes]
@@ -410,7 +413,9 @@ def build_dataset(
     out_path: str | Path,
 ) -> ForgeSummary:
     """Forge the dataset file: one clean and (when found) one adversarial
-    record per (image, granularity), in deterministic order.
+    record per (image, granularity), in deterministic order. Images are read
+    through ``config.image_files``, so an unchanged one is hashed once for
+    all its granularities.
 
     Per-cell errors are logged in the summary and the run continues; a cell
     that wrote its clean record alone counts as skipped. Two images that

@@ -86,6 +86,15 @@ class ImageRef:
         """The image itself when it is already a ref, else a new ref over it."""
         return image if isinstance(image, ImageRef) else cls(image)
 
+    @classmethod
+    def _hashed(cls, payload: bytes, digest: str) -> "ImageRef":
+        """A ref over ``payload`` with the digest ImageFiles hashed from the
+        same unchanged file before."""
+        image = object.__new__(cls)
+        object.__setattr__(image, "payload", payload)
+        object.__setattr__(image, "digest", digest)
+        return image
+
     @property
     def media_type(self) -> Optional[str]:
         return sniff_media_type(self.payload)
@@ -93,6 +102,53 @@ class ImageRef:
     @cached_property
     def base64_payload(self) -> bytes:
         return base64.b64encode(self.payload)
+
+
+# The most file digests one ImageFiles keeps; past it the oldest is dropped.
+MAX_IMAGE_DIGESTS = 4096
+
+# A digest is kept only for a file that last changed this long before the
+# read began, longer than any filesystem's timestamp granularity; so a later
+# change to the file gives it a new identity.
+_SETTLED_NS = 2_000_000_000
+
+
+class ImageFiles:
+    """The one reader of image files, which hashes an unchanged file once.
+
+    ``read`` reads a file whole and ``fstat``s the open descriptor after the
+    read. Its table maps a file's identity, (device, inode, size, mtime,
+    ctime) in nanoseconds, to the SHA-256 of its bytes. A read whose bytes
+    number the size and whose identity is in the table takes the stored
+    digest. Any other read hashes the bytes, and stores the digest only for
+    a whole read of a file that last changed more than 2 s before the read
+    began. The table holds digests, never payloads, at most
+    MAX_IMAGE_DIGESTS of them. Each PipelineConfig and ForgeConfig owns one,
+    so a config built by ``dataclasses.replace`` starts with an empty table.
+    """
+
+    def __init__(self):
+        self._digests: dict[tuple[int, ...], str] = {}
+        self._lock = threading.Lock()
+
+    def read(self, path: str | os.PathLike) -> ImageRef:
+        started = time.time_ns()
+        with Path(path).open("rb") as handle:
+            payload = handle.read()
+            stat = os.fstat(handle.fileno())
+        identity = (stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
+        whole = len(payload) == stat.st_size
+        with self._lock:
+            digest = self._digests.get(identity)
+        if digest is not None and whole:
+            return ImageRef._hashed(payload, digest)
+        image = ImageRef(payload)
+        if whole and started - max(stat.st_mtime_ns, stat.st_ctime_ns) > _SETTLED_NS:
+            with self._lock:
+                self._digests[identity] = image.digest
+                if len(self._digests) > MAX_IMAGE_DIGESTS:
+                    del self._digests[next(iter(self._digests))]
+        return image
 
 
 def check_sampling(model_id: str, temperature: float, max_output_tokens: int) -> None:
@@ -259,12 +315,18 @@ class HttpBackend:
         import urllib.parse
         import urllib.request
 
-        def split(text: str, what: str):
+        def split(text: str, what: str, credentials: bool):
             # The port is parsed lazily, so it is read here to check it too;
             # a host idna cannot encode would fail only when connecting.
             try:
                 parts = urllib.parse.urlsplit(text)
-                parts.port
+                if not credentials and "@" in parts.netloc:
+                    raise GatewayError(
+                        "the endpoint may not carry credentials before its host; "
+                        "give the key as the API key"
+                    )
+                if parts.port == 0:
+                    raise ValueError("Port 0 cannot be connected to")
                 (parts.hostname or "").encode("idna")
             except ValueError as exc:
                 raise GatewayError(f"{what} is not a valid URL: {exc}") from None
@@ -272,14 +334,15 @@ class HttpBackend:
 
         self.name = f"http:{endpoint}"
         self.timeout = timeout
-        base = endpoint.rstrip("/")
-        url = split(base, f"endpoint {endpoint!r}")
+        url = split(endpoint, f"endpoint {endpoint!r}", credentials=False)
         if url.scheme not in ("http", "https") or not url.hostname:
             raise GatewayError(f"endpoint must be an http or https URL, got {endpoint!r}")
         default_port = 443 if url.scheme == "https" else 80
         port = url.port or default_port
         self._address, self._tunnel = (url.hostname, port), None
-        path = f"{url.path}/chat/completions"
+        # The fragment is the client's own, never sent.
+        query = f"?{url.query}" if url.query else ""
+        path = f"{url.path.rstrip('/')}/chat/completions{query}"
         # Host names the endpoint, never the proxy, and leaves out a default port.
         host_port = None if port == default_port else port
         headers = {
@@ -290,7 +353,9 @@ class HttpBackend:
         proxy = urllib.request.getproxies().get(url.scheme)
         if proxy and not urllib.request.proxy_bypass(url.netloc):
             # The proxy may carry credentials, so an error names its variable.
-            proxy_url = split(proxy if "://" in proxy else f"http://{proxy}", f"{url.scheme}_proxy")
+            proxy_url = split(
+                proxy if "://" in proxy else f"http://{proxy}", f"{url.scheme}_proxy", True
+            )
             if not proxy_url.hostname:
                 raise GatewayError(f"{url.scheme}_proxy names no host")
             proxy_headers = {}
@@ -301,14 +366,16 @@ class HttpBackend:
                 proxy_headers["Proxy-Authorization"] = f"Basic {token}"
             if url.scheme == "http":
                 # A proxy forwarding plain http is sent the absolute URL.
-                path, host_port = f"{base}/chat/completions", url.port
+                host_port = url.port
+                path = f"http://{_authority(url.hostname, host_port)}{path}"
                 headers.update(proxy_headers)
             else:
-                tunnel = _head("CONNECT", None, url.hostname, port, proxy_headers, endpoint)
+                authority = _authority(url.hostname, port)
+                tunnel = _head("CONNECT", authority, authority, proxy_headers, endpoint)
                 self._tunnel = tunnel + b"\r\n\r\n"
             self._address = (proxy_url.hostname, proxy_url.port or 80)
         headers["Content-Length"] = ""  # its value is each call's
-        self._head = _head("POST", path, url.hostname, host_port, headers, endpoint)
+        self._head = _head("POST", path, _authority(url.hostname, host_port), headers, endpoint)
         self._server_hostname, self._context = url.hostname, None
         if url.scheme == "https":
             import ssl
@@ -427,25 +494,26 @@ class HttpBackend:
         return content if isinstance(content, str) else ""
 
 
-def _head(
-    method: str, target: Optional[str], host: str, port: Optional[int], headers: dict, endpoint: str
-) -> bytes:
-    """A request line, ``Host`` and ``headers``, CRLF-joined with no blank
-    line after. ``Host`` names the idna-encoded host (an IPv6 address in
-    brackets, without its zone) and the port, if given; a ``target`` of
-    None names that too, as CONNECT does. A head that would not go on the
-    wire as written raises GatewayError; idna must encode the host."""
+def _authority(host: str, port: Optional[int]) -> str:
+    """A host and, if given, a port as Host names them: the host
+    idna-encoded, and an IPv6 address in brackets without its zone."""
     host = host.partition("%")[0]
     host = host if host.isascii() else host.encode("idna").decode("ascii")
     host = f"[{host}]" if ":" in host else host
-    authority = host if port is None else f"{host}:{port}"
-    if target is not None and not (target.isascii() and all(" " < ch != "\x7f" for ch in target)):
+    return host if port is None else f"{host}:{port}"
+
+
+def _head(method: str, target: str, authority: str, headers: dict, endpoint: str) -> bytes:
+    """A request line, ``Host: authority`` and ``headers``, CRLF-joined with
+    no blank line after. A head that would not go on the wire as written
+    raises GatewayError."""
+    if not (target.isascii() and all(" " < ch != "\x7f" for ch in target)):
         raise GatewayError(
             f"endpoint {endpoint!r} is not a valid URL: its path is not printable ASCII"
         )
     if any("\r" in value or "\n" in value for value in headers.values()):
         raise GatewayError("the API key cannot go in an HTTP header: it holds a line break")
-    lines = [f"{method} {target or authority} HTTP/1.1", f"Host: {authority}"]
+    lines = [f"{method} {target} HTTP/1.1", f"Host: {authority}"]
     lines += [f"{name}: {value}" for name, value in headers.items()]
     try:
         return "\r\n".join(lines).encode("latin-1")

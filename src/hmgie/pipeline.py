@@ -30,7 +30,7 @@ from .errors import (
     MalformedOutputError,
     require_positive,
 )
-from .gateway import Gateway, ImageRef, ModelRequest, call_parsed, check_sampling
+from .gateway import Gateway, ImageFiles, ImageRef, ModelRequest, call_parsed, check_sampling
 from .hieg import (
     Hieg,
     LevelStats,
@@ -126,6 +126,8 @@ class PipelineConfig:
     # The depth, budget and weight ratio as the scores read them, built (and
     # so checked) once when the config is.
     scoring: ScoringConfig = field(init=False, repr=False, compare=False)
+    # Reads every dataset image, hashing an unchanged file once per config.
+    image_files: ImageFiles = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         scoring = ScoringConfig(
@@ -134,6 +136,7 @@ class PipelineConfig:
             max_per_level=self.max_questions_per_level,
         )
         object.__setattr__(self, "scoring", scoring)
+        object.__setattr__(self, "image_files", ImageFiles())
         check_sampling(self.model_id, self.temperature, self.max_output_tokens)
         require_positive(
             intra_level_parallelism=self.intra_level_parallelism, parallelism=self.parallelism
@@ -647,7 +650,8 @@ def load_dataset_jsonl(path: str | Path) -> list[DatasetItem]:
 
 def evaluate_batch(dataset: Sequence[DatasetItem], config: PipelineConfig) -> BatchResult:
     """Evaluate every dataset item, ``config.parallelism`` at once; results
-    keep input order.
+    keep input order. Images are read through ``config.image_files``, which
+    hashes an unchanged file once however many items name it.
 
     Per-item failures are recorded instead of aborting the batch. Detection
     metrics are attached iff every item carries a ground-truth label; failed
@@ -656,8 +660,8 @@ def evaluate_batch(dataset: Sequence[DatasetItem], config: PipelineConfig) -> Ba
 
     def _one(item: DatasetItem) -> ItemResult:
         try:
-            payload = Path(item.image_path).read_bytes()
-            report = evaluate_pair(payload, item.caption, config)
+            image = config.image_files.read(item.image_path)
+            report = evaluate_pair(image, item.caption, config)
             return ItemResult(item=item, report=report)
         except (HmgieError, OSError, ValueError) as exc:
             return ItemResult(item=item, error=f"{type(exc).__name__}: {exc}")

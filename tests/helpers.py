@@ -94,21 +94,36 @@ def graph_reply_for(caption: str) -> str:
     return json.dumps(payload)
 
 
-def count_payload_hashes(monkeypatch, payload: bytes) -> list[int]:
-    """Patch hmgie.gateway's SHA-256 to log each pass over payload.
+def count_payload_hashes(monkeypatch, *payloads: bytes) -> list[bytes]:
+    """Patch hmgie.gateway's SHA-256 to log each pass over one of payloads.
 
-    Returns the log; its length is the number of times the gateway hashed
-    the image (cache-key hashes of request JSON are not counted).
+    Returns the log of the payloads hashed, in order; its length is the
+    number of times the gateway hashed an image (cache-key hashes of
+    request JSON are not counted).
     """
-    passes: list[int] = []
+    passes: list[bytes] = []
 
     def sha256(data=b"", **kwargs):
-        if data == payload:
-            passes.append(len(data))
+        if data in payloads:
+            passes.append(data)
         return hashlib.sha256(data, **kwargs)
 
     monkeypatch.setattr(gateway_module, "hashlib", types.SimpleNamespace(sha256=sha256))
     return passes
+
+
+def move_gateway_clock(monkeypatch, seconds: float) -> None:
+    """Move hmgie.gateway's wall clock ``seconds`` ahead of the real one.
+
+    ImageFiles keeps a file's digest only once the file last changed more
+    than 2 s before a read began, so after a move of an hour a file a test
+    has just written counts as settled.
+    """
+    ahead = round(seconds * 1e9)
+    clock = types.SimpleNamespace(
+        time_ns=lambda: time.time_ns() + ahead, monotonic=time.monotonic, sleep=time.sleep
+    )
+    monkeypatch.setattr(gateway_module, "time", clock)
 
 
 class DynamicBackend:

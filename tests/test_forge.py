@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from helpers import TINY_PNG, DynamicBackend, count_payload_hashes
+from helpers import TINY_PNG, DynamicBackend, count_payload_hashes, move_gateway_clock
 from hmgie.errors import AllCaptionersFailedError, SchemaViolationError
 from hmgie.forge import (
     DEFAULT_GRANULARITY_SPECS,
@@ -358,6 +358,16 @@ class TestBuildDataset:
         assert summary.records_written == 1
         # one caption plus one detection per perturbation round
         assert sum(1 for c in backend.calls if c.image_digest is not None) == 4
+        assert len(passes) == 1
+
+    def test_a_settled_image_is_hashed_once_over_all_four_tiers(
+        self, images, tmp_path, monkeypatch
+    ):
+        config, _ = forge_config(forge_responder())
+        move_gateway_clock(monkeypatch, 3600)
+        passes = count_payload_hashes(monkeypatch, TINY_PNG)
+        summary = build_dataset(images[:1], config, tmp_path / "data.jsonl")
+        assert summary.per_granularity == {1: 1, 2: 1, 3: 1, 4: 1}
         assert len(passes) == 1
 
     def test_label_soundness(self, images, tmp_path):

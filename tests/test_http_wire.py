@@ -13,6 +13,7 @@ import urllib.parse
 from typing import NamedTuple, Optional
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -278,10 +279,7 @@ _HOSTS = st.one_of(
                      "[fe80::1%25eth0]", "a..b", "", "x" * 64 + ".example", "h_st"]),
     st.text(alphabet="abcz-.é", min_size=1, max_size=12),
 )
-# Port 0, and an endpoint's query, fragment or credentials, are left out:
-# the backend reads port 0 as the scheme's default, and sends the other
-# three to an http proxy in the request target while dropping them without one.
-_PORTS = st.sampled_from(["", "", ":80", ":443", ":8080", ":65535", ":65536", ":x", ":"])
+_PORTS = st.sampled_from(["", "", ":0", ":80", ":443", ":8080", ":65535", ":65536", ":x", ":"])
 _PATHS = st.one_of(
     st.just(""),
     st.text(alphabet="/av1%-._~", max_size=9).map("/".__add__),
@@ -290,10 +288,18 @@ _PATHS = st.one_of(
 _CREDENTIALS = st.sampled_from(["", "user@", "user:pw@", "u%40x:p%3Aw@", "é:é@", ":@"])
 
 
+_QUERIES = st.sampled_from(["", "", "?", "?x=1", "?a=1&b=%2F/", "?q=a b"])
+_FRAGMENTS = st.sampled_from(["", "", "#", "#f", "#a?b=1", "#é"])
+
+
 @st.composite
 def endpoints(draw) -> str:
     scheme = draw(st.sampled_from(["http", "https", "HTTP", "ftp"]))
-    return f"{scheme}://{draw(_HOSTS)}{draw(_PORTS)}{draw(_PATHS)}"
+    credentials = draw(st.one_of(st.just(""), _CREDENTIALS))
+    return (
+        f"{scheme}://{credentials}{draw(_HOSTS)}{draw(_PORTS)}{draw(_PATHS)}"
+        f"{draw(_QUERIES)}{draw(_FRAGMENTS)}"
+    )
 
 
 @st.composite
@@ -302,6 +308,17 @@ def proxies(draw) -> Optional[str]:
         return None
     scheme = draw(st.sampled_from(["http://", "", "socks5://"]))
     return f"{scheme}{draw(_CREDENTIALS)}{draw(_HOSTS)}{draw(_PORTS)}"
+
+
+def _backend(endpoint: str, api_key: str, proxy: Optional[str]) -> HttpBackend:
+    """A backend built with ``proxy`` as the only proxy variable set."""
+    with mock.patch.dict(os.environ):
+        for name in ("no_proxy", "http_proxy", "https_proxy"):
+            os.environ.pop(name, None)
+            os.environ.pop(name.upper(), None)
+        if proxy:
+            os.environ.update(http_proxy=proxy, https_proxy=proxy)
+        return HttpBackend(endpoint, api_key)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -317,18 +334,17 @@ def test_every_head_the_backend_builds_reads_back(endpoint, api_key, proxy):
     """A backend built for an endpoint, key and proxy writes heads a strict
     parser reads back to the same method, target, Host and headers; an
     input it refuses raises GatewayError when it is built."""
-    with mock.patch.dict(os.environ):
-        for name in ("no_proxy", "http_proxy", "https_proxy"):
-            os.environ.pop(name, None)
-            os.environ.pop(name.upper(), None)
-        if proxy:
-            os.environ.update(http_proxy=proxy, https_proxy=proxy)
-        try:
-            backend = HttpBackend(endpoint, api_key)
-        except GatewayError:
-            return
-    url = urllib.parse.urlsplit(endpoint.rstrip("/"))
+    try:
+        backend = _backend(endpoint, api_key, proxy)
+    except GatewayError as exc:
+        # Only an endpoint's credentials hold "@"; they are never echoed.
+        assert "@" not in str(exc)
+        return
+    url = urllib.parse.urlsplit(endpoint)
     default_port = 443 if url.scheme == "https" else 80
+    # Credentials and port 0 are refused; the fragment is never sent.
+    assert "@" not in url.netloc and url.port != 0
+    path = f"{url.path.rstrip('/')}/chat/completions{'?' if url.query else ''}{url.query}"
     headers = {
         "accept-encoding": "identity",
         "content-type": "application/json",
@@ -346,11 +362,11 @@ def test_every_head_the_backend_builds_reads_back(endpoint, api_key, proxy):
     assert method == "POST"
     if proxy and url.scheme == "http":
         # A proxy is sent the absolute URL, and Host names its authority.
-        assert target == f"{endpoint.rstrip('/')}/chat/completions"
         host = _authority(url.hostname, url.port)
+        assert target == f"http://{host}{path}"
         headers.update(proxy_headers)
     else:
-        assert target == f"{url.path}/chat/completions"
+        assert target == path
         host = _authority(url.hostname, None if url.port in (None, default_port) else url.port)
     assert sent == {"host": host, **headers, "content-length": "123"}
     if proxy and url.scheme == "https":
@@ -360,3 +376,40 @@ def test_every_head_the_backend_builds_reads_back(endpoint, api_key, proxy):
         assert sent == {"host": authority, **proxy_headers}
     else:
         assert backend._tunnel is None
+
+
+@pytest.mark.parametrize(
+    "endpoint, proxy, target",
+    [
+        ("http://h/v1?x=1#f", None, "/v1/chat/completions?x=1"),
+        ("http://h/v1?x=1#f", "http://p:3128", "http://h/v1/chat/completions?x=1"),
+        ("http://h:8080/v1/?x=1", "p:3128", "http://h:8080/v1/chat/completions?x=1"),
+        (
+            "http://B\u00fccher.example/v1",
+            "http://p:3128",
+            "http://xn--bcher-kva.example/v1/chat/completions",
+        ),
+        ("https://h/v1#f", "http://p:3128", "/v1/chat/completions"),
+    ],
+)
+def test_one_request_target_for_every_endpoint(endpoint, proxy, target):
+    """The path, then the query after /chat/completions; through an http
+    proxy, the idna-encoded authority before them; never the fragment."""
+    assert _parse_head(_backend(endpoint, "k", proxy)._head + b"0\r\n\r\n")[1] == target
+
+
+@pytest.mark.parametrize("proxy", [None, "http://p:3128", "http://p:3128/"])
+@pytest.mark.parametrize("endpoint", ["http://u:pw@h/v1?x=1#f", "https://user@h/v1", "http://:@h"])
+def test_an_endpoint_with_credentials_is_refused_without_echoing_them(endpoint, proxy):
+    with pytest.raises(GatewayError, match="may not carry credentials") as raised:
+        _backend(endpoint, "k", proxy)
+    assert "@" not in str(raised.value) and "pw" not in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "endpoint, proxy, variable",
+    [("http://h:0/v1", None, "endpoint 'http://h:0/v1'"), ("http://h/v1", "p:0", "http_proxy")],
+)
+def test_port_0_is_refused(endpoint, proxy, variable):
+    with pytest.raises(GatewayError, match=f"^{variable} is not a valid URL: Port 0"):
+        _backend(endpoint, "k", proxy)
